@@ -6,9 +6,10 @@ Two independent spectral-flow algorithms are provided:
   eigenvalue branches by bisection and adds the signature of the crossing
   form  v |-> <dA/dt v, v>  on the numerical kernel (for a simple crossing
   this is sign<dA v, v>, the classical local flow),
-* :func:`spectral_flow_tracking` follows eigenvalue branches across the
-  grid, matched by minimal total displacement, counts signed sign changes
-  and refines the grid by halving until the count stabilizes twice.
+* :func:`spectral_flow_tracking` counts negative eigenvalues n-(t) on the
+  x4 refined grid; each interval adds n-(t_i) - n-(t_i+1) crossings at its
+  midpoint.  It uses no derivatives, and its total is the endpoint inertia
+  difference n-(A(0)) - n-(A(1)).
 
 The Maslov index of a path of lagrangians counts crossings with the train
 {dim(L ∩ H-) = 1}, located through the eigenphases of the Arnold unitary
@@ -43,7 +44,7 @@ __all__ = [
 ]
 
 _MAX_DEPTH = 40
-_MAX_TRACK_LEVELS = 12
+_MAX_SPLITS = 14
 _NODE_SHIFT = 1e-7
 _FD_STEP = 1e-4
 
@@ -70,6 +71,14 @@ def _check_grid(grid) -> np.ndarray:
         raise InputError("grid must run from 0 to 1")
     g[0], g[-1] = 0.0, 1.0
     return g
+
+
+def _bracket(grid: np.ndarray, t: float) -> tuple[int, float]:
+    """Interval i of the grid that holds t, and t's offset s in it (0 to 1)."""
+    i = int(np.searchsorted(grid, t, side="right") - 1)
+    i = min(max(i, 0), grid.size - 2)
+    a, b = grid[i], grid[i + 1]
+    return i, (t - a) / (b - a)
 
 
 @dataclass(frozen=True)
@@ -120,10 +129,7 @@ class HermitianPath:
         t = min(max(float(t), 0.0), 1.0)
         if self.func is not None:
             return symmetrize(self.func(t))
-        i = int(np.searchsorted(self.grid, t, side="right") - 1)
-        i = min(max(i, 0), self.grid.size - 2)
-        a, b = self.grid[i], self.grid[i + 1]
-        s = (t - a) / (b - a)
+        i, s = _bracket(self.grid, t)
         return (1.0 - s) * self.values[i] + s * self.values[i + 1]
 
     def derivative_at(self, t: float) -> np.ndarray:
@@ -131,10 +137,7 @@ class HermitianPath:
         if self.dfunc is not None:
             return symmetrize(self.dfunc(t))
         if self.derivatives is not None:
-            i = int(np.searchsorted(self.grid, t, side="right") - 1)
-            i = min(max(i, 0), self.grid.size - 2)
-            a, b = self.grid[i], self.grid[i + 1]
-            s = (t - a) / (b - a)
+            i, s = _bracket(self.grid, t)
             return (1.0 - s) * self.derivatives[i] + s * self.derivatives[i + 1]
         return _richardson_derivative(self.value_at, t, self._fd_step(t))
 
@@ -191,15 +194,17 @@ def _refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
 
 
 def _shift_interior_zeros(ts: np.ndarray, eig_at, eps: float
-                          ) -> tuple[np.ndarray, list[float]]:
+                          ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Nudge interior nodes sitting on (near-)zero eigenvalues off the zero.
 
-    Nodes whose smallest eigenvalue magnitude stays below eps even after
-    nudging (the branch is flat there) are reported as touch candidates.
+    Returns the nodes, the sorted eigenvalues at them (one row per node)
+    and the touch candidates: nodes whose smallest eigenvalue magnitude
+    stays below eps even after nudging (the branch is flat there).
     """
     ts = ts.copy()
     spacing = float(np.min(np.diff(ts)))
     delta = _NODE_SHIFT * spacing
+    evs = [eig_at(ts[0])]
     stuck = []
     for i in range(1, ts.size - 1):
         vals = eig_at(ts[i])
@@ -211,13 +216,29 @@ def _shift_interior_zeros(ts: np.ndarray, eig_at, eps: float
             vals = eig_at(ts[i])
         else:
             stuck.append(float(orig))
-    return ts, stuck
+        evs.append(vals)
+    evs.append(eig_at(ts[-1]))
+    return ts, np.array(evs), stuck
 
 
 def _endpoint_check(eig_at, tol: Tolerance):
     for t in (0.0, 1.0):
         if np.min(np.abs(eig_at(t))) <= tol.crossing_eps:
             raise PreconditionError("degenerate endpoint")
+
+
+def _bisect(g, lo: float, hi: float, glo: float, width: float) -> float:
+    """A sign change of g on [lo, hi], given glo = g(lo), to the given width."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if gm == 0.0 or hi - lo < width:
+            return mid
+        if glo * gm < 0.0:
+            hi = mid
+        else:
+            lo, glo = mid, gm
+    return 0.5 * (lo + hi)
 
 
 def _branch_crossings(branch, a, b, fa, fb, touch_eps, out, depth=0):
@@ -233,18 +254,7 @@ def _branch_crossings(branch, a, b, fa, fb, touch_eps, out, depth=0):
     if fa == 0.0 or fb == 0.0:
         raise PreconditionError("grid too coarse")
     if fa * fb < 0.0:
-        lo, hi, flo = a, b, fa
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = branch(mid)
-            if fm == 0.0 or hi - lo < 1e-15:
-                lo = hi = mid
-                break
-            if flo * fm < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        out.append((0.5 * (lo + hi), "cross"))
+        out.append((_bisect(branch, a, b, fa, 1e-15), "cross"))
         return
     mid = 0.5 * (a + b)
     fm = branch(mid)
@@ -282,16 +292,6 @@ def _refine_to_minimum(fun, t0: float, halfwidth: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _merge_times(times: Sequence[float], radius: float) -> list[float]:
-    merged: list[list[float]] = []
-    for t in sorted(times):
-        if merged and t - merged[-1][-1] <= radius:
-            merged[-1].append(t)
-        else:
-            merged.append([t])
-    return [float(np.mean(group)) for group in merged]
-
-
 def _merge_events(events: Sequence[tuple[float, str]], radius: float
                   ) -> list[tuple[float, bool]]:
     """Merge (time, kind) events; a group is a touch when no member crossed."""
@@ -326,8 +326,7 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
     _endpoint_check(eig_at, tol)
     scale = max(1.0, max(float(np.abs(v).max(initial=0.0)) for v in path.values))
     node_eps = max(tol.crossing_eps, 1e-12 * scale)
-    ts, stuck = _shift_interior_zeros(_refine_grid(path.grid, 8), eig_at, node_eps)
-    evs = np.array([eig_at(t) for t in ts])
+    ts, evs, stuck = _shift_interior_zeros(_refine_grid(path.grid, 8), eig_at, node_eps)
     n = path.dim
     sub_spacing = float(np.min(np.diff(ts)))
 
@@ -365,50 +364,26 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
     return flow, crossings
 
 
-def _match_branches(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    """Minimal total-displacement assignment of sorted eigenvalue lists."""
-    n = prev.size
-    if n > 64:
-        return np.arange(n)
-    cost = np.abs(prev[:, None] - cur[None, :])
-    _, cols = linear_sum_assignment(cost)
-    return cols
-
-
 def spectral_flow_tracking(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
                            ) -> tuple[int, list[Crossing]]:
-    """Spectral flow by eigenvalue-branch tracking with adaptive refinement.
+    """Spectral flow by inertia counts on the x4 refined grid.
 
-    Independent of the crossing-form route: no derivatives are used.  The
-    grid is halved until the signed count of branch sign changes is stable
-    over two refinements.
+    Independent of the crossing-form route: no derivatives are used.  With
+    n-(t) the number of negative eigenvalues, interior nodes nudged off
+    zero as in the crossing route, each grid interval [t_i, t_i+1] adds
+    |n-(t_i) - n-(t_i+1)| crossings of that sign at its midpoint, and the
+    flow is n-(A(0)) - n-(A(1)).
     """
     eig_at = lambda t: _sorted_eigs(path.value_at(t))  # noqa: E731
     _endpoint_check(eig_at, tol)
     scale = max(1.0, max(float(np.abs(v).max(initial=0.0)) for v in path.values))
     node_eps = max(tol.crossing_eps, 1e-12 * scale)
-
-    history: list[int] = []
+    ts, evs, _ = _shift_interior_zeros(_refine_grid(path.grid, 4), eig_at, node_eps)
+    negative = np.sum(evs < 0.0, axis=1)
     detail: list[Crossing] = []
-    for level in range(_MAX_TRACK_LEVELS + 1):
-        ts, _ = _shift_interior_zeros(_refine_grid(path.grid, 2**level), eig_at, node_eps)
-        evs = [eig_at(t) for t in ts]
-        count = 0
-        detail = []
-        for i in range(len(ts) - 1):
-            cols = _match_branches(evs[i], evs[i + 1])
-            for j in range(path.dim):
-                fa, fb = evs[i][j], evs[i + 1][cols[j]]
-                if fa < 0.0 < fb:
-                    count += 1
-                    detail.append(Crossing(0.5 * (ts[i] + ts[i + 1]), 1))
-                elif fb < 0.0 < fa:
-                    count -= 1
-                    detail.append(Crossing(0.5 * (ts[i] + ts[i + 1]), -1))
-        history.append(count)
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            return count, sorted(detail, key=lambda c: c.t)
-    raise PreconditionError("grid too coarse")
+    for i, d in enumerate(negative[:-1] - negative[1:]):
+        detail += [Crossing(0.5 * (ts[i] + ts[i + 1]), np.sign(d))] * abs(int(d))
+    return int(negative[0] - negative[-1]), detail
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +444,7 @@ class LagrangianPath:
         t = min(max(float(t), 0.0), 1.0)
         if self.func is not None:
             return self.func(t)
-        i = int(np.searchsorted(self.grid, t, side="right") - 1)
-        i = min(max(i, 0), self.grid.size - 2)
-        a, b = self.grid[i], self.grid[i + 1]
-        s = (t - a) / (b - a)
+        i, s = _bracket(self.grid, t)
         if s <= 0.0:
             return self.values[i]
         if s >= 1.0:
@@ -508,27 +480,36 @@ def _phases_of(u: np.ndarray) -> np.ndarray:
     return np.sort(np.angle(np.linalg.eigvals(u)))
 
 
-def _match_lift(ref_raw: np.ndarray, ref_lift: np.ndarray, cur_raw: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Continue lifted phase branches to the next raw phase multiset."""
-    n = ref_raw.size
-    diff = _wrap_angle(cur_raw[None, :] - ref_raw[:, None])
-    if n <= 64:
-        _, cols = linear_sum_assignment(np.abs(diff))
-    else:
-        cols = np.arange(n)
-    new_raw = cur_raw[cols]
-    new_lift = ref_lift + _wrap_angle(new_raw - ref_raw)
-    return new_raw, new_lift
+def _match_phases(ref: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, float]:
+    """Pair two phase multisets by least total circular displacement.
+
+    Returns cur reordered to follow ref branch by branch, and the largest
+    matched displacement.
+    """
+    diff = _wrap_angle(cur[None, :] - ref[:, None])
+    rows, cols = linear_sum_assignment(np.abs(diff))
+    return cur[cols], float(np.abs(diff[rows, cols]).max(initial=0.0))
 
 
-def _circular_movement(a_raw: np.ndarray, b_raw: np.ndarray) -> float:
-    """Largest matched circular phase displacement between two multisets."""
-    diff = np.abs(_wrap_angle(b_raw[None, :] - a_raw[:, None]))
-    if a_raw.size <= 64:
-        rows, cols = linear_sum_assignment(diff)
-        return float(diff[rows, cols].max(initial=0.0))
-    return float(np.abs(_wrap_angle(b_raw - a_raw)).max(initial=0.0))
+def _lift_chain(raws: Sequence[np.ndarray], lift: np.ndarray | None = None
+                ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+    """Continue phase branches along a chain of phase multisets.
+
+    raws[0] fixes the branch order and ``lift`` (default raws[0]) its
+    continuous lift.  Returns the matched phases and the lifts at every
+    node, and the largest matched displacement of one step.
+    """
+    raw = raws[0]
+    lift = raw.copy() if lift is None else lift
+    matched, lifts, move = [raw], [lift], 0.0
+    for cur in raws[1:]:
+        new, step = _match_phases(raw, cur)
+        lift = lift + _wrap_angle(new - raw)
+        raw = new
+        matched.append(raw)
+        lifts.append(lift)
+        move = max(move, step)
+    return matched, lifts, move
 
 
 def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
@@ -555,11 +536,9 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
     # subdivide until eigenphase movement per step is comfortably small
     ts = list(path.grid)
     raws = {t: _phases_of(u_at(t)) for t in ts}
-    for _ in range(_MAX_TRACK_LEVELS + 2):
-        inserts = []
-        for a, b in zip(ts[:-1], ts[1:]):
-            if _circular_movement(raws[a], raws[b]) > 0.4 * np.pi:
-                inserts.append(0.5 * (a + b))
+    for _ in range(_MAX_SPLITS):
+        inserts = [0.5 * (a + b) for a, b in zip(ts[:-1], ts[1:])
+                   if _match_phases(raws[a], raws[b])[1] > 0.4 * np.pi]
         if not inserts:
             break
         for t in inserts:
@@ -580,22 +559,13 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
             adj.append(t)
     ts = adj
 
-    # lift branches along the node chain
-    lift = raws[ts[0]].copy()
-    raw = raws[ts[0]].copy()
-    lifted = [lift.copy()]
-    raws_chain = [raw.copy()]
-    for t in ts[1:]:
-        raw, lift = _match_lift(raw, lift, raws[t])
-        lifted.append(lift.copy())
-        raws_chain.append(raw.copy())
+    chain, lifted, _ = _lift_chain([raws[t] for t in ts])
 
     def lifted_at(t, i_ref):
         """Lifted branch vector at t, anchored at node index i_ref."""
-        r, l = _match_lift(raws_chain[i_ref], lifted[i_ref], _phases_of(u_at(t)))
-        return l
+        return _lift_chain([chain[i_ref], _phases_of(u_at(t))], lifted[i_ref])[1][-1]
 
-    raw_times: list[float] = []
+    events: list[tuple[float, str]] = []
     for i in range(len(ts) - 1):
         a, b = ts[i], ts[i + 1]
         la, lb = lifted[i], lifted[i + 1]
@@ -610,42 +580,26 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
                     raise PreconditionError("grid too coarse")
                 if ga * gb > 0.0:
                     continue
-                lo, hi, glo = a, b, ga
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    gm = g(mid)
-                    if gm == 0.0 or hi - lo < 1e-14:
-                        lo = hi = mid
-                        break
-                    if glo * gm < 0.0:
-                        hi = mid
-                    else:
-                        lo, glo = mid, gm
-                raw_times.append(0.5 * (lo + hi))
+                events.append((_bisect(g, a, b, ga, 1e-14), "cross"))
 
-    times = _merge_times(raw_times, 1e-9)
     jmat = J_matrix(n)
     flow = 0
     crossings: list[Crossing] = []
-    for t_star in times:
+    for t_star, _ in _merge_events(events, 1e-9):
         if not (0.0 < t_star < 1.0):
             raise PreconditionError("degenerate endpoint")
         frame = path.frame_at(t_star).frame
         kern_coords = numeric_kernel(frame[:n], Tolerance(max(tol.rank_eps, 1e-7),
                                                           tol.crossing_eps))
         if kern_coords.shape[1] == 0:
-            continue
+            # the lift passed pi where L misses H-: a matching jump, not a crossing
+            raise PreconditionError("grid too coarse")
         kernel = frame @ kern_coords
 
         spacing_loc = min(t_star / 2.0, (1.0 - t_star) / 2.0, _FD_STEP)
         p_of = lambda t: path.frame_at(t).projection()  # noqa: E731
         pdot = _richardson_derivative(p_of, t_star, max(spacing_loc, 1e-12))
-        rate = -jmat @ pdot
-        form = kernel.conj().T @ rate @ kernel
-        q = np.linalg.eigvalsh(symmetrize(form))
-        if np.min(np.abs(q)) <= tol.crossing_eps:
-            raise PreconditionError("degenerate crossing")
-        sgn = int(np.sum(q > 0) - np.sum(q < 0))
+        sgn = _crossing_signature(kernel, -jmat @ pdot, tol)
         crossings.append(Crossing(t_star, sgn))
         flow += sgn
     return flow, crossings

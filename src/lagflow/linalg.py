@@ -56,8 +56,8 @@ class Tolerance:
     crossing_eps: float = 1e-9
 
     def __post_init__(self):
-        if not (self.rank_eps > 0 and self.crossing_eps > 0):
-            raise InputError("tolerances must be positive")
+        if not (0 < self.rank_eps < np.inf and 0 < self.crossing_eps < np.inf):
+            raise InputError("tolerances must be positive and finite")
 
 
 DEFAULT_TOL = Tolerance()

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .flow import _circular_movement, _match_lift, _unitary_geodesic
+from .flow import _bracket, _check_grid, _lift_chain, _phases_of, _refine_grid, _unitary_geodesic
 from .grassmann import LagrangianFrame
 from .linalg import orthonormalize, require_unitary
 
@@ -92,11 +92,7 @@ class UnitaryLoop:
     func: Callable[[float], np.ndarray] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
-            raise InputError("loop grid must be strictly increasing")
-        if abs(g[0]) > 1e-12 or abs(g[-1] - 1.0) > 1e-12:
-            raise InputError("loop grid must run from 0 to 1")
+        g = _check_grid(self.grid)
         vals = tuple(require_unitary(v) for v in self.values)
         if len(vals) != g.size:
             raise InputError("one unitary per grid node required")
@@ -122,10 +118,7 @@ class UnitaryLoop:
         t = min(max(float(t), 0.0), 1.0)
         if self.func is not None:
             return require_unitary(self.func(t))
-        i = int(np.searchsorted(self.grid, t, side="right") - 1)
-        i = min(max(i, 0), self.grid.size - 2)
-        a, b = self.grid[i], self.grid[i + 1]
-        s = (t - a) / (b - a)
+        i, s = _bracket(self.grid, t)
         if s <= 0.0:
             return self.values[i]
         if s >= 1.0:
@@ -157,28 +150,13 @@ def universal_loop_flow(loop: UnitaryLoop) -> int:
 
 
 def _loop_flow_at_level(loop: UnitaryLoop, factor: int) -> int | None:
-    ts: list[float] = []
-    for a, b in zip(loop.grid[:-1], loop.grid[1:]):
-        ts.extend(np.linspace(a, b, factor + 1)[:-1])
-    ts.append(loop.grid[-1])
-
-    raws = [np.sort(np.angle(np.linalg.eigvals(loop.value_at(t)))) for t in ts]
-    for a, b in zip(raws[:-1], raws[1:]):
-        if _circular_movement(a, b) > 0.4 * np.pi:
-            return None  # refine further
-
-    raw = raws[0].copy()
-    lift = raws[0].copy()
-    lifts = [lift.copy()]
-    for cur in raws[1:]:
-        raw, lift = _match_lift(raw, lift, cur)
-        lifts.append(lift.copy())
-
-    total = 0
+    raws = [_phases_of(loop.value_at(t)) for t in _refine_grid(loop.grid, factor)]
+    _, lifts, move = _lift_chain(raws)
+    if move > 0.4 * np.pi:
+        return None  # refine further
+    # passages of the lifted branches through multiples of 2 pi telescope
     two_pi = 2.0 * np.pi
-    for la, lb in zip(lifts[:-1], lifts[1:]):
-        total += int(np.sum(np.floor(lb / two_pi) - np.floor(la / two_pi)))
-    return total
+    return int(np.sum(np.floor(lifts[-1] / two_pi) - np.floor(lifts[0] / two_pi)))
 
 
 def universal_reduction(u) -> np.ndarray:

@@ -193,6 +193,9 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LAGFLOW_TOL", "bogus")
     code, _, err = run(capsys, "schubert", p)
     assert code == 3 and "LAGFLOW_TOL" in err
+    monkeypatch.setenv("LAGFLOW_TOL", "inf")
+    code, out, _ = run(capsys, "schubert", p)
+    assert code == 3 and out == ""
     monkeypatch.setenv("LAGFLOW_TOL", "1e-9")
     code, out, _ = run(capsys, "schubert", p)
     assert code == 0 and json.loads(out)["generic"]

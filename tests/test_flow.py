@@ -229,3 +229,33 @@ def test_maslov_double_winding_and_horizontal_passage():
     flow, crossings = maslov_index(lp)
     assert flow == 2
     assert len(crossings) == 2
+
+
+def test_tracking_counts_a_branch_flat_at_zero():
+    # the eigenvalue sits exactly on zero over a whole grid interval, so
+    # no node can be nudged off it; the inertia count still sees n-(0) = 1
+    # and n-(1) = 0
+    grid = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
+    vals = tuple(np.array([[v]]) for v in (-1.0, 0.0, 0.0, 1.0))
+    path = HermitianPath(grid, vals)
+    flow, detail = spectral_flow_tracking(path)
+    assert flow == 1
+    assert [c.sign for c in detail] == [1]
+    with pytest.raises(PreconditionError):
+        spectral_flow_crossing(path)
+
+
+def test_maslov_rejects_a_matching_jump():
+    # parallel branches move farther than their gap in one step, so a
+    # bisection lands on a jump of the phase matching, where L misses H-;
+    # skipping that event gives 1 on both paths, where 2 and 0 are right
+    theta = np.array([2.019, 1.768])
+    cayley = LagrangianPath.from_function(
+        lambda t: cayley_graph(np.diag(np.exp(1j * (theta + 2 * np.pi * t)))), 17)
+    rng = np.random.default_rng(64)
+    a = random_hermitian(64, rng) / 8.0
+    b = random_hermitian(64, rng)
+    switched = LagrangianPath.from_function(lambda t: switched_graph(a + t * b), 9)
+    for lp in (cayley, switched):
+        with pytest.raises(PreconditionError, match="grid too coarse"):
+            maslov_index(lp)

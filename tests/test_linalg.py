@@ -22,6 +22,10 @@ def test_tolerance_validation():
         Tolerance(rank_eps=0.0)
     with pytest.raises(InputError):
         Tolerance(crossing_eps=-1e-9)
+    with pytest.raises(InputError):
+        Tolerance(rank_eps=np.inf)
+    with pytest.raises(InputError):
+        Tolerance(crossing_eps=np.inf)
 
 
 def test_eig_diagonal():

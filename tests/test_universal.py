@@ -94,12 +94,13 @@ def test_loop_flow_mixed():
     assert universal_loop_flow(loop) == 1
 
 
-def test_loop_flow_winding_equals_dimension(rng):
-    u0 = random_unitary(3, rng)
+@pytest.mark.parametrize("n", [3, 65])
+def test_loop_flow_winding_equals_dimension(n, rng):
+    u0 = random_unitary(n, rng)
     if np.min(np.abs(np.angle(np.linalg.eigvals(u0)))) < 1e-3:
         u0 = u0 * np.exp(0.05j)
     loop = UnitaryLoop.from_function(lambda t: np.exp(2j * np.pi * t) * u0, 33)
-    assert universal_loop_flow(loop) == 3
+    assert universal_loop_flow(loop) == n
 
 
 def test_loop_flow_degenerate_endpoint():

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 mathematical precondition failure (messages name
 the violated precondition verbatim, e.g. "not clean"), 3 malformed input.
 Result JSON goes to stdout with deterministic formatting; diagnostics go
-to stderr only.  The environment variable LAGFLOW_TOL overrides the
-default rank_eps.
+to stderr only.  The environment variable LAGFLOW_TOL, and above it
+--tol, overrides the default rank_eps; it must lie in (0, 1).
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ from . import serialize
 from .errors import InputError, PreconditionError
 from .flow import maslov_index, spectral_flow_crossing, spectral_flow_tracking
 from .grassmann import cayley_graph, lagrangian_to_unitary
-from .intersect import (
-    crossing_jet,
-    intersection_number_operator,
-    locate_crossings,
-    operator_determinant,
-)
+from .intersect import _transversal_sign, operator_determinant, total_intersection_number
 from .linalg import Tolerance, require_unitary
 from .reduction import IsotropicSubspace, reduce_lagrangian, reduce_unitary
-from .schubert import Flag, incidence_profile
-from .universal import exact_spectrum, universal_loop_flow, universal_reduction
+from .schubert import Flag, _drop_nodes
+from .universal import (
+    discretize_operator,
+    exact_spectrum,
+    universal_loop_flow,
+    universal_reduction,
+)
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -49,7 +49,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 bytes
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -72,10 +72,18 @@ def _emit(obj):
     sys.stdout.write(serialize.dumps_canonical(obj) + "\n")
 
 
-def _write_branch_csv(path: str, header: list[str], rows: list[list[float]]):
+def _emit_flow(flow: int, crossings):
+    _emit({"flow": flow, "crossings": [{"t": c.t, "sign": c.sign} for c in crossings]})
+
+
+def _write_branch_csv(path: str, grid: np.ndarray, per_step: int, label: str, width: int,
+                      branches):
+    """CSV of t and the ``width`` values ``branches(t)``, per_step points per grid step."""
+    ts = np.linspace(0.0, 1.0, per_step * (grid.size - 1) + 1)
+    rows = [[t] + list(branches(t)) for t in ts]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["t"] + [f"{label}{i}" for i in range(width)])
         for row in rows:
             writer.writerow([format(x, ".17g") for x in row])
 
@@ -103,29 +111,23 @@ def _cmd_sf(args) -> int:
             raise PreconditionError(
                 "method disagreement: crossing "
                 f"{results['crossing'][0]} vs tracking {results['tracking'][0]}")
-    flow, crossings = results.get("crossing", results.get("tracking"))
     if args.plot:
-        ts = np.linspace(0.0, 1.0, 8 * (path.grid.size - 1) + 1)
-        rows = [[t] + list(np.linalg.eigvalsh(path.value_at(t))) for t in ts]
-        _write_branch_csv(args.plot, ["t"] + [f"lambda{i}" for i in range(path.dim)], rows)
-    _emit({"flow": flow,
-           "crossings": [{"t": c.t, "sign": c.sign} for c in crossings]})
+        _write_branch_csv(args.plot, path.grid, 8, "lambda", path.dim,
+                          lambda t: np.linalg.eigvalsh(path.value_at(t)))
+    _emit_flow(*results.get("crossing", results.get("tracking")))
     return EXIT_OK
 
 
 def _cmd_maslov(args) -> int:
     tol = _tolerance(args)
     path = serialize.decode_lagrangian_path(_load_json(args.path))
-    flow, crossings = maslov_index(path, tol)
+    result = maslov_index(path, tol)
     if args.plot:
-        ts = np.linspace(0.0, 1.0, 8 * (path.grid.size - 1) + 1)
-        rows = []
-        for t in ts:
-            u = lagrangian_to_unitary(path.frame_at(t))
-            rows.append([t] + list(np.sort(np.angle(np.linalg.eigvals(u)))))
-        _write_branch_csv(args.plot, ["t"] + [f"theta{i}" for i in range(path.n)], rows)
-    _emit({"flow": flow,
-           "crossings": [{"t": c.t, "sign": c.sign} for c in crossings]})
+        def eigenphases(t):
+            return np.sort(np.angle(np.linalg.eigvals(lagrangian_to_unitary(path.frame_at(t)))))
+
+        _write_branch_csv(args.plot, path.grid, 8, "theta", path.n, eigenphases)
+    _emit_flow(*result)
     return EXIT_OK
 
 
@@ -159,16 +161,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_schubert(args) -> int:
     tol = _tolerance(args)
     lag = serialize.decode_lagrangian(_load_json(args.lagrangian))
-    flag = Flag(lag.n)
-    profile = incidence_profile(lag, flag, tol)
-    nodes = []
-    generic = True
-    for j in range(1, flag.n + 1):
-        drop = profile[j - 1] - profile[j]
-        nodes.extend([j] * max(drop, 0))
-        if drop > 1 or drop < 0:
-            generic = False
-    weight = sum(2 * i - 1 for i in nodes)
+    profile, nodes, weight, generic = _drop_nodes(lag, Flag(lag.n), tol)
     _emit({"profile": profile, "index": nodes, "weight": weight, "generic": generic})
     return EXIT_OK
 
@@ -177,23 +170,16 @@ def _cmd_intersect(args) -> int:
     tol = _tolerance(args)
     jet = serialize.decode_family_jet(_load_json(args.jet), tol)
     det, p = operator_determinant(jet)
-    if abs(det) <= jet.tol.crossing_eps:
-        raise PreconditionError("not transversal")
-    _emit({"epsilon": 1 if det > 0 else -1, "p": p, "det": det})
+    _emit({"epsilon": _transversal_sign(det, jet.tol), "p": p, "det": det})
     return EXIT_OK
 
 
 def _cmd_intersect_total(args) -> int:
     tol = _tolerance(args)
     family = serialize.decode_meshed_family(_load_json(args.family), tol)
-    points = locate_crossings(family)
-    detail = []
-    total = 0
-    for x in points:
-        eps = family.orientation * intersection_number_operator(crossing_jet(family, x))
-        detail.append({"point": [float(v) for v in x], "epsilon": eps})
-        total += eps
-    _emit({"total": total, "crossings": detail})
+    total, detail = total_intersection_number(family)
+    _emit({"total": total,
+           "crossings": [{"point": [float(v) for v in x], "epsilon": eps} for x, eps in detail]})
     return EXIT_OK
 
 
@@ -212,16 +198,13 @@ def _cmd_universal(args) -> int:
         flow = universal_loop_flow(loop)
         if args.plot:
             # low part of the discretized eigenvalue ladder along the loop
-            from .universal import discretize_operator
-
             branches = min(8, args.m * loop.dim)
-            rows = []
-            for t in np.linspace(0.0, 1.0, 2 * (loop.grid.size - 1) + 1):
+
+            def low_ladder(t):
                 ev = np.linalg.eigvalsh(discretize_operator(loop.value_at(t), args.m))
-                low = ev[np.argsort(np.abs(ev))[:branches]]
-                rows.append([t] + list(np.sort(low)))
-            _write_branch_csv(args.plot,
-                              ["t"] + [f"lambda{i}" for i in range(branches)], rows)
+                return np.sort(ev[np.argsort(np.abs(ev))[:branches]])
+
+            _write_branch_csv(args.plot, loop.grid, 2, "lambda", branches, low_ladder)
         _emit({"flow": flow})
     else:
         u = require_unitary(serialize.decode_matrix(_load_json(args.reduce)))

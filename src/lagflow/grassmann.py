@@ -35,7 +35,6 @@ from .linalg import (
     require_hermitian,
     require_unitary,
     hermitian_eig,
-    subspace_intersection_dim,
 )
 
 __all__ = [
@@ -129,12 +128,8 @@ def lagrangian_to_unitary(lag: LagrangianFrame) -> np.ndarray:
     C^n through the isometries phi_-+; exact inverse of :func:`cayley_graph`
     up to rounding.
     """
-    z = lag.frame
-    n = lag.n
-    refl = 2.0 * (z @ z.conj().T) - np.eye(2 * n)
-    phi_minus, phi_plus = _phi_frames(n)
-    u = phi_plus.conj().T @ refl @ phi_minus
-    return u
+    phi_minus, phi_plus = _phi_frames(lag.n)
+    return phi_plus.conj().T @ reflection_of(lag) @ phi_minus
 
 
 def reflection_of(lag: LagrangianFrame) -> np.ndarray:
@@ -149,6 +144,14 @@ def _inv_sqrt_eye_plus_sq(s: np.ndarray) -> np.ndarray:
     return (vecs * (1.0 / np.sqrt(1.0 + vals**2))) @ vecs.conj().T
 
 
+def _chart_frames(base: LagrangianFrame, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # validated chart coordinate S, the base frame Z0 and J Z0
+    s = require_hermitian(s)
+    if s.shape[0] != base.n:
+        raise InputError("chart coordinate size does not match the base frame")
+    return s, base.frame, J_matrix(base.n) @ base.frame
+
+
 def chart_point(base: LagrangianFrame, s) -> LagrangianFrame:
     """Lagrangian {v + JSv : v in L0}, the Arnold-chart point of S.
 
@@ -156,12 +159,7 @@ def chart_point(base: LagrangianFrame, s) -> LagrangianFrame:
     The raw frame Z0 + (J Z0) S has Gram matrix 1 + S^2, so the
     orthonormalized frame is (Z0 + J Z0 S)(1+S^2)^(-1/2).
     """
-    s = require_hermitian(s)
-    z0 = base.frame
-    n = base.n
-    if s.shape[0] != n:
-        raise InputError("chart coordinate size does not match the base frame")
-    jz0 = J_matrix(n) @ z0
+    s, z0, jz0 = _chart_frames(base, s)
     raw = z0 + jz0 @ s
     return LagrangianFrame(raw @ _inv_sqrt_eye_plus_sq(s))
 
@@ -177,13 +175,8 @@ def graph_projection(base: LagrangianFrame, s) -> np.ndarray:
 
     assembled back to a 2n x 2n ambient matrix.
     """
-    s = require_hermitian(s)
-    z0 = base.frame
-    n = base.n
-    if s.shape[0] != n:
-        raise InputError("chart coordinate size does not match the base frame")
-    jz0 = J_matrix(n) @ z0
-    inv = np.linalg.inv(np.eye(n) + s @ s)
+    s, z0, jz0 = _chart_frames(base, s)
+    inv = np.linalg.inv(np.eye(base.n) + s @ s)
     basis = np.hstack([z0, jz0])
     blocks = np.block([[inv, inv @ s], [s @ inv, s @ inv @ s]])
     return basis @ blocks @ basis.conj().T
@@ -226,10 +219,3 @@ def unitary_of_operator(t) -> np.ndarray:
     t = require_hermitian(t)
     n = t.shape[0]
     return np.eye(n) - 2j * np.linalg.inv(t + 1j * np.eye(n))
-
-
-def lagrangian_vertical_intersection_dim(lag: LagrangianFrame,
-                                         tol: Tolerance = DEFAULT_TOL) -> int:
-    """dim(L ∩ H-), the vertical intersection dimension."""
-    _, h_minus = standard_lagrangians(lag.n)
-    return subspace_intersection_dim(lag.frame, h_minus.frame, tol)

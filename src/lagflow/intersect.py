@@ -34,7 +34,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InputError, PreconditionError
-from .grassmann import J_matrix, LagrangianFrame, switched_graph
+from .grassmann import J_matrix, LagrangianFrame, _inv_sqrt_eye_plus_sq, switched_graph
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -48,7 +48,7 @@ from .linalg import (
     subspace_intersection_basis,
     symmetrize,
 )
-from .reduction import IsotropicSubspace
+from .reduction import IsotropicSubspace, _annihilator
 
 __all__ = [
     "LagrangianJet",
@@ -72,6 +72,21 @@ def _check_parameter_count(k: int, count: int):
         raise InputError(f"a level-{k} jet needs {2 * k - 1} parameter directions")
 
 
+def _check_jet(jet: LagrangianJet | ProjectionJet, mats, size: int,
+               shape_msg: str) -> tuple[np.ndarray, ...]:
+    # shared by the chart- and projection-level jets: 2k-1 Hermitian size x size
+    # matrices, and a W of codimension k-1 in the H- of the jet's lagrangian
+    _check_parameter_count(jet.k, len(mats))
+    mats = tuple(require_hermitian(m) for m in mats)
+    if any(m.shape[0] != size for m in mats):
+        raise InputError(shape_msg)
+    if jet.w.ambient_n != jet.lagrangian.n:
+        raise InputError("W lives in a different ambient space")
+    if jet.w.codim_in_hminus != jet.k - 1:
+        raise InputError("W must have codimension k-1 in H-")
+    return mats
+
+
 @dataclass(frozen=True)
 class LagrangianJet:
     """Chart-level jet: base lagrangian, Sym(L) tangents, localizing W."""
@@ -83,15 +98,8 @@ class LagrangianJet:
     tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self):
-        _check_parameter_count(self.k, len(self.tangents))
-        n = self.lagrangian.n
-        tangents = tuple(require_hermitian(t) for t in self.tangents)
-        if any(t.shape[0] != n for t in tangents):
-            raise InputError("tangents must be n x n in the frame basis")
-        if self.w.ambient_n != n:
-            raise InputError("W lives in a different ambient space")
-        if self.w.codim_in_hminus != self.k - 1:
-            raise InputError("W must have codimension k-1 in H-")
+        tangents = _check_jet(self, self.tangents, self.lagrangian.n,
+                              "tangents must be n x n in the frame basis")
         object.__setattr__(self, "tangents", tangents)
 
 
@@ -106,13 +114,8 @@ class ProjectionJet:
     tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self):
-        _check_parameter_count(self.k, len(self.pdots))
-        n = self.lagrangian.n
-        pdots = tuple(require_hermitian(p) for p in self.pdots)
-        if any(p.shape[0] != 2 * n for p in pdots):
-            raise InputError("projection derivatives must be 2n x 2n")
-        if self.w.ambient_n != n or self.w.codim_in_hminus != self.k - 1:
-            raise InputError("W must have codimension k-1 in H-")
+        pdots = _check_jet(self, self.pdots, 2 * self.lagrangian.n,
+                           "projection derivatives must be 2n x 2n")
         object.__setattr__(self, "pdots", pdots)
 
 
@@ -154,9 +157,7 @@ def _localizing_vectors(lag: LagrangianFrame, w: IsotropicSubspace, k: int,
     if v_frame.shape[1] != 1:
         raise PreconditionError("not localized")
     v = v_frame[:, 0]
-    n = lag.n
-    w_omega = orthocomplement_basis(J_matrix(n) @ w.frame, dim_ambient=2 * n)
-    cap = subspace_intersection_basis(lag.frame, w_omega, tol)
+    cap = subspace_intersection_basis(lag.frame, _annihilator(w), tol)
     resid = cap - np.outer(v, v.conj() @ cap)
     g = orthonormalize(resid, drop_eps=1e-7)
     if g.shape[1] != k - 1:
@@ -164,15 +165,14 @@ def _localizing_vectors(lag: LagrangianFrame, w: IsotropicSubspace, k: int,
     return v, g
 
 
-def _signed_determinant(rows: list[list[float]], tol: Tolerance) -> tuple[int, float]:
-    mat = np.array(rows, dtype=float)
-    det = float(np.linalg.det(mat))
+def _transversal_sign(det: float, tol: Tolerance) -> int:
+    """Sign of an intersection determinant; "not transversal" within crossing_eps."""
     if abs(det) <= tol.crossing_eps:
         raise PreconditionError("not transversal")
-    return (1 if det > 0 else -1), det
+    return 1 if det > 0 else -1
 
 
-def _determinant_rows(apply_entry, directions: int, v, gs) -> list[list[float]]:
+def _determinant(apply_entry, directions: int, v, gs) -> float:
     rows = []
     for i in range(directions):
         row = [float(np.real(apply_entry(i, v, v)))]
@@ -180,38 +180,34 @@ def _determinant_rows(apply_entry, directions: int, v, gs) -> list[list[float]]:
             z = apply_entry(i, gs[:, j], v)
             row.extend([float(np.real(z)), float(np.imag(z))])
         rows.append(row)
-    return rows
+    return float(np.linalg.det(np.array(rows, dtype=float)))
+
+
+def _lagrangian_side_sign(jet: LagrangianJet | ProjectionJet, apply_entry) -> int:
+    # localize at L ∩ W, fill the rows with apply_entry, sign the determinant
+    v, g = _localizing_vectors(jet.lagrangian, jet.w, jet.k, jet.tol)
+    return _transversal_sign(_determinant(apply_entry, 2 * jet.k - 1, v, g), jet.tol)
 
 
 def intersection_number_lagrangian(jet: LagrangianJet) -> int:
     """Sign of the chart-level intersection determinant."""
-    v, g = _localizing_vectors(jet.lagrangian, jet.w, jet.k, jet.tol)
     z = jet.lagrangian.frame
-    cv = z.conj().T @ v
-    cg = z.conj().T @ g
 
     def entry(i, x, y):
         # x, y arrive as ambient columns of (v | g); use their coordinates
-        cx = z.conj().T @ x
-        cy = z.conj().T @ y
-        return inner(jet.tangents[i] @ cx, cy)
+        return inner(jet.tangents[i] @ (z.conj().T @ x), z.conj().T @ y)
 
-    rows = _determinant_rows(entry, 2 * jet.k - 1, v, g)
-    sign, _ = _signed_determinant(rows, jet.tol)
-    return sign
+    return _lagrangian_side_sign(jet, entry)
 
 
 def intersection_number_projection(jet: ProjectionJet) -> int:
     """Sign of the determinant with entries <-J dP_i x, v> (ambient form)."""
-    v, g = _localizing_vectors(jet.lagrangian, jet.w, jet.k, jet.tol)
     jmat = J_matrix(jet.lagrangian.n)
 
     def entry(i, x, y):
         return inner(-jmat @ (jet.pdots[i] @ x), y)
 
-    rows = _determinant_rows(entry, 2 * jet.k - 1, v, g)
-    sign, _ = _signed_determinant(rows, jet.tol)
-    return sign
+    return _lagrangian_side_sign(jet, entry)
 
 
 def _operator_vectors(jet: FamilyJet) -> tuple[np.ndarray, np.ndarray, int]:
@@ -248,9 +244,7 @@ def _operator_vectors(jet: FamilyJet) -> tuple[np.ndarray, np.ndarray, int]:
             raise PreconditionError("W_T dimension mismatch")
     else:
         psi = np.zeros((jet.n, 0), dtype=np.complex128)
-    pairs = np.hstack([phi_perp, psi]) if (phi_perp.size or psi.size) \
-        else np.zeros((jet.n, 0), dtype=np.complex128)
-    return phi, pairs, p
+    return phi, np.hstack([phi_perp, psi]), p
 
 
 def operator_determinant(jet: FamilyJet) -> tuple[float, int]:
@@ -260,9 +254,7 @@ def operator_determinant(jet: FamilyJet) -> tuple[float, int]:
     def entry(i, x, y):
         return inner(jet.partials[i] @ x, y)
 
-    rows = _determinant_rows(entry, 2 * jet.k - 1, phi, pairs)
-    mat = np.array(rows, dtype=float)
-    return float(np.linalg.det(mat)), p
+    return _determinant(entry, 2 * jet.k - 1, phi, pairs), p
 
 
 def intersection_number_operator(jet: FamilyJet) -> int:
@@ -272,10 +264,7 @@ def intersection_number_operator(jet: FamilyJet) -> int:
     jet (switched graph, tangents B dT B with B = (1+T0^2)^{-1/2}); for
     k = 1 it is the local spectral-flow sign.
     """
-    det, _ = operator_determinant(jet)
-    if abs(det) <= jet.tol.crossing_eps:
-        raise PreconditionError("not transversal")
-    return 1 if det > 0 else -1
+    return _transversal_sign(operator_determinant(jet)[0], jet.tol)
 
 
 def operator_jet_to_lagrangian(jet: FamilyJet) -> LagrangianJet:
@@ -285,8 +274,7 @@ def operator_jet_to_lagrangian(jet: FamilyJet) -> LagrangianJet:
     B dT B, B = (1+T0^2)^{-1/2}, in the orthonormal frame [T0; I] B of the
     switched graph.
     """
-    vals, vecs = hermitian_eig(jet.t0)
-    b = (vecs * (1.0 / np.sqrt(1.0 + vals**2))) @ vecs.conj().T
+    b = _inv_sqrt_eye_plus_sq(jet.t0)
     lag = switched_graph(jet.t0)
     tangents = tuple(symmetrize(b @ dp @ b) for dp in jet.partials)
     w_iso = IsotropicSubspace.from_h_minus_vectors(jet.n, jet.w)
@@ -394,7 +382,6 @@ class MeshedFamily:
 
 
 def _w_extension(w: np.ndarray) -> np.ndarray:
-    n = w.shape[0]
     return np.vstack([np.zeros_like(w), w])
 
 
@@ -419,8 +406,7 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
     shape = tuple(a.size for a in family.axes)
     grid = np.empty(shape, dtype=float)
     for idx in np.ndindex(shape):
-        x = np.array([family.axes[d][i] for d, i in enumerate(idx)])
-        grid[idx] = _detector(family, x)
+        grid[idx] = _detector(family, _mesh_node(family, idx))
 
     finite = np.isfinite(grid)
     if not finite.any():
@@ -453,7 +439,7 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
             continue
         if any(np.isfinite(grid[nb]) and grid[nb] < val for nb in neighbors(idx)):
             continue
-        x0 = np.array([family.axes[d][i] for d, i in enumerate(idx)])
+        x0 = _mesh_node(family, idx)
         res = minimize(
             lambda x: min(_detector(family, x), 1e6),
             x0,
@@ -471,8 +457,7 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
         t_star = family.value_at(x_star)
         if t_star is None:
             continue
-        kern_tol = Tolerance(max(1e3 * max(res.fun, 1e-16), family.tol.rank_eps),
-                             family.tol.crossing_eps)
+        kern_tol = _kernel_tolerance(family.tol, res.fun)
         kernel = numeric_kernel(t_star, kern_tol)
         if kernel.shape[1] == 0:
             continue
@@ -498,6 +483,17 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
     return merged
 
 
+def _mesh_node(family: MeshedFamily, idx: tuple[int, ...]) -> np.ndarray:
+    return np.array([family.axes[d][i] for d, i in enumerate(idx)])
+
+
+def _kernel_tolerance(tol: Tolerance, detector: float) -> Tolerance:
+    """Rank tolerance at a located crossing: 1e3 x the detector value, at
+    least tol.rank_eps, and below 1, the bound Tolerance enforces."""
+    rank_eps = max(1e3 * max(detector, 1e-16), tol.rank_eps)
+    return Tolerance(min(rank_eps, np.nextafter(1.0, 0.0)), tol.crossing_eps)
+
+
 def _initial_simplex(x0: np.ndarray, size: float) -> np.ndarray:
     d = x0.size
     simplex = np.tile(x0, (d + 1, 1))
@@ -511,11 +507,8 @@ def crossing_jet(family: MeshedFamily, x: np.ndarray) -> FamilyJet:
     t0 = family.value_at(x)
     if t0 is None:
         raise PreconditionError("boundary crossing")
-    det_val = _detector(family, x)
-    kern_tol = Tolerance(max(1e3 * max(det_val, 1e-16), family.tol.rank_eps),
-                         family.tol.crossing_eps)
-    partials = family.partials_at(x)
-    return FamilyJet(family.k, t0, tuple(partials), family.w, kern_tol)
+    kern_tol = _kernel_tolerance(family.tol, _detector(family, x))
+    return FamilyJet(family.k, t0, tuple(family.partials_at(x)), family.w, kern_tol)
 
 
 def total_intersection_number(family: MeshedFamily

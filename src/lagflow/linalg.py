@@ -49,7 +49,9 @@ class Tolerance:
 
     rank_eps drives kernel/rank extraction (relative to the largest
     singular value, floored at 1), crossing_eps drives nondegeneracy
-    decisions for crossings of eigenvalue branches.
+    decisions for crossings of eigenvalue branches.  rank_eps must lie in
+    (0, 1): at 1 or above the threshold reaches sigma_max and every
+    direction counts as kernel.
     """
 
     rank_eps: float = 1e-8
@@ -58,6 +60,8 @@ class Tolerance:
     def __post_init__(self):
         if not (0 < self.rank_eps < np.inf and 0 < self.crossing_eps < np.inf):
             raise InputError("tolerances must be positive and finite")
+        if self.rank_eps >= 1:
+            raise InputError("rank_eps must be below 1")
 
 
 DEFAULT_TOL = Tolerance()

@@ -38,6 +38,7 @@ from .linalg import (
     as_complex_matrix,
     orthocomplement_basis,
     orthonormalize,
+    require_unitary,
     subspace_intersection_basis,
     subspace_intersection_dim,
 )
@@ -113,15 +114,21 @@ class IsotropicSubspace:
         return cls.from_h_minus_vectors(n, v)
 
 
-def _reduced_space_frames(w: IsotropicSubspace) -> tuple[np.ndarray, np.ndarray]:
-    """(C, v): canonical H_W frame [a_1..a_q, b_1..b_q] and the n x q basis v."""
+def _reduced_space_frame(w: IsotropicSubspace) -> np.ndarray:
+    """Canonical H_W frame [a_1..a_q, b_1..b_q] built from the n x q basis v."""
     n = w.ambient_n
     v = orthocomplement_basis(w.h_part, dim_ambient=n)
     q = v.shape[1]
     c = np.zeros((2 * n, 2 * q), dtype=np.complex128)
     c[:n, :q] = v
     c[n:, q:] = v
-    return c, v
+    return c
+
+
+def _annihilator(w: IsotropicSubspace) -> np.ndarray:
+    """Orthonormal frame of W^omega = (JW)-perp, 2n x (2n - p)."""
+    n = w.ambient_n
+    return orthocomplement_basis(J_matrix(n) @ w.frame, dim_ambient=2 * n)
 
 
 def annihilator_and_reduced(w: IsotropicSubspace) -> tuple[np.ndarray, np.ndarray]:
@@ -131,11 +138,7 @@ def annihilator_and_reduced(w: IsotropicSubspace) -> tuple[np.ndarray, np.ndarra
     span is J-invariant and the coordinate map x -> C*x intertwines J with
     the standard complex structure of C^q (+) C^q.
     """
-    n = w.ambient_n
-    jw = J_matrix(n) @ w.frame
-    w_omega = orthocomplement_basis(jw, dim_ambient=2 * n)
-    c, _ = _reduced_space_frames(w)
-    return w_omega, c
+    return _annihilator(w), _reduced_space_frame(w)
 
 
 def reduce_lagrangian(lag: LagrangianFrame, w: IsotropicSubspace,
@@ -165,12 +168,9 @@ def generalized_reduce(lag: LagrangianFrame, w: IsotropicSubspace,
     """
     if lag.n != w.ambient_n:
         raise InputError("lagrangian and isotropic space have different ambient dimensions")
-    n = lag.n
     v_frame = subspace_intersection_basis(lag.frame, w.frame, tol)
-    jw = J_matrix(n) @ w.frame
-    w_omega = orthocomplement_basis(jw, dim_ambient=2 * n)
-    cap = subspace_intersection_basis(lag.frame, w_omega, tol)
-    c, _ = _reduced_space_frames(w)
+    cap = subspace_intersection_basis(lag.frame, _annihilator(w), tol)
+    c = _reduced_space_frame(w)
     q = c.shape[1] // 2
     coords = c.conj().T @ cap
     # the k vectors of L ∩ W die under the projection; keep the rank-q range
@@ -194,8 +194,6 @@ def reduce_unitary(u, w_basis, lam: complex = 1.0,
     deterministic index-ordered complement basis of W-perp.  Requires
     Ker(lam + U) ∩ W = 0, detected as invertibility of lam + X.
     """
-    from .linalg import require_unitary
-
     u = require_unitary(u)
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-10:

@@ -78,7 +78,7 @@ class SchubertIndex:
         if any(i < 1 for i in ints) or any(a >= b for a, b in zip(ints, ints[1:])):
             raise InputError("Schubert index must be strictly increasing positive integers")
         object.__setattr__(self, "I", ints)
-        w = sum(2 * i - 1 for i in ints)
+        w = _weight(ints)
         if self.weight == -1:
             object.__setattr__(self, "weight", w)
         elif self.weight != w:
@@ -86,6 +86,18 @@ class SchubertIndex:
 
     def __len__(self) -> int:
         return len(self.I)
+
+
+def _weight(nodes) -> int:
+    return sum(2 * i - 1 for i in nodes)
+
+
+def _index_and_complement(index: SchubertIndex, flag: Flag) -> tuple[list[int], list[int]]:
+    # I and I^c inside 1..n, once I is checked against the flag dimension
+    iset = list(index.I)
+    if any(i > flag.n for i in iset):
+        raise InputError("Schubert index exceeds the flag dimension")
+    return iset, [j for j in range(1, flag.n + 1) if j not in set(iset)]
 
 
 def cell_codimension(index: SchubertIndex) -> int:
@@ -98,14 +110,22 @@ def incidence_profile(lag: LagrangianFrame, flag: Flag,
     """Vector of intersection dimensions d_j = dim(L ∩ W_j), j = 0..n."""
     if lag.n != flag.n:
         raise InputError("lagrangian and flag have different ambient dimensions")
-    dims = []
-    for j in range(flag.n + 1):
-        wj = flag.subspace_frame(j)
-        if wj.shape[1] == 0:
-            dims.append(0)
-        else:
-            dims.append(subspace_intersection_dim(lag.frame, wj, tol))
-    return dims
+    return [subspace_intersection_dim(lag.frame, flag.subspace_frame(j), tol)
+            for j in range(flag.n + 1)]
+
+
+def _drop_nodes(lag: LagrangianFrame, flag: Flag, tol: Tolerance
+                ) -> tuple[list[int], list[int], int, bool]:
+    """(profile d_0..d_n, its drop nodes j repeated d_{j-1} - d_j times, their
+    weight sum(2j - 1), whether every drop is 0 or 1)."""
+    profile = incidence_profile(lag, flag, tol)
+    nodes: list[int] = []
+    generic = True
+    for j in range(1, flag.n + 1):
+        drop = profile[j - 1] - profile[j]
+        nodes.extend([j] * max(drop, 0))
+        generic = generic and drop in (0, 1)
+    return profile, nodes, _weight(nodes), generic
 
 
 def schubert_index_of(lag: LagrangianFrame, flag: Flag,
@@ -115,16 +135,7 @@ def schubert_index_of(lag: LagrangianFrame, flag: Flag,
     Raises "non-generic profile" when some drop exceeds one; the message
     carries the drop nodes with multiplicity for diagnosis.
     """
-    profile = incidence_profile(lag, flag, tol)
-    nodes: list[int] = []
-    generic = True
-    for j in range(1, flag.n + 1):
-        drop = profile[j - 1] - profile[j]
-        if drop < 0:
-            generic = False
-        nodes.extend([j] * max(drop, 0))
-        if drop > 1:
-            generic = False
+    _, nodes, _, generic = _drop_nodes(lag, flag, tol)
     if not generic:
         raise PreconditionError(f"non-generic profile: drop nodes {nodes}")
     return SchubertIndex(tuple(nodes))
@@ -140,13 +151,9 @@ def chart_membership_equations(a, index: SchubertIndex, flag: Flag,
     violated magnitude).
     """
     a = require_hermitian(a)
-    n = flag.n
-    if a.shape[0] != n:
+    if a.shape[0] != flag.n:
         raise InputError("chart coordinate size does not match the flag")
-    iset = list(index.I)
-    if any(i > n for i in iset):
-        raise InputError("Schubert index exceeds the flag dimension")
-    icomp = [j for j in range(1, n + 1) if j not in set(iset)]
+    iset, icomp = _index_and_complement(index, flag)
     pos = {("f", i): c for c, i in enumerate(iset)}
     pos.update({("e", j): len(iset) + c for c, j in enumerate(icomp)})
     residual = 0.0
@@ -167,10 +174,7 @@ def special_lagrangian(index: SchubertIndex, flag: Flag) -> LagrangianFrame:
     j in I^c.
     """
     n = flag.n
-    iset = list(index.I)
-    if any(i > n for i in iset):
-        raise InputError("Schubert index exceeds the flag dimension")
-    icomp = [j for j in range(1, n + 1) if j not in set(iset)]
+    iset, icomp = _index_and_complement(index, flag)
     cols = []
     for i in iset:
         v = np.zeros(2 * n, dtype=np.complex128)
@@ -191,8 +195,7 @@ def chart_lagrangian(a, index: SchubertIndex, flag: Flag) -> LagrangianFrame:
 def variety_membership(lag: LagrangianFrame, index: SchubertIndex, flag: Flag,
                        tol: Tolerance = DEFAULT_TOL) -> bool:
     """Closure incidences: dim(L ∩ W_j) >= #{i in I : i > j} for all j."""
-    if any(i > flag.n for i in index.I):
-        raise InputError("Schubert index exceeds the flag dimension")
+    _index_and_complement(index, flag)
     profile = incidence_profile(lag, flag, tol)
     for j in range(flag.n + 1):
         required = sum(1 for i in index.I if i > j)

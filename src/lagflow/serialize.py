@@ -9,6 +9,8 @@ stdout is byte-reproducible.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .errors import InputError
@@ -33,8 +35,6 @@ __all__ = [
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, bool):  # bool is an int subclass; keep JSON booleans
-        return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     v = float(x)
@@ -49,10 +49,8 @@ def dumps_canonical(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
-    if isinstance(obj, bool):
+    if isinstance(obj, bool):  # bool is an int subclass; keep JSON booleans
         return "true" if obj else "false"
     if isinstance(obj, (int, float, np.integer, np.floating)):
         return _fmt(obj)
@@ -84,16 +82,19 @@ def decode_matrix(obj) -> np.ndarray:
         raise InputError("matrix object must be a JSON object")
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = obj["data"]
+        data = list(obj["data"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("matrix object needs rows, cols and data") from exc
     if rows < 0 or cols < 0 or len(data) != rows * cols:
         raise InputError("matrix data length does not match rows*cols")
     flat = np.empty(rows * cols, dtype=np.complex128)
-    for i, entry in enumerate(data):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise InputError("matrix entries must be [re, im] pairs")
-        flat[i] = complex(float(entry[0]), float(entry[1]))
+    try:
+        for i, entry in enumerate(data):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise InputError("matrix entries must be [re, im] pairs")
+            flat[i] = complex(float(entry[0]), float(entry[1]))
+    except (TypeError, ValueError) as exc:
+        raise InputError("matrix entries must be [re, im] pairs of numbers") from exc
     return flat.reshape(rows, cols)
 
 
@@ -104,11 +105,11 @@ def encode_lagrangian(lag: LagrangianFrame) -> dict:
 
 
 def decode_lagrangian(obj) -> LagrangianFrame:
-    m = decode_matrix(obj)
-    if isinstance(obj, dict) and obj.get("kind") not in (None, "lagrangian"):
+    m = decode_matrix(obj)  # obj is a dict from here on
+    if obj.get("kind") not in (None, "lagrangian"):
         raise InputError("expected a lagrangian object")
     frame = LagrangianFrame(m)
-    if isinstance(obj, dict) and "n" in obj and int(obj["n"]) != frame.n:
+    if obj.get("n", frame.n) != frame.n:
         raise InputError("declared n does not match the frame shape")
     return frame
 
@@ -120,34 +121,34 @@ def _decode_grid(obj) -> np.ndarray:
         raise InputError("path object needs a numeric grid") from exc
 
 
+def _decode_list(obj, key: str, decode, message: str) -> tuple:
+    try:
+        raw = list(obj[key])
+    except (KeyError, TypeError) as exc:
+        raise InputError(message) from exc
+    return tuple(decode(v) for v in raw)
+
+
 def decode_hermitian_path(obj) -> HermitianPath:
     grid = _decode_grid(obj)
-    try:
-        values = tuple(decode_matrix(v) for v in obj["values"])
-    except KeyError as exc:
-        raise InputError("path object needs values") from exc
+    values = _decode_list(obj, "values", decode_matrix, "path object needs values")
     derivs = None
     if obj.get("derivatives") is not None:
-        derivs = tuple(decode_matrix(v) for v in obj["derivatives"])
+        derivs = _decode_list(obj, "derivatives", decode_matrix,
+                              "path derivatives must be a list of matrices")
     return HermitianPath(grid, values, derivs)
 
 
 def decode_lagrangian_path(obj) -> LagrangianPath:
     grid = _decode_grid(obj)
-    try:
-        values = tuple(decode_lagrangian(v) for v in obj["values"])
-    except KeyError as exc:
-        raise InputError("path object needs values") from exc
-    return LagrangianPath(grid, values)
+    return LagrangianPath(grid, _decode_list(obj, "values", decode_lagrangian,
+                                             "path object needs values"))
 
 
 def decode_unitary_loop(obj) -> UnitaryLoop:
     grid = _decode_grid(obj)
-    try:
-        values = tuple(decode_matrix(v) for v in obj["values"])
-    except KeyError as exc:
-        raise InputError("loop object needs values") from exc
-    return UnitaryLoop(grid, values)
+    return UnitaryLoop(grid, _decode_list(obj, "values", decode_matrix,
+                                          "loop object needs values"))
 
 
 def decode_family_jet(obj, tol: Tolerance) -> FamilyJet:
@@ -159,7 +160,11 @@ def decode_family_jet(obj, tol: Tolerance) -> FamilyJet:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("jet object needs k, T0, partials and W_frame") from exc
     if obj.get("tol") is not None:
-        tol = Tolerance(rank_eps=float(obj["tol"]), crossing_eps=tol.crossing_eps)
+        try:
+            rank_eps = float(obj["tol"])
+        except (TypeError, ValueError) as exc:
+            raise InputError("jet tol must be a number") from exc
+        tol = Tolerance(rank_eps=rank_eps, crossing_eps=tol.crossing_eps)
     return FamilyJet(k, t0, partials, w, tol)
 
 
@@ -168,13 +173,16 @@ def decode_meshed_family(obj, tol: Tolerance) -> MeshedFamily:
         k = int(obj["k"])
         axes = tuple(np.asarray([float(x) for x in ax]) for ax in obj["axes"])
         w = decode_matrix(obj["W_frame"])
-        raw_values = obj["values"]
+        raw_values = list(obj["values"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("family object needs k, axes, values and W_frame") from exc
-    orientation = int(obj.get("orientation", 1))
+    try:
+        orientation = int(obj.get("orientation", 1))
+    except (TypeError, ValueError) as exc:
+        raise InputError("orientation must be +1 or -1") from exc
     shape = tuple(ax.size for ax in axes)
     count = int(np.prod(shape))
-    if len(raw_values) != count:
+    if count == 0 or len(raw_values) != count:
         raise InputError("family values must cover the mesh row-major")
     mats = [decode_matrix(v) for v in raw_values]
     dim = mats[0].shape[0]

@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .flow import _bracket, _check_grid, _lift_chain, _phases_of, _refine_grid, _unitary_geodesic
+from .flow import (HermitianPath, _bracket, _check_grid, _lift_chain, _phases_of,
+                   _refine_grid, _unitary_geodesic)
 from .grassmann import LagrangianFrame
 from .linalg import orthonormalize, require_unitary
 
@@ -179,8 +180,6 @@ def reduced_boundary_frame(u) -> LagrangianFrame:
 
 def discretized_path(loop: UnitaryLoop, m: int = 256):
     """Hermitian path of discretized boundary operators along a loop."""
-    from .flow import HermitianPath
-
     return HermitianPath.from_function(
         lambda t: discretize_operator(loop.value_at(t), m),
         nodes=max(loop.grid.size, 9),

@@ -103,6 +103,10 @@ def test_schubert_cli(tmp_path, capsys):
     result = json.loads(out)
     assert result == {"generic": True, "index": [1, 2, 3],
                       "profile": [3, 2, 1, 0], "weight": 9}
+    # a loose tolerance reads a non-generic profile; it is reported, not rejected
+    code, out, _ = run(capsys, "schubert", p, "--tol", "0.8")
+    assert code == 0
+    assert out == '{"generic":false,"index":[3,3,3],"profile":[3,3,3,0],"weight":15}\n'
 
 
 def test_intersect_cli(tmp_path, capsys):
@@ -173,6 +177,11 @@ def test_exit_codes(tmp_path, capsys):
     code, _, _ = run(capsys, "schubert", missing)
     assert code == 3
 
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "schubert", str(binary))
+    assert code == 3 and out == "" and "not valid JSON" in err
+
 
 def test_sf_method_disagreement_exit(tmp_path, capsys, monkeypatch):
     import lagflow.cli as cli_mod
@@ -193,12 +202,15 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LAGFLOW_TOL", "bogus")
     code, _, err = run(capsys, "schubert", p)
     assert code == 3 and "LAGFLOW_TOL" in err
-    monkeypatch.setenv("LAGFLOW_TOL", "inf")
-    code, out, _ = run(capsys, "schubert", p)
-    assert code == 3 and out == ""
+    for bad in ("inf", "1"):
+        monkeypatch.setenv("LAGFLOW_TOL", bad)
+        code, out, _ = run(capsys, "schubert", p)
+        assert code == 3 and out == ""
     monkeypatch.setenv("LAGFLOW_TOL", "1e-9")
     code, out, _ = run(capsys, "schubert", p)
     assert code == 0 and json.loads(out)["generic"]
+    code, out, _ = run(capsys, "schubert", p, "--tol", "10")
+    assert code == 3 and out == ""
 
 
 def test_deterministic_output(tmp_path, capsys):

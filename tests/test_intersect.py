@@ -254,6 +254,15 @@ def test_locate_crossings_empty(rng):
     assert total == 0 and detail == []
 
 
+def test_crossing_jet_off_a_crossing_keeps_rank_eps_below_one():
+    # the kernel tolerance is 1e3 x the detector value, here far above 1
+    axes = tuple(np.linspace(-0.5, 0.5, 7) for _ in range(3))
+    t0 = np.diag([1.0, 2.0]).astype(complex)
+    fam = MeshedFamily(2, axes, W2, func=lambda x: t0 + x[0] * 0.1 * np.eye(2))
+    jet = crossing_jet(fam, np.zeros(3))
+    assert 1e-3 < jet.tol.rank_eps < 1.0
+
+
 def test_total_intersection_orientation_flip(rng):
     x_star = np.array([0.1, 0.0, -0.2])
     dirs = (np.array([[0, 0], [0, 1.0]], dtype=complex),

@@ -26,6 +26,10 @@ def test_tolerance_validation():
         Tolerance(rank_eps=np.inf)
     with pytest.raises(InputError):
         Tolerance(crossing_eps=np.inf)
+    # at rank_eps >= 1 the kernel threshold reaches sigma_max
+    for rank_eps in (1.0, 10.0):
+        with pytest.raises(InputError):
+            Tolerance(rank_eps=rank_eps)
 
 
 def test_eig_diagonal():

@@ -8,8 +8,10 @@ from lagflow.serialize import (
     decode_family_jet,
     decode_hermitian_path,
     decode_lagrangian,
+    decode_lagrangian_path,
     decode_matrix,
     decode_meshed_family,
+    decode_unitary_loop,
     dumps_canonical,
     encode_lagrangian,
     encode_matrix,
@@ -82,3 +84,40 @@ def test_decode_jet_and_family():
          "W_frame": encode_matrix(np.eye(1))}, Tolerance())
     assert fam.dims == 1
     assert abs(fam.value_at(np.array([0.5]))[0, 0] - 0.5) < 1e-12
+
+
+def _family(**change):
+    axes = [list(np.linspace(-1, 1, 3))]
+    obj = {"k": 1, "axes": axes, "W_frame": encode_matrix(np.eye(1)),
+           "values": [encode_matrix(np.array([[x]])) for x in axes[0]]}
+    return decode_meshed_family({**obj, **change}, Tolerance())
+
+
+def _jet(**change):
+    obj = {"k": 1, "T0": encode_matrix(np.zeros((1, 1))),
+           "partials": [encode_matrix(np.eye(1))], "W_frame": encode_matrix(np.eye(1))}
+    return decode_family_jet({**obj, **change}, Tolerance())
+
+
+ONE = encode_matrix(np.eye(1))
+
+
+@pytest.mark.parametrize("decode", [
+    lambda: _family(axes=[[]], values=[]),
+    lambda: _family(orientation="x"),
+    lambda: _jet(tol="x"),
+    lambda: decode_matrix({"rows": 1, "cols": 1, "data": 5}),
+    lambda: decode_matrix({"rows": 1, "cols": 1, "data": [["x", 0]]}),
+    lambda: decode_matrix({"rows": 1, "cols": 1, "data": [[None, 0]]}),
+    lambda: decode_lagrangian({**encode_lagrangian(cayley_graph(np.eye(1))), "n": "x"}),
+    lambda: decode_hermitian_path({"grid": [0, 1], "values": 5}),
+    lambda: decode_hermitian_path({"grid": [0, 1], "values": [ONE, ONE], "derivatives": 5}),
+    lambda: decode_lagrangian_path({"grid": [0, 1], "values": 5}),
+    lambda: decode_unitary_loop({"grid": [0, 1], "values": 5}),
+], ids=["family-empty-axis", "family-orientation", "jet-tol", "matrix-data", "matrix-entry-str",
+        "matrix-entry-null", "lagrangian-n", "path-values", "path-derivatives",
+        "lagrangian-path-values", "loop-values"])
+def test_malformed_input_raises_input_error(decode):
+    # each of these escaped as TypeError, ValueError or IndexError (CLI exit 1)
+    with pytest.raises(InputError):
+        decode()

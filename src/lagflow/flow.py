@@ -12,10 +12,15 @@ Two independent spectral-flow algorithms are provided:
   difference n-(A(0)) - n-(A(1)).
 
 The Maslov index of a path of lagrangians counts crossings with the train
-{dim(L ∩ H-) = 1}, located through the eigenphases of the Arnold unitary
-U(t) passing through pi, with local sign sgn<-J dP/dt v, v> on a unit
-vector v of L ∩ H-.  On switched graphs of a Hermitian path the two
-notions agree crossing by crossing.
+{dim(L ∩ H-) = 1}: passages of the eigenphases of the Arnold unitary U(t)
+through pi (Arnold, Funct. Anal. Appl. 1, 1967).  It is read off det U,
+with no eigenphase matched or lifted: a geodesic step between samples
+turns arg det U by a known angle, and that turn less the change of the
+summed principal eigenphases is 2 pi times the step's net passages
+(Cappell, Lee & Miller, CPAM 47, 1994; Phillips, Canad. Math. Bull. 39,
+1996).  Crossings are located by halving steps on that count and signed by
+sgn<-J dP/dt v, v> on a unit vector v of L ∩ H-.  On switched graphs of a
+Hermitian path the two notions agree crossing by crossing.
 
 Crossings are only counted in the open interior (0, 1); paths whose
 endpoints are degenerate are rejected rather than half-counted, which
@@ -25,10 +30,12 @@ makes concatenation additivity exact for admissible subdivisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+# unused here; bench/tracer.py looks this name up in lagflow.flow
+from scipy.optimize import linear_sum_assignment  # noqa: F401
 
 from .errors import InputError, PreconditionError
 from .grassmann import J_matrix, LagrangianFrame, cayley_graph, lagrangian_to_unitary
@@ -454,152 +461,148 @@ class LagrangianPath:
         return cayley_graph(_unitary_geodesic(ua, ub, s))
 
 
-def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a unitary via complex Schur (normal matrix)."""
+def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases phi of R = Ua* Ub, and R's orthonormal eigenvectors.
+
+    The step from Ua to Ub is the geodesic Ua exp(s log R), 0 <= s <= 1,
+    along which arg det U moves by exactly sum(phi).  It needs the
+    principal log, so a step with some |phi| > pi - 1e-6 is too coarse.
+    """
     from scipy.linalg import schur
 
-    t, q = schur(u, output="complex")
-    return np.diag(t), q
+    tri, vecs = schur(ua.conj().T @ ub, output="complex")  # diagonal: R is normal
+    phi = np.angle(np.diag(tri))
+    if np.max(np.abs(phi)) > np.pi - 1e-6:
+        raise PreconditionError("grid too coarse")
+    return phi, vecs
 
 
 def _unitary_geodesic(ua: np.ndarray, ub: np.ndarray, s: float) -> np.ndarray:
-    ratio = ua.conj().T @ ub
-    vals, vecs = _unitary_eig(ratio)
-    phases = np.angle(vals)
-    if np.max(np.abs(phases)) > np.pi - 1e-6:
+    phi, vecs = _step_angles(ua, ub)
+    return ua @ ((vecs * np.exp(1j * s * phi)) @ vecs.conj().T)
+
+
+def _geodesic_at(grid: np.ndarray, nodes: Sequence[np.ndarray], t: float) -> np.ndarray:
+    """U(t) on the unitary geodesic between the nodes that bracket t."""
+    i, s = _bracket(grid, t)
+    if s <= 0.0:
+        return nodes[i]
+    if s >= 1.0:
+        return nodes[i + 1]
+    return _unitary_geodesic(nodes[i], nodes[i + 1], s)
+
+
+def _whole(x: float) -> int:
+    """A determinant count, rounded; off by more than rounding, a step was too coarse."""
+    k = round(x)
+    if abs(x - k) > 1e-6:
         raise PreconditionError("grid too coarse")
-    frac = (vecs * np.exp(1j * s * phases)) @ vecs.conj().T
-    return ua @ frac
+    return int(k)
 
 
-def _wrap_angle(x: np.ndarray) -> np.ndarray:
-    return (x + np.pi) % (2.0 * np.pi) - np.pi
+def _det_steps(u_at, grid: np.ndarray, exact: bool):
+    """Steps for a determinant count along u_at (cached), and turn(a, b).
 
-
-def _phases_of(u: np.ndarray) -> np.ndarray:
-    return np.sort(np.angle(np.linalg.eigvals(u)))
-
-
-def _match_phases(ref: np.ndarray, cur: np.ndarray) -> tuple[np.ndarray, float]:
-    """Pair two phase multisets by least total circular displacement.
-
-    Returns cur reordered to follow ref branch by branch, and the largest
-    matched displacement.
+    turn(a, b) = sum(phi) of :func:`_step_angles` is the change of arg det
+    U along the geodesic step [a, b], exact when u_at is the geodesic
+    interpolant of the grid.  Otherwise steps with max|phi| > pi/2 are
+    halved, and one more halving must leave every step's turn unchanged.
     """
-    diff = _wrap_angle(cur[None, :] - ref[:, None])
-    rows, cols = linear_sum_assignment(np.abs(diff))
-    return cur[cols], float(np.abs(diff[rows, cols]).max(initial=0.0))
+    angles = cache(lambda a, b: _step_angles(u_at(a), u_at(b))[0])
+    turn = lambda a, b: float(np.sum(angles(a, b)))  # noqa: E731
+    ts = list(grid)
+    if exact:
+        return ts, turn
 
+    def wide(a, b):
+        try:
+            return np.max(np.abs(angles(a, b))) > 0.5 * np.pi
+        except PreconditionError:  # past the guard, so wider still
+            return True
 
-def _lift_chain(raws: Sequence[np.ndarray], lift: np.ndarray | None = None
-                ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """Continue phase branches along a chain of phase multisets.
-
-    raws[0] fixes the branch order and ``lift`` (default raws[0]) its
-    continuous lift.  Returns the matched phases and the lifts at every
-    node, and the largest matched displacement of one step.
-    """
-    raw = raws[0]
-    lift = raw.copy() if lift is None else lift
-    matched, lifts, move = [raw], [lift], 0.0
-    for cur in raws[1:]:
-        new, step = _match_phases(raw, cur)
-        lift = lift + _wrap_angle(new - raw)
-        raw = new
-        matched.append(raw)
-        lifts.append(lift)
-        move = max(move, step)
-    return matched, lifts, move
+    for _ in range(_MAX_SPLITS):
+        inserts = [0.5 * (a + b) for a, b in zip(ts[:-1], ts[1:]) if wide(a, b)]
+        if not inserts:
+            break
+        ts = sorted(ts + inserts)
+    else:
+        raise PreconditionError("grid too coarse")
+    for a, b in zip(ts[:-1], ts[1:]):
+        m = 0.5 * (a + b)
+        if _whole((turn(a, m) + turn(m, b) - turn(a, b)) / (2.0 * np.pi)) != 0:
+            raise PreconditionError("grid too coarse")
+    return ts, turn
 
 
 def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
                  ) -> tuple[int, list[Crossing]]:
     """Maslov index: signed crossings with the train {dim(L ∩ H-) = 1}.
 
-    Crossings are located as passages of the eigenphases of the Arnold
-    unitary U(t) through pi (mod 2pi); the local sign is the signature of
-    the form <-J dP/dt v, v> on L ∩ H-, computed from Richardson central
-    differences of the frame projections.  Endpoints must be transversal
-    to H-.
+    The index is the net number of passages of the eigenphases of U(t)
+    through pi, read off det U (Arnold 1967; Cappell, Lee & Miller 1994;
+    Phillips 1996; see the module docstring).  On a geodesic step from U_a to U_b, with
+    phi the eigenphases of U_a* U_b and theta in (-pi, pi] those of U,
+
+        c = (sum(phi) + sum(theta(U_a)) - sum(theta(U_b))) / 2 pi
+
+    passages happen, and the index is sum(c).  Steps with c != 0 are
+    halved on their count to width 1e-14, and each crossing found is
+    signed by the form <-J dP/dt v, v> on L ∩ H- (Richardson differences
+    of the frame projections).  Signs that do not sum to the index raise
+    "degenerate crossing"; a +1 and a -1 inside one step cancel in c and
+    are not listed.  The count is exact for the geodesic interpolant of a
+    sampled path; for a ``func`` path see :func:`_det_steps`, and a path
+    that winds a full turn between two samples is beyond any sampler.
+    Endpoints must be transversal to H-.
     """
     n = path.n
-    u_at = lambda t: lagrangian_to_unitary(path.frame_at(t))  # noqa: E731
-
+    if path.func is None:
+        nodes = [lagrangian_to_unitary(v) for v in path.values]
+        u_at = cache(lambda t: _geodesic_at(path.grid, nodes, t))
+    else:
+        u_at = cache(lambda t: lagrangian_to_unitary(path.func(t)))
     for t in (0.0, 1.0):
-        ph = _phases_of(u_at(t))
-        if np.min(np.abs(np.abs(ph) - np.pi)) <= 1e-12:
+        phases = np.angle(np.linalg.eigvals(u_at(t)))
+        if np.min(np.abs(np.abs(phases) - np.pi)) <= 1e-12:
             raise PreconditionError("degenerate endpoint")
         top = path.frame_at(t).frame[:n]
         if np.linalg.svd(top, compute_uv=False)[-1] <= tol.rank_eps:
             raise PreconditionError("degenerate endpoint")
 
-    # subdivide until eigenphase movement per step is comfortably small
-    ts = list(path.grid)
-    raws = {t: _phases_of(u_at(t)) for t in ts}
-    for _ in range(_MAX_SPLITS):
-        inserts = [0.5 * (a + b) for a, b in zip(ts[:-1], ts[1:])
-                   if _match_phases(raws[a], raws[b])[1] > 0.4 * np.pi]
-        if not inserts:
-            break
-        for t in inserts:
-            raws[t] = _phases_of(u_at(t))
-        ts = sorted(set(ts) | set(inserts))
-    else:
-        raise PreconditionError("grid too coarse")
-
-    # nudge interior nodes sitting exactly on a crossing
-    spacing = min(b - a for a, b in zip(ts[:-1], ts[1:]))
-    adj = []
-    for t in ts:
-        if 0.0 < t < 1.0 and np.min(np.abs(np.abs(raws[t]) - np.pi)) < 1e-10:
-            t_new = t + _NODE_SHIFT * spacing
-            raws[t_new] = _phases_of(u_at(t_new))
-            adj.append(t_new)
-        else:
-            adj.append(t)
-    ts = adj
-
-    chain, lifted, _ = _lift_chain([raws[t] for t in ts])
-
-    def lifted_at(t, i_ref):
-        """Lifted branch vector at t, anchored at node index i_ref."""
-        return _lift_chain([chain[i_ref], _phases_of(u_at(t))], lifted[i_ref])[1][-1]
-
+    ts, turn = _det_steps(u_at, path.grid, path.func is None)
+    theta = cache(lambda t: float(np.sum(np.angle(np.linalg.eigvals(u_at(t))))))
+    passages = lambda a, b: _whole((turn(a, b) + theta(a) - theta(b)) / (2.0 * np.pi))  # noqa: E731
     events: list[tuple[float, str]] = []
-    for i in range(len(ts) - 1):
-        a, b = ts[i], ts[i + 1]
-        la, lb = lifted[i], lifted[i + 1]
-        for j in range(n):
-            lo_lvl = int(np.ceil((min(la[j], lb[j]) - np.pi) / (2 * np.pi)))
-            hi_lvl = int(np.floor((max(la[j], lb[j]) - np.pi) / (2 * np.pi)))
-            for lvl in range(lo_lvl, hi_lvl + 1):
-                level = np.pi + 2 * np.pi * lvl
-                g = lambda t, _j=j, _i=i, _lv=level: float(lifted_at(t, _i)[_j] - _lv)  # noqa: E731
-                ga, gb = la[j] - level, lb[j] - level
-                if ga == 0.0 or gb == 0.0:
-                    raise PreconditionError("grid too coarse")
-                if ga * gb > 0.0:
-                    continue
-                events.append((_bisect(g, a, b, ga, 1e-14), "cross"))
+
+    def locate(a, b, c):  # halve [a, b], holding c passages, to 1e-14 wide pieces
+        m = 0.5 * (a + b)
+        if c and b - a < 1e-14:
+            events.append((m, "cross"))
+        elif c:
+            left = passages(a, m)
+            locate(a, m, left)
+            locate(m, b, c - left)
+
+    total = 0
+    for a, b in zip(ts[:-1], ts[1:]):
+        c = passages(a, b)
+        total += c
+        locate(a, b, c)
 
     jmat = J_matrix(n)
-    flow = 0
     crossings: list[Crossing] = []
     for t_star, _ in _merge_events(events, 1e-9):
-        if not (0.0 < t_star < 1.0):
-            raise PreconditionError("degenerate endpoint")
         frame = path.frame_at(t_star).frame
         kern_coords = numeric_kernel(frame[:n], Tolerance(max(tol.rank_eps, 1e-7),
                                                           tol.crossing_eps))
         if kern_coords.shape[1] == 0:
-            # the lift passed pi where L misses H-: a matching jump, not a crossing
-            raise PreconditionError("grid too coarse")
+            raise PreconditionError("degenerate crossing")
         kernel = frame @ kern_coords
 
         spacing_loc = min(t_star / 2.0, (1.0 - t_star) / 2.0, _FD_STEP)
         p_of = lambda t: path.frame_at(t).projection()  # noqa: E731
         pdot = _richardson_derivative(p_of, t_star, max(spacing_loc, 1e-12))
-        sgn = _crossing_signature(kernel, -jmat @ pdot, tol)
-        crossings.append(Crossing(t_star, sgn))
-        flow += sgn
-    return flow, crossings
+        crossings.append(Crossing(t_star, _crossing_signature(kernel, -jmat @ pdot, tol)))
+    if sum(c.sign for c in crossings) != total:
+        raise PreconditionError("degenerate crossing")
+    return total, crossings

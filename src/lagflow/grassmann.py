@@ -10,11 +10,13 @@ when JL is its orthocomplement.  Lagrangians are stored as orthonormal
 
     U  |->  span{ ((1+U)v, -i(1-U)v) : v in C^n }
 
-is a bijection onto the lagrangians; its inverse goes through the
-reflection R_L = 2 P_L - 1 restricted to the -i eigenspace of J,
-conjugated by the canonical isometries
+is a bijection onto the lagrangians.  For an orthonormal lagrangian frame
+Z = [X; Y] the matrices X + iY and X - iY are unitary (Z*Z = 1 and
+Z*JZ = 0), and the inverse is
 
-    phi_-(v) = (v + iJv)/sqrt(2),      phi_+(v) = (v - iJv)/sqrt(2).
+    L = span Z  |->  U = (X - iY)(X + iY)*,
+
+since the Cayley frame of this U is Z (X + iY)*, a change of basis of Z.
 
 The -i in the second Cayley component is a sign convention: it makes the
 scalar chart map  lam |-> i(1+lam)/(1-lam)  orientation preserving, which
@@ -76,7 +78,7 @@ class LagrangianFrame:
         gram = z.conj().T @ z
         if np.abs(gram - np.eye(n)).max(initial=0.0) > _FRAME_TOL:
             raise InputError("frame columns are not orthonormal")
-        form = z.conj().T @ (J_matrix(n) @ z)
+        form = z[:n].conj().T @ z[n:] - z[n:].conj().T @ z[:n]  # Z*JZ, as JZ = [Y; -X]
         if np.abs(form).max(initial=0.0) > _FRAME_TOL:
             raise InputError("frame does not span a lagrangian subspace")
         object.__setattr__(self, "frame", z)
@@ -113,23 +115,15 @@ def cayley_graph(u) -> LagrangianFrame:
     return LagrangianFrame(0.5 * m)
 
 
-def _phi_frames(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # isometries C^n -> Ker(J+i) and C^n -> Ker(J-i), as 2n x n frames
-    eye = np.eye(n)
-    phi_minus = np.vstack([eye, -1j * eye]) / np.sqrt(2.0)
-    phi_plus = np.vstack([eye, 1j * eye]) / np.sqrt(2.0)
-    return phi_minus, phi_plus
-
-
 def lagrangian_to_unitary(lag: LagrangianFrame) -> np.ndarray:
-    """Inverse of the Cayley graph map.
+    """Inverse of the Cayley graph map: U = (X - iY)(X + iY)* for Z = [X; Y].
 
-    Restricts the reflection R_L to Ker(J+i) and reads it as a unitary of
-    C^n through the isometries phi_-+; exact inverse of :func:`cayley_graph`
-    up to rounding.
+    Independent of the orthonormal frame chosen for L; exact inverse of
+    :func:`cayley_graph` up to rounding.
     """
-    phi_minus, phi_plus = _phi_frames(lag.n)
-    return phi_plus.conj().T @ reflection_of(lag) @ phi_minus
+    n = lag.n
+    x, y = lag.frame[:n], lag.frame[n:]
+    return (x - 1j * y) @ (x + 1j * y).conj().T
 
 
 def reflection_of(lag: LagrangianFrame) -> np.ndarray:

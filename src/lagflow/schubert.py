@@ -117,8 +117,14 @@ def incidence_profile(lag: LagrangianFrame, flag: Flag,
 def _drop_nodes(lag: LagrangianFrame, flag: Flag, tol: Tolerance
                 ) -> tuple[list[int], list[int], int, bool]:
     """(profile d_0..d_n, its drop nodes j repeated d_{j-1} - d_j times, their
-    weight sum(2j - 1), whether every drop is 0 or 1)."""
+    weight sum(2j - 1), whether every drop is 0 or 1).
+
+    A profile with some d_j > n - j = dim W_j cannot be a dimension count;
+    it is a tolerance misreading and raises "non-generic profile".
+    """
     profile = incidence_profile(lag, flag, tol)
+    if any(d > flag.n - j for j, d in enumerate(profile)):
+        raise PreconditionError(f"non-generic profile: {profile} has some d_j > n - j")
     nodes: list[int] = []
     generic = True
     for j in range(1, flag.n + 1):

@@ -77,14 +77,25 @@ def encode_matrix(m, kind: str | None = None) -> dict:
     return out
 
 
+def _count(value, message: str) -> int:
+    """A JSON count as an int; a non-integral number is malformed, not truncated."""
+    try:
+        if float(value).is_integer():
+            return int(float(value))
+    except (TypeError, ValueError) as exc:
+        raise InputError(message) from exc
+    raise InputError(message)
+
+
 def decode_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InputError("matrix object must be a JSON object")
+    message = "matrix object needs whole-number rows, cols and a data list"
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _count(obj["rows"], message), _count(obj["cols"], message)
         data = list(obj["data"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("matrix object needs rows, cols and data") from exc
+    except (KeyError, TypeError) as exc:
+        raise InputError(message) from exc
     if rows < 0 or cols < 0 or len(data) != rows * cols:
         raise InputError("matrix data length does not match rows*cols")
     flat = np.empty(rows * cols, dtype=np.complex128)
@@ -153,7 +164,7 @@ def decode_unitary_loop(obj) -> UnitaryLoop:
 
 def decode_family_jet(obj, tol: Tolerance) -> FamilyJet:
     try:
-        k = int(obj["k"])
+        k = _count(obj["k"], "jet k must be a whole number")
         t0 = decode_matrix(obj["T0"])
         partials = tuple(decode_matrix(p) for p in obj["partials"])
         w = decode_matrix(obj["W_frame"])
@@ -170,16 +181,13 @@ def decode_family_jet(obj, tol: Tolerance) -> FamilyJet:
 
 def decode_meshed_family(obj, tol: Tolerance) -> MeshedFamily:
     try:
-        k = int(obj["k"])
+        k = _count(obj["k"], "family k must be a whole number")
         axes = tuple(np.asarray([float(x) for x in ax]) for ax in obj["axes"])
         w = decode_matrix(obj["W_frame"])
         raw_values = list(obj["values"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("family object needs k, axes, values and W_frame") from exc
-    try:
-        orientation = int(obj.get("orientation", 1))
-    except (TypeError, ValueError) as exc:
-        raise InputError("orientation must be +1 or -1") from exc
+    orientation = _count(obj.get("orientation", 1), "orientation must be +1 or -1")
     shape = tuple(ax.size for ax in axes)
     count = int(np.prod(shape))
     if count == 0 or len(raw_values) != count:

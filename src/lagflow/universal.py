@@ -7,9 +7,15 @@ of U and theta_j in (-pi, pi].  A centered-difference discretization with
 the U-twisted wrap block is Hermitian by construction and reproduces the
 low modes at second order in 1/m.
 
-Loops in U(N) produce integer spectral flows through the winding of the
-eigenphases; the symplectic reduction of the family by the complement of
-the constant functions lands back in U(N) as the Moebius involution
+Along a loop in U(N) the boundary operators have an integer spectral
+flow: an eigenvalue theta_j + 2 pi k crosses zero whenever an eigenphase
+passes through 0.  Its total is the winding number of det U, the pull-back
+of the first generator of the odd K-theory of the unitary group (Phillips,
+"Self-adjoint Fredholm operators and spectral flow", Canad. Math. Bull. 39,
+1996; the Maslov index of the Cayley graphs gives the same integer,
+Cappell, Lee & Miller, CPAM 47, 1994, after Arnold, Funct. Anal. Appl. 1,
+1967).  The symplectic reduction of the family by the complement of the
+constant functions lands back in U(N) as the Moebius involution
 
     U |-> (1 - 3U)(3 - U)^{-1},
 
@@ -20,13 +26,13 @@ whose Cayley graph equals the directly reduced boundary lagrangian
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .flow import (HermitianPath, _bracket, _check_grid, _lift_chain, _phases_of,
-                   _refine_grid, _unitary_geodesic)
+from .flow import HermitianPath, _check_grid, _det_steps, _geodesic_at, _whole
 from .grassmann import LagrangianFrame
 from .linalg import orthonormalize, require_unitary
 
@@ -41,7 +47,6 @@ __all__ = [
 ]
 
 _MIN_NODES = 16
-_MAX_LEVELS = 12
 
 
 def exact_spectrum(u, window: tuple[float, float]) -> np.ndarray:
@@ -119,45 +124,27 @@ class UnitaryLoop:
         t = min(max(float(t), 0.0), 1.0)
         if self.func is not None:
             return require_unitary(self.func(t))
-        i, s = _bracket(self.grid, t)
-        if s <= 0.0:
-            return self.values[i]
-        if s >= 1.0:
-            return self.values[i + 1]
-        return _unitary_geodesic(self.values[i], self.values[i + 1], s)
+        return _geodesic_at(self.grid, self.values, t)
 
 
 def universal_loop_flow(loop: UnitaryLoop) -> int:
     """Spectral flow of the boundary operators along a loop of unitaries.
 
-    Eigenphase branches theta_j(t) are lifted continuously by
-    nearest-angle matching; each passage of a lifted branch through a
-    multiple of 2 pi is a zero crossing of one eigenvalue branch
-    theta_j + 2 pi k, counted with the slope sign.  The sampling is
-    refined by halving until the count stabilizes twice.
+    The flow is the winding number of det U (Phillips 1996; Cappell, Lee &
+    Miller 1994; Arnold 1967; see the module docstring).  On the geodesic
+    step from U_a to U_b, arg det U turns by sum(phi), phi the eigenphases
+    of U_a* U_b, and the flow is the sum of these turns over the loop
+    divided by 2 pi.  No eigenphase is matched or lifted.  The count is exact for
+    the geodesic interpolant of a sampled loop; for a ``func`` loop, steps
+    with max|phi| > pi/2 are halved and one more halving must leave every
+    turn unchanged, else "grid too coarse".  A loop that winds a full turn
+    between two samples is beyond any sampler.
     """
     phases0 = np.angle(np.linalg.eigvals(loop.value_at(0.0)))
     if np.min(np.abs(phases0)) <= 1e-12:
         raise PreconditionError("degenerate endpoint")
-
-    history: list[int] = []
-    for level in range(_MAX_LEVELS + 1):
-        count = _loop_flow_at_level(loop, 2**level)
-        if count is not None:
-            history.append(count)
-            if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-                return count
-    raise PreconditionError("grid too coarse")
-
-
-def _loop_flow_at_level(loop: UnitaryLoop, factor: int) -> int | None:
-    raws = [_phases_of(loop.value_at(t)) for t in _refine_grid(loop.grid, factor)]
-    _, lifts, move = _lift_chain(raws)
-    if move > 0.4 * np.pi:
-        return None  # refine further
-    # passages of the lifted branches through multiples of 2 pi telescope
-    two_pi = 2.0 * np.pi
-    return int(np.sum(np.floor(lifts[-1] / two_pi) - np.floor(lifts[0] / two_pi)))
+    ts, turn = _det_steps(cache(loop.value_at), loop.grid, loop.func is None)
+    return _whole(sum(turn(a, b) for a, b in zip(ts[:-1], ts[1:])) / (2.0 * np.pi))
 
 
 def universal_reduction(u) -> np.ndarray:

@@ -21,6 +21,17 @@ def unitary_with_phases(phases, rng):
     return (v * np.exp(1j * np.asarray(phases))) @ v.conj().T
 
 
+def evenly_winding(n, endpoint):
+    """t |-> diag(e^{i(theta_j + 2 pi t)}) with evenly spaced theta.
+
+    Every phase winds once; for large n one step of a coarse grid moves
+    each phase past several of its neighbours.  With endpoint=True the
+    first and last phase coincide.
+    """
+    theta = np.linspace(-np.pi, np.pi, n, endpoint=endpoint) + 0.013
+    return lambda t: np.diag(np.exp(1j * (theta + 2 * np.pi * t)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

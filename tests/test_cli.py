@@ -103,10 +103,10 @@ def test_schubert_cli(tmp_path, capsys):
     result = json.loads(out)
     assert result == {"generic": True, "index": [1, 2, 3],
                       "profile": [3, 2, 1, 0], "weight": 9}
-    # a loose tolerance reads a non-generic profile; it is reported, not rejected
-    code, out, _ = run(capsys, "schubert", p, "--tol", "0.8")
-    assert code == 0
-    assert out == '{"generic":false,"index":[3,3,3],"profile":[3,3,3,0],"weight":15}\n'
+    # a loose tolerance misreads the profile as [3, 3, 3, 0], with d_1 = 3 > 2
+    code, out, err = run(capsys, "schubert", p, "--tol", "0.8")
+    assert code == 2 and out == ""
+    assert "non-generic profile" in err
 
 
 def test_intersect_cli(tmp_path, capsys):

@@ -11,7 +11,7 @@ from lagflow.flow import (
 )
 from lagflow.grassmann import LagrangianFrame, cayley_graph, switched_graph
 
-from conftest import random_hermitian, random_unitary
+from conftest import evenly_winding, random_hermitian, random_unitary
 
 
 def affine_path(a, b, nodes=9):
@@ -245,17 +245,30 @@ def test_tracking_counts_a_branch_flat_at_zero():
         spectral_flow_crossing(path)
 
 
-def test_maslov_rejects_a_matching_jump():
-    # parallel branches move farther than their gap in one step, so a
-    # bisection lands on a jump of the phase matching, where L misses H-;
-    # skipping that event gives 1 on both paths, where 2 and 0 are right
+def test_maslov_with_branches_moving_past_their_gap():
+    # parallel branches move farther than their gap in one step, so no
+    # matching of the sorted phases at the nodes can follow them
     theta = np.array([2.019, 1.768])
     cayley = LagrangianPath.from_function(
         lambda t: cayley_graph(np.diag(np.exp(1j * (theta + 2 * np.pi * t)))), 17)
+    flow, crossings = maslov_index(cayley)
+    assert flow == 2
+    assert [c.sign for c in crossings] == [1, 1]
+
     rng = np.random.default_rng(64)
     a = random_hermitian(64, rng) / 8.0
     b = random_hermitian(64, rng)
     switched = LagrangianPath.from_function(lambda t: switched_graph(a + t * b), 9)
-    for lp in (cayley, switched):
-        with pytest.raises(PreconditionError, match="grid too coarse"):
-            maslov_index(lp)
+    flow, crossings = maslov_index(switched)
+    assert flow == spectral_flow_tracking(affine_path(a, b))[0] == 0
+    assert sum(c.sign for c in crossings) == 0
+
+
+@pytest.mark.parametrize("endpoint", [False, True])
+@pytest.mark.parametrize("n", [8, 64, 65])
+def test_maslov_of_evenly_spaced_windings(n, endpoint):
+    # at n >= 64 one step moves every phase past four or more neighbours,
+    # so the sorted phase sets at consecutive nodes look almost unmoved
+    u = evenly_winding(n, endpoint)
+    lp = LagrangianPath.from_function(lambda t: cayley_graph(u(t)), 17)
+    assert maslov_index(lp)[0] == n

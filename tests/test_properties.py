@@ -1,16 +1,19 @@
-"""Property tests of the Cayley correspondence and the Schubert index it induces.
+"""Property tests of the Cayley correspondence, the Schubert index it induces,
+the Maslov index and the loop flow.
 
 The examples are derandomized, so every run draws the same cases.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lagflow.grassmann import cayley_graph, lagrangian_to_unitary
+from lagflow.flow import LagrangianPath, maslov_index
+from lagflow.grassmann import cayley_graph, lagrangian_to_unitary, switched_graph
 from lagflow.schubert import Flag, schubert_index_of
+from lagflow.universal import UnitaryLoop, universal_loop_flow
 
-from conftest import random_unitary, unitary_with_phases
+from conftest import random_hermitian, random_unitary, unitary_with_phases
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -37,3 +40,34 @@ def test_minus_one_eigenspace_gives_the_leading_index(data):
     index = schubert_index_of(cayley_graph(u), Flag(n))
     assert index.I == tuple(range(1, m + 1))
     assert index.weight == m * m
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=st.integers(1, 6), seed=SEEDS)
+def test_maslov_of_switched_graphs_is_the_inertia_drop(n, seed):
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(n, rng)
+    b = 3.0 * random_hermitian(n, rng)
+    start, end = np.linalg.eigvalsh(a), np.linalg.eigvalsh(a + b)
+    assume(min(np.min(np.abs(start)), np.min(np.abs(end))) > 1e-3)
+    path = LagrangianPath.from_function(lambda t: switched_graph(a + t * b), 17)
+    assert maslov_index(path)[0] == np.sum(start < 0) - np.sum(end < 0)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(n=st.sampled_from([1, 2, 63, 64, 65, 128]), seed=SEEDS, sampled=st.booleans())
+def test_loop_flow_is_the_total_winding(n, seed, sampled):
+    # U(t) = V diag(e^{i(theta_j + 2 pi w_j t)}) V*, whose flow is sum(w)
+    rng = np.random.default_rng(seed)
+    windings = rng.integers(-2, 3, size=n)
+    theta = rng.uniform(-np.pi, np.pi, size=n)
+    theta[np.abs(theta) < 1e-3] += 0.01  # an eigenvalue 1 at t = 0 is degenerate
+    v = random_unitary(n, rng)
+
+    def at(t):
+        return (v * np.exp(1j * (theta + 2 * np.pi * windings * t))) @ v.conj().T
+
+    loop = UnitaryLoop.from_function(at, 33)
+    if sampled:
+        loop = UnitaryLoop(loop.grid, loop.values)
+    assert universal_loop_flow(loop) == windings.sum()

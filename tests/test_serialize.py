@@ -114,10 +114,23 @@ ONE = encode_matrix(np.eye(1))
     lambda: decode_hermitian_path({"grid": [0, 1], "values": [ONE, ONE], "derivatives": 5}),
     lambda: decode_lagrangian_path({"grid": [0, 1], "values": 5}),
     lambda: decode_unitary_loop({"grid": [0, 1], "values": 5}),
+    lambda: decode_matrix({"rows": 1.9, "cols": 1, "data": [[2, 0]]}),
+    lambda: decode_matrix({"rows": 1, "cols": float("inf"), "data": [[2, 0]]}),
+    lambda: _family(k=1.7),
+    lambda: _family(orientation=-1.5),
+    lambda: _jet(k=1.7),
 ], ids=["family-empty-axis", "family-orientation", "jet-tol", "matrix-data", "matrix-entry-str",
         "matrix-entry-null", "lagrangian-n", "path-values", "path-derivatives",
-        "lagrangian-path-values", "loop-values"])
+        "lagrangian-path-values", "loop-values", "matrix-rows-fraction", "matrix-cols-inf",
+        "family-k-fraction", "family-orientation-fraction", "jet-k-fraction"])
 def test_malformed_input_raises_input_error(decode):
-    # each of these escaped as TypeError, ValueError or IndexError (CLI exit 1)
+    # the first eleven escaped as TypeError, ValueError or IndexError (CLI
+    # exit 1); the fractional counts were truncated (rows 1.9 read as 1)
     with pytest.raises(InputError):
         decode()
+
+
+def test_integral_float_counts_decode():
+    assert decode_matrix({"rows": 1.0, "cols": 2.0, "data": [[1, 0], [2, 0]]}).shape == (1, 2)
+    assert _family(k=1.0, orientation=-1.0).orientation == -1
+    assert _jet(k=1.0).k == 1

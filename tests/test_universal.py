@@ -15,7 +15,7 @@ from lagflow.universal import (
     universal_reduction,
 )
 
-from conftest import random_unitary
+from conftest import evenly_winding, random_unitary
 
 
 def test_exact_spectrum_identity():
@@ -100,6 +100,14 @@ def test_loop_flow_winding_equals_dimension(n, rng):
     if np.min(np.abs(np.angle(np.linalg.eigvals(u0)))) < 1e-3:
         u0 = u0 * np.exp(0.05j)
     loop = UnitaryLoop.from_function(lambda t: np.exp(2j * np.pi * t) * u0, 33)
+    assert universal_loop_flow(loop) == n
+
+
+@pytest.mark.parametrize("endpoint", [False, True])
+@pytest.mark.parametrize("n", [8, 64, 65, 100, 128])
+def test_loop_flow_of_evenly_spaced_windings(n, endpoint):
+    # at n >= 64 one step moves every phase past two or more neighbours
+    loop = UnitaryLoop.from_function(evenly_winding(n, endpoint), 33)
     assert universal_loop_flow(loop) == n
 
 

@@ -161,8 +161,9 @@ def _cmd_reduce(args) -> int:
 def _cmd_schubert(args) -> int:
     tol = _tolerance(args)
     lag = serialize.decode_lagrangian(_load_json(args.lagrangian))
-    profile, nodes, weight, generic = _drop_nodes(lag, Flag(lag.n), tol)
-    _emit({"profile": profile, "index": nodes, "weight": weight, "generic": generic})
+    profile, nodes, weight = _drop_nodes(lag, Flag(lag.n), tol)
+    # "generic" is kept in the output shape; a non-generic profile exits 2
+    _emit({"profile": profile, "index": nodes, "weight": weight, "generic": True})
     return EXIT_OK
 
 

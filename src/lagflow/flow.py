@@ -34,8 +34,6 @@ from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
-# unused here; bench/tracer.py looks this name up in lagflow.flow
-from scipy.optimize import linear_sum_assignment  # noqa: F401
 
 from .errors import InputError, PreconditionError
 from .grassmann import J_matrix, LagrangianFrame, cayley_graph, lagrangian_to_unitary
@@ -49,6 +47,18 @@ __all__ = [
     "spectral_flow_tracking",
     "maslov_index",
 ]
+
+
+def __getattr__(name: str):
+    # flow.py uses no scipy.optimize; bench/tracer.py still looks up
+    # ``linear_sum_assignment`` here, so that lookup binds it (PEP 562)
+    if name != "linear_sum_assignment":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import linear_sum_assignment
+
+    globals()["linear_sum_assignment"] = linear_sum_assignment
+    return linear_sum_assignment
+
 
 _MAX_DEPTH = 40
 _MAX_SPLITS = 14

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InputError, PreconditionError
 from .grassmann import J_matrix, LagrangianFrame, _inv_sqrt_eye_plus_sq, switched_graph
@@ -63,6 +62,18 @@ __all__ = [
     "locate_crossings",
     "total_intersection_number",
 ]
+
+
+def __getattr__(name: str):
+    # scipy.optimize loads on the first use of ``minimize`` (PEP 562), so
+    # importing lagflow loads no scipy; from then on ``minimize`` is an
+    # ordinary module global, which bench/tracer.py replaces to count runs
+    if name != "minimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import minimize
+
+    globals()["minimize"] = minimize
+    return minimize
 
 
 def _check_parameter_count(k: int, count: int):
@@ -432,6 +443,7 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
 
     spacing = family.spacing()
     accept = family.tol.rank_eps
+    minimize = globals().get("minimize") or __getattr__("minimize")
     candidates: list[np.ndarray] = []
     for idx in sorted(np.ndindex(shape)):
         val = grid[idx]

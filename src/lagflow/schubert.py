@@ -115,36 +115,29 @@ def incidence_profile(lag: LagrangianFrame, flag: Flag,
 
 
 def _drop_nodes(lag: LagrangianFrame, flag: Flag, tol: Tolerance
-                ) -> tuple[list[int], list[int], int, bool]:
-    """(profile d_0..d_n, its drop nodes j repeated d_{j-1} - d_j times, their
-    weight sum(2j - 1), whether every drop is 0 or 1).
+                ) -> tuple[list[int], list[int], int]:
+    """(profile d_0..d_n, its drop nodes j with d_{j-1} - d_j = 1, their
+    weight sum(2j - 1)).
 
-    A profile with some d_j > n - j = dim W_j cannot be a dimension count;
-    it is a tolerance misreading and raises "non-generic profile".
+    W_j has codimension 1 in W_{j-1} and d_n = 0, so every drop of a
+    dimension count is 0 or 1 (which also gives d_j <= n - j).  Any other
+    drop is a tolerance misreading and raises "non-generic profile".
     """
     profile = incidence_profile(lag, flag, tol)
-    if any(d > flag.n - j for j, d in enumerate(profile)):
-        raise PreconditionError(f"non-generic profile: {profile} has some d_j > n - j")
-    nodes: list[int] = []
-    generic = True
-    for j in range(1, flag.n + 1):
-        drop = profile[j - 1] - profile[j]
-        nodes.extend([j] * max(drop, 0))
-        generic = generic and drop in (0, 1)
-    return profile, nodes, _weight(nodes), generic
+    drops = [a - b for a, b in zip(profile, profile[1:])]
+    if any(d not in (0, 1) for d in drops):
+        raise PreconditionError(f"non-generic profile: {profile} drops by other than 0 or 1")
+    nodes = [j for j, d in enumerate(drops, start=1) if d == 1]
+    return profile, nodes, _weight(nodes)
 
 
 def schubert_index_of(lag: LagrangianFrame, flag: Flag,
                       tol: Tolerance = DEFAULT_TOL) -> SchubertIndex:
     """Schubert index of the cell containing L: the profile's drop nodes.
 
-    Raises "non-generic profile" when some drop exceeds one; the message
-    carries the drop nodes with multiplicity for diagnosis.
+    Raises "non-generic profile" when some drop is not 0 or 1.
     """
-    _, nodes, _, generic = _drop_nodes(lag, flag, tol)
-    if not generic:
-        raise PreconditionError(f"non-generic profile: drop nodes {nodes}")
-    return SchubertIndex(tuple(nodes))
+    return SchubertIndex(tuple(_drop_nodes(lag, flag, tol)[1]))
 
 
 def chart_membership_equations(a, index: SchubertIndex, flag: Flag,

@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lagflow
 import lagflow.serialize as ser
 from lagflow.cli import main
-from lagflow.grassmann import standard_lagrangians, switched_graph
+from lagflow.grassmann import cayley_graph, chart_point, standard_lagrangians, switched_graph
 from lagflow.linalg import subspaces_equal
+
+from conftest import random_unitary
 
 
 def write(tmp_path, name, obj):
@@ -82,8 +89,6 @@ def test_reduce_su2(tmp_path, capsys):
 
 
 def test_reduce_lagrangian_file(tmp_path, capsys):
-    from lagflow.grassmann import chart_point
-
     s = np.array([[0.4, 0.1], [0.1, -0.2]], dtype=complex)
     lag = chart_point(standard_lagrangians(2)[0], s)
     lp = write(tmp_path, "l.json", ser.encode_lagrangian(lag))
@@ -107,6 +112,25 @@ def test_schubert_cli(tmp_path, capsys):
     code, out, err = run(capsys, "schubert", p, "--tol", "0.8")
     assert code == 2 and out == ""
     assert "non-generic profile" in err
+
+
+def test_schubert_cli_rejects_a_drop_of_two(tmp_path, capsys):
+    # the Cayley graph of a U(3) with eigenphases 2.546, -1.130, 0.141 misses
+    # H- altogether; --tol 0.5 misreads its profile as [2, 0, 0, 0]
+    rng = np.random.default_rng(3)
+    for _ in range(182):
+        n = int(rng.integers(2, 5))
+        u = random_unitary(n, rng)
+    assert n == 3 and np.allclose(np.sort(np.angle(np.linalg.eigvals(u))),
+                                  [-1.130, 0.141, 2.546], atol=1e-3)
+    p = write(tmp_path, "l.json", ser.encode_lagrangian(cayley_graph(u)))
+    code, out, err = run(capsys, "schubert", p, "--tol", "0.5")
+    assert code == 2 and out == ""
+    assert "non-generic profile: [2, 0, 0, 0]" in err
+    code, out, _ = run(capsys, "schubert", p)
+    assert code == 0
+    assert json.loads(out) == {"generic": True, "index": [], "profile": [0, 0, 0, 0],
+                               "weight": 0}
 
 
 def test_intersect_cli(tmp_path, capsys):
@@ -232,3 +256,52 @@ def test_emitted_json_revalidates(tmp_path, capsys):
     assert code == 0
     back = ser.decode_matrix(json.loads(out))
     assert np.abs(back - np.eye(3) * 1j).max() < 1e-9
+
+
+# a fresh interpreter imports lagflow, runs each verb through main and
+# prints the scipy modules loaded after the import and after the verbs
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import lagflow, lagflow.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+after_import = scipy_modules()
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(lagflow.cli.main(argv))
+print(json.dumps({"import": after_import, "codes": codes, "verbs": scipy_modules()}))
+"""
+
+
+def test_imports_and_numpy_only_verbs_load_no_scipy(tmp_path):
+    u2 = np.array([[0.3 + 0.4j, -np.sqrt(0.75)], [np.sqrt(0.75), 0.3 - 0.4j]])
+    u = write(tmp_path, "u.json", ser.encode_matrix(u2))
+    lag = write(tmp_path, "l.json", ser.encode_lagrangian(standard_lagrangians(2)[1]))
+    chart = write(tmp_path, "chart.json", ser.encode_lagrangian(chart_point(
+        standard_lagrangians(2)[0], np.array([[0.4, 0.1], [0.1, -0.2]], dtype=complex))))
+    path = write(tmp_path, "path.json",
+                 {"grid": [0.0, 1.0], "values": [ser.encode_matrix(np.diag([-0.5, 1.0])),
+                                                 ser.encode_matrix(np.diag([0.5, 2.0]))]})
+    w = write(tmp_path, "w.json", ser.encode_matrix(np.array([[0.0], [1.0]])))
+    jet = write(tmp_path, "jet.json",
+                {"k": 2, "T0": ser.encode_matrix(np.zeros((2, 2))),
+                 "partials": [ser.encode_matrix(np.array([[0, 0], [0, 1.0]])),
+                              ser.encode_matrix(np.array([[0, 1.0], [1.0, 0]])),
+                              ser.encode_matrix(np.array([[0, 1j], [-1j, 0]]))],
+                 "W_frame": ser.encode_matrix(np.array([[0.0], [1.0]]))})
+    verbs = [["arnold", "--to-lagrangian", u], ["arnold", "--to-unitary", lag],
+             ["sf", path, "--method", "both"], ["schubert", lag],
+             ["reduce", "--unitary", u, "--w-indices", "1"],
+             ["reduce", "--lagrangian", chart, "--w-frame", w], ["intersect", jet],
+             ["universal", "--spectrum", u, "--window", "-7", "7"],
+             ["universal", "--reduce", u]]
+    src = str(Path(lagflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(verbs)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    assert result == {"import": [], "codes": [0] * len(verbs), "verbs": []}

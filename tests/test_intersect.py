@@ -306,3 +306,37 @@ def test_sampled_family_matches_functional(rng):
     assert np.linalg.norm(points[0] - x_star) < fam.spacing() / 2**6
     jet = crossing_jet(fam, points[0])
     assert intersection_number_operator(jet) in (-1, 1)
+
+
+def test_scipy_names_bind_on_first_lookup():
+    # bench/tracer.py looks both names up and patches them where bound
+    import scipy.optimize
+
+    import lagflow.flow
+    import lagflow.intersect
+
+    assert lagflow.intersect.minimize is scipy.optimize.minimize
+    assert lagflow.flow.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lagflow.intersect.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lagflow.flow.no_such_name
+
+
+def test_locate_crossings_calls_the_module_minimize(monkeypatch):
+    import lagflow.intersect
+
+    calls = []
+    original = lagflow.intersect.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lagflow.intersect, "minimize", counting)
+    # k = 1: one parameter, W = C^2, and Ker T(x) = span e1 at x = 0.13 only
+    axes = (np.linspace(-0.6, 0.6, 9),)
+    fam = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0] - 0.13, 1.0]))
+    points = locate_crossings(fam)
+    assert len(points) == 1 and abs(points[0][0] - 0.13) < fam.spacing() / 2**6
+    assert len(calls) >= 1

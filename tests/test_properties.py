@@ -4,13 +4,19 @@ the Maslov index and the loop flow.
 The examples are derandomized, so every run draws the same cases.
 """
 
+import contextlib
+import io
+import json
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lagflow.cli import main
 from lagflow.flow import LagrangianPath, maslov_index
 from lagflow.grassmann import cayley_graph, lagrangian_to_unitary, switched_graph
 from lagflow.schubert import Flag, schubert_index_of
+from lagflow.serialize import encode_lagrangian
 from lagflow.universal import UnitaryLoop, universal_loop_flow
 
 from conftest import random_hermitian, random_unitary, unitary_with_phases
@@ -40,6 +46,25 @@ def test_minus_one_eigenspace_gives_the_leading_index(data):
     index = schubert_index_of(cayley_graph(u), Flag(n))
     assert index.I == tuple(range(1, m + 1))
     assert index.weight == m * m
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n=st.integers(2, 6), seed=SEEDS, rank_eps=st.floats(0.3, 0.95))
+def test_schubert_profiles_that_exit_0_drop_by_0_or_1(tmp_path_factory, n, seed, rank_eps):
+    # W_j has codimension 1 in W_{j-1}, so d_{j-1} - 1 <= d_j <= d_{j-1}; a
+    # loose tolerance may misread the profile, and then the verb exits 2
+    lag = cayley_graph(random_unitary(n, np.random.default_rng(seed)))
+    path = tmp_path_factory.mktemp("schubert") / "l.json"
+    path.write_text(json.dumps(encode_lagrangian(lag)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["schubert", str(path), "--tol", str(rank_eps)])
+    if code == 2:
+        assert "non-generic profile" in err.getvalue()
+        return
+    assert code == 0
+    profile = json.loads(out.getvalue())["profile"]
+    assert all(d - 1 <= e <= d for d, e in zip(profile, profile[1:]))
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)

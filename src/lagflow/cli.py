@@ -90,7 +90,7 @@ def _write_branch_csv(path: str, grid: np.ndarray, per_step: int, label: str, wi
 
 def _cmd_arnold(args) -> int:
     if args.to_lagrangian:
-        u = require_unitary(serialize.decode_matrix(_load_json(args.to_lagrangian)))
+        u = serialize.decode_matrix(_load_json(args.to_lagrangian))
         _emit(serialize.encode_lagrangian(cayley_graph(u)))
     else:
         lag = serialize.decode_lagrangian(_load_json(args.to_unitary))
@@ -191,7 +191,7 @@ def _cmd_universal(args) -> int:
     if args.spectrum:
         if args.window is None:
             raise InputError("--spectrum requires --window A B")
-        u = require_unitary(serialize.decode_matrix(_load_json(args.spectrum)))
+        u = serialize.decode_matrix(_load_json(args.spectrum))
         vals = exact_spectrum(u, (args.window[0], args.window[1]))
         _emit({"eigenvalues": [float(v) for v in vals]})
     elif args.flow:
@@ -208,7 +208,7 @@ def _cmd_universal(args) -> int:
             _write_branch_csv(args.plot, loop.grid, 2, "lambda", branches, low_ladder)
         _emit({"flow": flow})
     else:
-        u = require_unitary(serialize.decode_matrix(_load_json(args.reduce)))
+        u = serialize.decode_matrix(_load_json(args.reduce))
         _emit(serialize.encode_matrix(universal_reduction(u), kind="unitary"))
     return EXIT_OK
 

@@ -121,6 +121,8 @@ class HermitianPath:
         if len(vals) != g.size:
             raise InputError("one value per grid node required")
         dim = vals[0].shape[0]
+        if dim == 0:
+            raise InputError("path dimension must be >= 1")
         if any(v.shape[0] != dim for v in vals):
             raise InputError("all path values must share one dimension")
         derivs = self.derivatives
@@ -135,8 +137,7 @@ class HermitianPath:
     @classmethod
     def from_function(cls, func, nodes: int = 9, dfunc=None) -> "HermitianPath":
         grid = np.linspace(0.0, 1.0, max(int(nodes), 2))
-        vals = [symmetrize(func(t)) for t in grid]
-        return cls(grid, tuple(vals), None, func, dfunc)
+        return cls(grid, tuple(func(t) for t in grid), None, func, dfunc)
 
     @property
     def dim(self) -> int:
@@ -182,11 +183,10 @@ class HermitianPath:
         if self.dfunc is not None:
             dbase = self.dfunc
             dfunc = lambda s, _a=a, _b=b: (_b - _a) * dbase(_a + (_b - _a) * s)  # noqa: E731
-        path = HermitianPath(scaled, vals, None, func, dfunc)
-        if func is None and self.dfunc is None and self.derivatives is not None:
+        derivs = None
+        if func is None and dfunc is None and self.derivatives is not None:
             derivs = tuple((b - a) * self.derivative_at(t) for t in new_grid)
-            path = HermitianPath(scaled, vals, derivs, None, None)
-        return path
+        return HermitianPath(scaled, vals, derivs, func, dfunc)
 
 
 def _richardson_derivative(f, t: float, h: float) -> np.ndarray:
@@ -196,10 +196,6 @@ def _richardson_derivative(f, t: float, h: float) -> np.ndarray:
     d1 = central(h)
     d2 = central(h / 2.0)
     return symmetrize((4.0 * d2 - d1) / 3.0)
-
-
-def _sorted_eigs(m: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(symmetrize(m))
 
 
 def _refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
@@ -238,10 +234,16 @@ def _shift_interior_zeros(ts: np.ndarray, eig_at, eps: float
     return ts, np.array(evs), stuck
 
 
-def _endpoint_check(eig_at, tol: Tolerance):
+def _path_eigs(path: HermitianPath, tol: Tolerance):
+    """(eig_at, scale, node_eps): the sorted eigenvalues of A(t) as a function
+    of t, the largest node entry (at least 1) and the zero threshold at nodes.
+    Raises "degenerate endpoint" when A(0) or A(1) is singular."""
+    eig_at = lambda t: np.linalg.eigvalsh(path.value_at(t))  # noqa: E731
     for t in (0.0, 1.0):
         if np.min(np.abs(eig_at(t))) <= tol.crossing_eps:
             raise PreconditionError("degenerate endpoint")
+    scale = max(1.0, max(float(np.abs(v).max(initial=0.0)) for v in path.values))
+    return eig_at, scale, max(tol.crossing_eps, 1e-12 * scale)
 
 
 def _bisect(g, lo: float, hi: float, glo: float, width: float) -> float:
@@ -339,10 +341,7 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
     crossing must carry a nondegenerate crossing form (for a simple
     crossing this is the classical |<dA v, v>| > crossing_eps condition).
     """
-    eig_at = lambda t: _sorted_eigs(path.value_at(t))  # noqa: E731
-    _endpoint_check(eig_at, tol)
-    scale = max(1.0, max(float(np.abs(v).max(initial=0.0)) for v in path.values))
-    node_eps = max(tol.crossing_eps, 1e-12 * scale)
+    eig_at, scale, node_eps = _path_eigs(path, tol)
     ts, evs, stuck = _shift_interior_zeros(_refine_grid(path.grid, 8), eig_at, node_eps)
     n = path.dim
     sub_spacing = float(np.min(np.diff(ts)))
@@ -368,8 +367,7 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
                 continue
         if not (0.0 < t_star < 1.0):
             raise PreconditionError("degenerate endpoint")
-        a = path.value_at(t_star)
-        vals, vecs = np.linalg.eigh(symmetrize(a))
+        vals, vecs = np.linalg.eigh(path.value_at(t_star))
         kmask = np.abs(vals) <= max(100.0 * np.min(np.abs(vals)), node_eps)
         kernel = vecs[:, kmask]
         if kernel.shape[1] == 0:
@@ -391,10 +389,7 @@ def spectral_flow_tracking(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
     |n-(t_i) - n-(t_i+1)| crossings of that sign at its midpoint, and the
     flow is n-(A(0)) - n-(A(1)).
     """
-    eig_at = lambda t: _sorted_eigs(path.value_at(t))  # noqa: E731
-    _endpoint_check(eig_at, tol)
-    scale = max(1.0, max(float(np.abs(v).max(initial=0.0)) for v in path.values))
-    node_eps = max(tol.crossing_eps, 1e-12 * scale)
+    eig_at, _, node_eps = _path_eigs(path, tol)
     ts, evs, _ = _shift_interior_zeros(_refine_grid(path.grid, 4), eig_at, node_eps)
     negative = np.sum(evs < 0.0, axis=1)
     detail: list[Crossing] = []
@@ -430,6 +425,8 @@ class LagrangianPath:
         if any(not isinstance(v, LagrangianFrame) for v in vals):
             raise InputError("path values must be LagrangianFrame instances")
         n = vals[0].n
+        if n == 0:
+            raise InputError("path half-dimension must be >= 1")
         if any(v.n != n for v in vals):
             raise InputError("all frames must share one half-dimension")
         for a, b in zip(vals[:-1], vals[1:]):

@@ -33,10 +33,10 @@ from .errors import InputError, PreconditionError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _eigh,
     as_complex_matrix,
     require_hermitian,
     require_unitary,
-    hermitian_eig,
 )
 
 __all__ = [
@@ -72,7 +72,7 @@ class LagrangianFrame:
 
     def __post_init__(self):
         z = as_complex_matrix(self.frame)
-        if z.ndim != 2 or z.shape[0] != 2 * z.shape[1]:
+        if z.shape[0] != 2 * z.shape[1]:
             raise InputError("lagrangian frame must be 2n x n")
         n = z.shape[1]
         gram = z.conj().T @ z
@@ -133,9 +133,15 @@ def reflection_of(lag: LagrangianFrame) -> np.ndarray:
 
 
 def _inv_sqrt_eye_plus_sq(s: np.ndarray) -> np.ndarray:
-    # (1 + S^2)^(-1/2) for Hermitian S, via eigendecomposition
-    vals, vecs = hermitian_eig(s)
+    # (1 + S^2)^(-1/2) for a checked Hermitian S, via eigendecomposition
+    vals, vecs = _eigh(s)
     return (vecs * (1.0 / np.sqrt(1.0 + vals**2))) @ vecs.conj().T
+
+
+def _switched_graph(t: np.ndarray) -> tuple[LagrangianFrame, np.ndarray]:
+    # frame [T; I] B of a checked Hermitian T's switched graph, B = (1 + T^2)^(-1/2)
+    b = _inv_sqrt_eye_plus_sq(t)
+    return LagrangianFrame(np.vstack([t, np.eye(t.shape[0])]) @ b), b
 
 
 def _chart_frames(base: LagrangianFrame, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,10 +208,7 @@ def chart_coordinates(lag: LagrangianFrame, base: LagrangianFrame,
 
 def switched_graph(t) -> LagrangianFrame:
     """Lagrangian {(Tw, w)} encoding a Hermitian operator T."""
-    t = require_hermitian(t)
-    n = t.shape[0]
-    raw = np.vstack([t, np.eye(n)])
-    return LagrangianFrame(raw @ _inv_sqrt_eye_plus_sq(t))
+    return _switched_graph(require_hermitian(t))[0]
 
 
 def unitary_of_operator(t) -> np.ndarray:

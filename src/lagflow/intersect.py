@@ -33,12 +33,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .grassmann import J_matrix, LagrangianFrame, _inv_sqrt_eye_plus_sq, switched_graph
+from .grassmann import J_matrix, LagrangianFrame, _switched_graph
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    as_complex_matrix,
-    hermitian_eig,
+    _eigh,
     inner,
     numeric_kernel,
     orthocomplement_basis,
@@ -147,7 +146,7 @@ class FamilyJet:
         partials = tuple(require_hermitian(p) for p in self.partials)
         if any(p.shape[0] != n for p in partials):
             raise InputError("partials must match the base operator dimension")
-        w = orthonormalize(as_complex_matrix(self.w))
+        w = orthonormalize(self.w)
         if w.shape[0] != n:
             raise InputError("W frame does not match the operator dimension")
         if w.shape[1] != n - (self.k - 1):
@@ -240,7 +239,7 @@ def _operator_vectors(jet: FamilyJet) -> tuple[np.ndarray, np.ndarray, int]:
     if phi_perp.shape[1] != p - 1:
         raise PreconditionError("not localized")
 
-    vals, vecs = hermitian_eig(t0)
+    vals, vecs = _eigh(t0)
     thresh = tol.rank_eps * max(1.0, float(np.abs(vals).max(initial=0.0)))
     ran = vecs[:, np.abs(vals) > thresh]
     w_perp = orthocomplement_basis(w, dim_ambient=jet.n)
@@ -285,8 +284,7 @@ def operator_jet_to_lagrangian(jet: FamilyJet) -> LagrangianJet:
     B dT B, B = (1+T0^2)^{-1/2}, in the orthonormal frame [T0; I] B of the
     switched graph.
     """
-    b = _inv_sqrt_eye_plus_sq(jet.t0)
-    lag = switched_graph(jet.t0)
+    lag, b = _switched_graph(jet.t0)
     tangents = tuple(symmetrize(b @ dp @ b) for dp in jet.partials)
     w_iso = IsotropicSubspace.from_h_minus_vectors(jet.n, jet.w)
     return LagrangianJet(jet.k, lag, tangents, w_iso, jet.tol)
@@ -301,8 +299,9 @@ class MeshedFamily:
     """Hermitian family over a rectangular (2k-1)-dimensional parameter mesh.
 
     Either ``func`` maps a parameter point to a Hermitian matrix (returning
-    None outside the valid domain), or ``values`` holds node samples that
-    are interpolated multilinearly.  ``orientation`` is the sign of the
+    None outside the valid domain; each value is symmetrized as it comes
+    back), or ``values`` holds Hermitian node samples, checked here and
+    interpolated multilinearly.  ``orientation`` is the sign of the
     parameter frame against the ambient orientation of the family's
     manifold; it multiplies every local intersection number.
     """
@@ -323,7 +322,7 @@ class MeshedFamily:
             raise InputError("each axis needs at least 3 strictly increasing nodes")
         if self.orientation not in (1, -1):
             raise InputError("orientation must be +1 or -1")
-        w = orthonormalize(as_complex_matrix(self.w))
+        w = orthonormalize(self.w)
         if (self.func is None) == (self.values is None):
             raise InputError("exactly one of func/values must be given")
         if self.values is not None:
@@ -333,7 +332,8 @@ class MeshedFamily:
                 raise InputError("sampled values do not match the mesh shape")
             if w.shape[0] != vals.shape[-1]:
                 raise InputError("W frame does not match the family dimension")
-            object.__setattr__(self, "values", vals)
+            nodes = [require_hermitian(v) for v in vals.reshape((-1,) + vals.shape[-2:])]
+            object.__setattr__(self, "values", np.stack(nodes).reshape(vals.shape))
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "w", w)
 
@@ -378,17 +378,13 @@ class MeshedFamily:
             xp[i] += h
             xm[i] -= h
             vp, vm = self.value_at(xp), self.value_at(xm)
-            if vp is None or vm is None:
-                # fall back to a one-sided difference at the domain edge
-                v0 = self.value_at(x)
-                if vp is not None:
-                    out.append(symmetrize((vp - v0) / h))
-                    continue
-                if vm is not None:
-                    out.append(symmetrize((v0 - vm) / h))
-                    continue
+            if vp is not None and vm is not None:
+                out.append((vp - vm) / (2.0 * h))
+            elif vp is None and vm is None:
                 raise PreconditionError("boundary crossing")
-            out.append(symmetrize((vp - vm) / (2.0 * h)))
+            else:  # a one-sided difference at the domain edge
+                v0 = self.value_at(x)
+                out.append((vp - v0) / h if vp is not None else (v0 - vm) / h)
         return out
 
 
@@ -401,7 +397,7 @@ def _detector(family: MeshedFamily, x: np.ndarray) -> float:
     t = family.value_at(x)
     if t is None:
         return np.inf
-    frame = switched_graph(t).frame
+    frame = _switched_graph(t)[0].frame
     block = np.hstack([frame, -_w_extension(family.w)])
     return float(np.linalg.svd(block, compute_uv=False)[-1])
 

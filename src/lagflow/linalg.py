@@ -12,6 +12,13 @@ their contracts are deliberately narrow:
 The complex inner product is linear in the first argument and conjugate
 linear in the second, matching the usual mathematical convention; see
 :func:`inner`.
+
+Validation contract: a matrix is checked once, where it enters.  The
+boundaries are public constructors, the decoders of lagflow.serialize,
+the raw-array arguments of public functions, and the return value of a
+user ``func``/``dfunc`` callback, checked on every call.  Private helpers
+(:func:`_eigh` is :func:`hermitian_eig` without the symmetrize) trust
+checked values; only a built frame is checked again, by its constructor.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ __all__ = [
 ]
 
 _HERM_TOL = 1e-12
+_MAX_PART = 2.0**1023
 _UNITARY_TOL = 1e-10
 
 
@@ -73,12 +81,13 @@ def inner(u, v):
 
 
 def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
+    """Coerce to a 2-d complex128 array with finite parts below 2**1023,
+    so that sums such as M + M* stay finite behind the check."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise InputError(f"expected a matrix, got array of ndim {m.ndim}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise InputError("matrix entries must be finite")
+    if not (np.all(np.abs(m.real) < _MAX_PART) and np.all(np.abs(m.imag) < _MAX_PART)):
+        raise InputError("matrix entries must be finite and below 2**1023")
     return m
 
 
@@ -123,7 +132,11 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues ascending, eigenvector matrix with unitary
     columns) such that ``M v_j = lam_j v_j``.
     """
-    m = symmetrize(m)
+    return _eigh(symmetrize(m))
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # hermitian_eig of an already checked Hermitian matrix
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -191,29 +204,15 @@ def orthocomplement_basis(frame, dim_ambient: int | None = None,
     spans standard basis vectors the complement comes out as the remaining
     standard basis vectors, in index order.
     """
-    frame = as_complex_matrix(frame)
-    n = frame.shape[0] if dim_ambient is None else dim_ambient
-    if frame.shape[1] == 0:
-        return np.eye(n, dtype=np.complex128)
     q = orthonormalize(frame)
-    resid = np.eye(n, dtype=np.complex128) - q @ q.conj().T
-    want = n - q.shape[1]
-    cols = []
-    for j in range(n):
-        v = resid[:, j].copy()
-        for _ in range(2):
-            for c in cols:
-                v -= np.vdot(c, v) * c
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-7:
-            cols.append(v / nrm)
-        if len(cols) == want:
-            break
-    if len(cols) != want:
+    n = q.shape[0] if dim_ambient is None else dim_ambient
+    if q.shape[1] == 0:
+        return np.eye(n, dtype=np.complex128)
+    # the residual projector has scale 1, so drop_eps is an absolute cut
+    comp = orthonormalize(np.eye(n, dtype=np.complex128) - q @ q.conj().T, drop_eps=1e-7)
+    if comp.shape[1] != n - q.shape[1]:
         raise PreconditionError("orthocomplement extraction failed")
-    if not cols:
-        return np.zeros((n, 0), dtype=np.complex128)
-    return np.column_stack(cols)
+    return comp
 
 
 def _check_frames_compatible(f1, f2):

@@ -95,10 +95,9 @@ class IsotropicSubspace:
     @classmethod
     def from_h_minus_vectors(cls, n: int, vectors) -> "IsotropicSubspace":
         """Build from an n x p array of H- coordinates (orthonormalized)."""
-        v = as_complex_matrix(vectors)
+        v = orthonormalize(vectors)
         if v.shape[0] != n:
             raise InputError("vectors do not match the ambient dimension")
-        v = orthonormalize(v)
         frame = np.vstack([np.zeros((n, v.shape[1])), v])
         return cls(n, frame)
 
@@ -201,7 +200,7 @@ def reduce_unitary(u, w_basis, lam: complex = 1.0,
     if abs(lam + 1.0) <= 1e-10:
         raise InputError("lambda = -1 is rejected: 1 + U(-U*) degenerates, no reduction meaning")
     n = u.shape[0]
-    wb = orthonormalize(as_complex_matrix(w_basis))
+    wb = orthonormalize(w_basis)
     if wb.shape[0] != n:
         raise InputError("W basis does not match the unitary dimension")
     p = wb.shape[1]

@@ -103,6 +103,8 @@ class UnitaryLoop:
         if len(vals) != g.size:
             raise InputError("one unitary per grid node required")
         dim = vals[0].shape[0]
+        if dim == 0:
+            raise InputError("loop dimension must be >= 1")
         if any(v.shape[0] != dim for v in vals):
             raise InputError("all loop values must share one dimension")
         if np.abs(vals[0] - vals[-1]).max() > 1e-9:
@@ -113,8 +115,7 @@ class UnitaryLoop:
     @classmethod
     def from_function(cls, func, nodes: int = 33) -> "UnitaryLoop":
         grid = np.linspace(0.0, 1.0, max(int(nodes), 2))
-        vals = tuple(require_unitary(func(t)) for t in grid)
-        return cls(grid, vals, func)
+        return cls(grid, tuple(func(t) for t in grid), func)
 
     @property
     def dim(self) -> int:

@@ -167,6 +167,27 @@ def test_intersect_total_cli(tmp_path, capsys):
     assert len(result["crossings"]) == 1
 
 
+def test_intersect_total_cli_rejects_a_non_hermitian_node(tmp_path, capsys):
+    axes = [list(np.linspace(-0.6, 0.6, 3))]
+    values = [ser.encode_matrix(x * np.eye(2)) for x in axes[0]]
+    values[1] = ser.encode_matrix(np.array([[0.0, 0.5], [0.0, 0.0]]))
+    fam = {"k": 1, "axes": axes, "values": values,
+           "W_frame": ser.encode_matrix(np.eye(2))}
+    code, out, err = run(capsys, "intersect-total", write(tmp_path, "family.json", fam))
+    assert code == 3 and out == "" and "matrix is not Hermitian" in err
+
+
+@pytest.mark.parametrize("verb", ["sf", "maslov", "universal"])
+def test_zero_dimension_path_exits_3(tmp_path, capsys, verb):
+    empty = ser.encode_matrix(np.zeros((0, 0)))
+    if verb == "maslov":
+        empty = {**empty, "kind": "lagrangian", "n": 0}
+    p = write(tmp_path, "path.json", {"grid": [0.0, 1.0], "values": [empty, empty]})
+    argv = ["universal", "--flow", p] if verb == "universal" else [verb, p]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "dimension must be >= 1" in err
+
+
 def test_universal_cli(tmp_path, capsys):
     up = write(tmp_path, "u.json", ser.encode_matrix(np.eye(1)))
     code, out, _ = run(capsys, "universal", "--spectrum", up,

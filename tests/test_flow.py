@@ -39,6 +39,20 @@ def test_path_validation():
         HermitianPath(np.array([0.0, 0.4, 0.2, 1.0]), tuple(np.eye(1) for _ in range(4)))
 
 
+def test_zero_dimension_paths_are_rejected():
+    # 0 x 0 values used to reach spectral_flow_* and maslov_index, which
+    # failed with numpy's "zero-size array" ValueError
+    empty = np.zeros((0, 0))
+    with pytest.raises(InputError, match="dimension must be >= 1"):
+        HermitianPath(np.array([0.0, 1.0]), (empty, empty))
+    with pytest.raises(InputError, match="dimension must be >= 1"):
+        HermitianPath.from_function(lambda t: empty)
+    frame = LagrangianFrame(empty)  # n = 0 stays a frame: a lagrangian W reduces to it
+    assert frame.n == 0
+    with pytest.raises(InputError, match="half-dimension must be >= 1"):
+        LagrangianPath(np.array([0.0, 1.0]), (frame, frame))
+
+
 def test_single_positive_crossing():
     path = HermitianPath.from_function(lambda t: np.array([[t - 0.5]]), 9)
     assert spectral_flow_crossing(path)[0] == 1

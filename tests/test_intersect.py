@@ -308,6 +308,22 @@ def test_sampled_family_matches_functional(rng):
     assert intersection_number_operator(jet) in (-1, 1)
 
 
+def test_sampled_family_rejects_a_non_hermitian_node():
+    # checked once per node at construction, not at every detector call
+    from lagflow.linalg import Tolerance
+    from lagflow.serialize import decode_meshed_family, encode_matrix
+
+    axes = (np.linspace(-0.6, 0.6, 3),)
+    values = np.stack([x * np.eye(2, dtype=complex) for x in axes[0]])
+    values[1, 0, 1] = 0.5
+    with pytest.raises(InputError, match="matrix is not Hermitian"):
+        MeshedFamily(1, axes, np.eye(2), values=values)
+    obj = {"k": 1, "axes": [list(axes[0])], "W_frame": encode_matrix(np.eye(2)),
+           "values": [encode_matrix(v) for v in values]}
+    with pytest.raises(InputError, match="matrix is not Hermitian"):
+        decode_meshed_family(obj, Tolerance())
+
+
 def test_scipy_names_bind_on_first_lookup():
     # bench/tracer.py looks both names up and patches them where bound
     import scipy.optimize

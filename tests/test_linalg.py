@@ -128,3 +128,18 @@ def test_orthocomplement_keeps_index_order():
 def test_symmetrize_rejects_nonsquare():
     with pytest.raises(InputError):
         symmetrize(np.ones((2, 3)))
+
+
+def test_parts_past_2_pow_1023_are_rejected():
+    # M + M* overflows for them, and internals use checked matrices as they are
+    from lagflow.flow import HermitianPath, spectral_flow_tracking
+    from lagflow.grassmann import switched_graph
+
+    assert np.isfinite(symmetrize(np.array([[8.9e307]]))).all()
+    big = np.array([[1.7e308, 1.5e308], [1.5e308, -1.7e308]])
+    with pytest.raises(InputError, match="finite"):
+        symmetrize(big)
+    with pytest.raises(InputError, match="finite"):
+        switched_graph(big)
+    with pytest.raises(InputError, match="finite"):
+        spectral_flow_tracking(HermitianPath(np.array([0.0, 1.0]), (big, -big)))

@@ -125,6 +125,14 @@ def test_loop_endpoint_mismatch():
         UnitaryLoop(grid, vals)
 
 
+def test_zero_dimension_loop_is_rejected():
+    empty = np.zeros((0, 0))
+    with pytest.raises(InputError, match="loop dimension must be >= 1"):
+        UnitaryLoop(np.array([0.0, 1.0]), (empty, empty))
+    with pytest.raises(InputError, match="loop dimension must be >= 1"):
+        UnitaryLoop.from_function(lambda t: empty)
+
+
 def test_discretized_loop_flow_is_zero():
     # a finite-dimensional discretization of a loop is itself a loop of
     # Hermitian matrices, and loops of finite Hermitian families always

@@ -22,6 +22,11 @@ summed principal eigenphases is 2 pi times the step's net passages
 sgn<-J dP/dt v, v> on a unit vector v of L ∩ H-.  On switched graphs of a
 Hermitian path the two notions agree crossing by crossing.
 
+Both spectral-flow routes evaluate each parameter value once per call:
+the node scan, every branch's midpoints and bisection steps and the touch
+refinement read the same sorted eigenvalues of A(t).  Only the kernel at
+a located crossing needs A(t) again, for its eigenvectors.
+
 Crossings are only counted in the open interior (0, 1); paths whose
 endpoints are degenerate are rejected rather than half-counted, which
 makes concatenation additivity exact for admissible subdivisions.
@@ -237,8 +242,18 @@ def _shift_interior_zeros(ts: np.ndarray, eig_at, eps: float
 def _path_eigs(path: HermitianPath, tol: Tolerance):
     """(eig_at, scale, node_eps): the sorted eigenvalues of A(t) as a function
     of t, the largest node entry (at least 1) and the zero threshold at nodes.
-    Raises "degenerate endpoint" when A(0) or A(1) is singular."""
-    eig_at = lambda t: np.linalg.eigvalsh(path.value_at(t))  # noqa: E731
+    Raises "degenerate endpoint" when A(0) or A(1) is singular.
+
+    eig_at evaluates each distinct t once for as long as the caller holds
+    it, and its arrays are read-only, since every caller shares them.
+    """
+
+    @cache
+    def eig_at(t: float) -> np.ndarray:
+        vals = np.linalg.eigvalsh(path.value_at(t))
+        vals.flags.writeable = False
+        return vals
+
     for t in (0.0, 1.0):
         if np.min(np.abs(eig_at(t))) <= tol.crossing_eps:
             raise PreconditionError("degenerate endpoint")
@@ -402,6 +417,17 @@ def spectral_flow_tracking(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
 # lagrangian paths and the Maslov index
 
 
+def _frame_gaps(frames: Sequence[LagrangianFrame]):
+    """Subspace distances of consecutive frames, one by one: spectral norms
+    of the projection differences."""
+    return (np.linalg.norm(a.projection() - b.projection(), 2)
+            for a, b in zip(frames[:-1], frames[1:]))
+
+
+class _SpacedFrames(tuple):
+    """Frames whose consecutive gaps a sampler has already held to 0.5."""
+
+
 @dataclass(frozen=True)
 class LagrangianPath:
     """One-parameter family of lagrangian frames on [0, 1].
@@ -429,10 +455,9 @@ class LagrangianPath:
             raise InputError("path half-dimension must be >= 1")
         if any(v.n != n for v in vals):
             raise InputError("all frames must share one half-dimension")
-        for a, b in zip(vals[:-1], vals[1:]):
-            gap = np.linalg.norm(a.projection() - b.projection(), 2)
-            if gap > 0.5 + 1e-9:
-                raise InputError("consecutive frames exceed subspace distance 0.5")
+        spaced = isinstance(self.values, _SpacedFrames)
+        if not spaced and any(gap > 0.5 + 1e-9 for gap in _frame_gaps(vals)):
+            raise InputError("consecutive frames exceed subspace distance 0.5")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", vals)
 
@@ -443,10 +468,8 @@ class LagrangianPath:
         for _ in range(8):
             grid = np.linspace(0.0, 1.0, count)
             vals = tuple(func(t) for t in grid)
-            gaps = [np.linalg.norm(a.projection() - b.projection(), 2)
-                    for a, b in zip(vals[:-1], vals[1:])]
-            if max(gaps) <= 0.5:
-                return cls(grid, vals, func)
+            if max(_frame_gaps(vals)) <= 0.5:
+                return cls(grid, _SpacedFrames(vals), func)
             count = 2 * count - 1
         raise InputError("consecutive frames exceed subspace distance 0.5")
 
@@ -465,7 +488,7 @@ class LagrangianPath:
             return self.values[i + 1]
         ua = lagrangian_to_unitary(self.values[i])
         ub = lagrangian_to_unitary(self.values[i + 1])
-        return cayley_graph(_unitary_geodesic(ua, ub, s))
+        return cayley_graph(_unitary_geodesic(ua, _step_angles(ua, ub), s))
 
 
 def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -484,19 +507,28 @@ def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return phi, vecs
 
 
-def _unitary_geodesic(ua: np.ndarray, ub: np.ndarray, s: float) -> np.ndarray:
-    phi, vecs = _step_angles(ua, ub)
+def _unitary_geodesic(ua: np.ndarray, step: tuple[np.ndarray, np.ndarray],
+                      s: float) -> np.ndarray:
+    """Ua exp(s log R), given step = (phi, vecs) of :func:`_step_angles`."""
+    phi, vecs = step
     return ua @ ((vecs * np.exp(1j * s * phi)) @ vecs.conj().T)
 
 
-def _geodesic_at(grid: np.ndarray, nodes: Sequence[np.ndarray], t: float) -> np.ndarray:
-    """U(t) on the unitary geodesic between the nodes that bracket t."""
-    i, s = _bracket(grid, t)
-    if s <= 0.0:
-        return nodes[i]
-    if s >= 1.0:
-        return nodes[i + 1]
-    return _unitary_geodesic(nodes[i], nodes[i + 1], s)
+def _geodesic(grid: np.ndarray, nodes: Sequence[np.ndarray]):
+    """(u_at, step): U(t) on the unitary geodesics between the nodes, and
+    step(i), the decomposition of grid step i, made once per step for as
+    long as the caller holds them."""
+    step = cache(lambda i: _step_angles(nodes[i], nodes[i + 1]))
+
+    def u_at(t: float) -> np.ndarray:
+        i, s = _bracket(grid, t)
+        if s <= 0.0:
+            return nodes[i]
+        if s >= 1.0:
+            return nodes[i + 1]
+        return _unitary_geodesic(nodes[i], step(i), s)
+
+    return u_at, step
 
 
 def _whole(x: float) -> int:
@@ -507,18 +539,27 @@ def _whole(x: float) -> int:
     return int(k)
 
 
-def _det_steps(u_at, grid: np.ndarray, exact: bool):
+def _det_steps(u_at, grid: np.ndarray, step=None):
     """Steps for a determinant count along u_at (cached), and turn(a, b).
 
     turn(a, b) = sum(phi) of :func:`_step_angles` is the change of arg det
-    U along the geodesic step [a, b], exact when u_at is the geodesic
-    interpolant of the grid.  Otherwise steps with max|phi| > pi/2 are
-    halved, and one more halving must leave every step's turn unchanged.
+    U along the geodesic step [a, b].  When u_at is the geodesic
+    interpolant of the grid, step is its decomposition of each grid step
+    (see :func:`_geodesic`), which the grid steps' turns reuse, and the
+    count is exact.  Otherwise steps with max|phi| > pi/2 are halved, and
+    one more halving must leave every step's turn unchanged.
     """
-    angles = cache(lambda a, b: _step_angles(u_at(a), u_at(b))[0])
-    turn = lambda a, b: float(np.sum(angles(a, b)))  # noqa: E731
     ts = list(grid)
-    if exact:
+    nodal = {} if step is None else {(a, b): i for i, (a, b) in enumerate(zip(ts[:-1], ts[1:]))}
+
+    @cache
+    def angles(a, b):
+        if (a, b) in nodal:
+            return step(nodal[a, b])[0]
+        return _step_angles(u_at(a), u_at(b))[0]
+
+    turn = lambda a, b: float(np.sum(angles(a, b)))  # noqa: E731
+    if step is not None:
         return ts, turn
 
     def wide(a, b):
@@ -564,9 +605,13 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
     """
     n = path.n
     if path.func is None:
-        nodes = [lagrangian_to_unitary(v) for v in path.values]
-        u_at = cache(lambda t: _geodesic_at(path.grid, nodes, t))
+        # the frames at crossings lie inside steps, where path.frame_at is
+        # the Cayley graph of the geodesic; reading u_at decomposes no step twice
+        geodesic, step = _geodesic(path.grid, [lagrangian_to_unitary(v) for v in path.values])
+        u_at = cache(geodesic)
+        frame_at = lambda t: cayley_graph(u_at(t))  # noqa: E731
     else:
+        step, frame_at = None, path.frame_at
         u_at = cache(lambda t: lagrangian_to_unitary(path.func(t)))
     for t in (0.0, 1.0):
         phases = np.angle(np.linalg.eigvals(u_at(t)))
@@ -576,7 +621,7 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
         if np.linalg.svd(top, compute_uv=False)[-1] <= tol.rank_eps:
             raise PreconditionError("degenerate endpoint")
 
-    ts, turn = _det_steps(u_at, path.grid, path.func is None)
+    ts, turn = _det_steps(u_at, path.grid, step)
     theta = cache(lambda t: float(np.sum(np.angle(np.linalg.eigvals(u_at(t))))))
     passages = lambda a, b: _whole((turn(a, b) + theta(a) - theta(b)) / (2.0 * np.pi))  # noqa: E731
     events: list[tuple[float, str]] = []
@@ -599,7 +644,7 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
     jmat = J_matrix(n)
     crossings: list[Crossing] = []
     for t_star, _ in _merge_events(events, 1e-9):
-        frame = path.frame_at(t_star).frame
+        frame = frame_at(t_star).frame
         kern_coords = numeric_kernel(frame[:n], Tolerance(max(tol.rank_eps, 1e-7),
                                                           tol.crossing_eps))
         if kern_coords.shape[1] == 0:
@@ -607,7 +652,7 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
         kernel = frame @ kern_coords
 
         spacing_loc = min(t_star / 2.0, (1.0 - t_star) / 2.0, _FD_STEP)
-        p_of = lambda t: path.frame_at(t).projection()  # noqa: E731
+        p_of = lambda t: frame_at(t).projection()  # noqa: E731
         pdot = _richardson_derivative(p_of, t_star, max(spacing_loc, 1e-12))
         crossings.append(Crossing(t_star, _crossing_signature(kernel, -jmat @ pdot, tol)))
     if sum(c.sign for c in crossings) != total:

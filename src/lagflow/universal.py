@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .flow import HermitianPath, _check_grid, _det_steps, _geodesic_at, _whole
+from .flow import HermitianPath, _check_grid, _det_steps, _geodesic, _whole
 from .grassmann import LagrangianFrame
 from .linalg import orthonormalize, require_unitary
 
@@ -125,7 +125,7 @@ class UnitaryLoop:
         t = min(max(float(t), 0.0), 1.0)
         if self.func is not None:
             return require_unitary(self.func(t))
-        return _geodesic_at(self.grid, self.values, t)
+        return _geodesic(self.grid, self.values)[0](t)
 
 
 def universal_loop_flow(loop: UnitaryLoop) -> int:
@@ -144,7 +144,8 @@ def universal_loop_flow(loop: UnitaryLoop) -> int:
     phases0 = np.angle(np.linalg.eigvals(loop.value_at(0.0)))
     if np.min(np.abs(phases0)) <= 1e-12:
         raise PreconditionError("degenerate endpoint")
-    ts, turn = _det_steps(cache(loop.value_at), loop.grid, loop.func is None)
+    step = _geodesic(loop.grid, loop.values)[1] if loop.func is None else None
+    ts, turn = _det_steps(cache(loop.value_at), loop.grid, step)
     return _whole(sum(turn(a, b) for a, b in zip(ts[:-1], ts[1:])) / (2.0 * np.pi))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lagflow.flow
 from lagflow.errors import InputError, PreconditionError
 from lagflow.flow import (
     HermitianPath,
@@ -9,7 +10,12 @@ from lagflow.flow import (
     spectral_flow_crossing,
     spectral_flow_tracking,
 )
-from lagflow.grassmann import LagrangianFrame, cayley_graph, switched_graph
+from lagflow.grassmann import (
+    LagrangianFrame,
+    cayley_graph,
+    lagrangian_to_unitary,
+    switched_graph,
+)
 
 from conftest import evenly_winding, random_hermitian, random_unitary
 
@@ -286,3 +292,69 @@ def test_maslov_of_evenly_spaced_windings(n, endpoint):
     u = evenly_winding(n, endpoint)
     lp = LagrangianPath.from_function(lambda t: cayley_graph(u(t)), 17)
     assert maslov_index(lp)[0] == n
+
+
+def test_crossing_route_evaluates_each_parameter_once():
+    # in the eigenbasis v, the second entry rises through zero at t = 0.3
+    # and the third falls through it at t = 0.7; the other six stay away
+    rng = np.random.default_rng(8)
+    v = random_unitary(8, rng)
+    slopes = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    offsets = np.array([-2.0, -0.3, 0.7, 1.0, 1.5, 2.0, 2.5, 3.0])
+    calls = []
+
+    def func(t):
+        calls.append(t)
+        return (v * (offsets + t * slopes)) @ v.conj().T
+
+    path = HermitianPath.from_function(func, 9, dfunc=lambda t: (v * slopes) @ v.conj().T)
+    calls.clear()
+    flow, crossings = spectral_flow_crossing(path)
+    assert flow == 0
+    assert [c.sign for c in crossings] == [1, -1]
+    # each parameter value is evaluated once; a located crossing once more,
+    # for the eigenvectors of its kernel
+    counts = {t: calls.count(t) for t in calls}
+    located = {c.t for c in crossings}
+    assert located <= set(counts)
+    assert {t: k for t, k in counts.items() if k != (2 if t in located else 1)} == {}
+
+
+def test_sampled_maslov_decomposes_each_node_step_once(monkeypatch):
+    # two eigenvalues of a + t b cross zero, at t = 1/3 and 2/3
+    v = random_unitary(4, np.random.default_rng(6))
+    a = (v * np.array([-1.0, -0.5, 1.0, 2.0])) @ v.conj().T
+    b = 1.5 * np.eye(4)
+    sampled = LagrangianPath.from_function(lambda t: switched_graph(a + t * b), 17)
+    path = LagrangianPath(sampled.grid, sampled.values)  # geodesics between nodes
+    nodes = [lagrangian_to_unitary(f) for f in path.values]
+    pairs = []
+    original = lagflow.flow._step_angles
+
+    def counting(ua, ub):
+        pairs.append((ua, ub))
+        return original(ua, ub)
+
+    monkeypatch.setattr(lagflow.flow, "_step_angles", counting)
+    flow, crossings = maslov_index(path)
+    assert flow == 2
+    assert len(crossings) == 2  # located inside steps, on the geodesics
+    for ua, ub in zip(nodes[:-1], nodes[1:]):
+        same = [p for p in pairs if np.array_equal(p[0], ua) and np.array_equal(p[1], ub)]
+        assert len(same) <= 1
+
+
+def test_from_function_measures_each_gap_once(monkeypatch):
+    projections = []
+    original = LagrangianFrame.projection
+
+    def counting(self):
+        projections.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LagrangianFrame, "projection", counting)
+    rng = np.random.default_rng(17)
+    a, b = random_hermitian(6, rng), random_hermitian(6, rng)
+    path = LagrangianPath.from_function(lambda t: switched_graph(a + t * b), 17)
+    assert path.grid.size == 17
+    assert len(projections) == 2 * 16  # two projections per gap, 16 gaps

@@ -13,7 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lagflow.cli import main
-from lagflow.flow import LagrangianPath, maslov_index
+from lagflow.flow import (
+    HermitianPath,
+    LagrangianPath,
+    maslov_index,
+    spectral_flow_crossing,
+    spectral_flow_tracking,
+)
 from lagflow.grassmann import cayley_graph, lagrangian_to_unitary, switched_graph
 from lagflow.schubert import Flag, schubert_index_of
 from lagflow.serialize import encode_lagrangian
@@ -96,3 +102,59 @@ def test_loop_flow_is_the_total_winding(n, seed, sampled):
     if sampled:
         loop = UnitaryLoop(loop.grid, loop.values)
     assert universal_loop_flow(loop) == windings.sum()
+
+
+def _affine(a, b, nodes=9):
+    return HermitianPath.from_function(lambda t: a + t * b, nodes)
+
+
+def _negatives(m):
+    return int(np.sum(np.linalg.eigvalsh(m) < 0))
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 5, 8, 65]), seed=SEEDS)
+def test_reversing_the_parameter_negates_the_crossings(n, seed):
+    # t -> 1 - t: the same crossings, at 1 - t and with the opposite signs
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(n, rng)
+    b = 3.0 * random_hermitian(n, rng)
+    ends = np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(a + b)])
+    assume(np.min(np.abs(ends)) > 1e-3)
+    flow, crossings = spectral_flow_crossing(_affine(a, b))
+    assume(crossings)
+    back, reversed_crossings = spectral_flow_crossing(_affine(a + b, -b))
+    assert back == -flow
+    assert len(reversed_crossings) == len(crossings)
+    for c, r in zip(crossings, reversed_crossings[::-1]):
+        assert abs(r.t - (1.0 - c.t)) <= 1e-12
+        assert r.sign == -c.sign
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 5, 8, 65]), seed=SEEDS)
+def test_conjugating_the_path_keeps_the_flow(n, seed):
+    # A -> V A V* for a fixed unitary V
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(n, rng)
+    b = 3.0 * random_hermitian(n, rng)
+    v = random_unitary(n, rng)
+    ends = np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(a + b)])
+    assume(np.min(np.abs(ends)) > 1e-3)
+    flow = spectral_flow_crossing(_affine(a, b))[0]
+    gauged = _affine(v @ a @ v.conj().T, v @ b @ v.conj().T)
+    assert spectral_flow_crossing(gauged)[0] == flow
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(n=st.sampled_from([64, 65]), seed=SEEDS)
+def test_both_routes_give_the_inertia_drop_beyond_64(n, seed):
+    # a small drift moves a few of the n eigenvalues through zero
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(n, rng) / np.sqrt(n)
+    b = random_hermitian(n, rng) / np.sqrt(n) + 0.3 * np.eye(n)
+    ends = np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(a + b)])
+    assume(np.min(np.abs(ends)) > 1e-3)
+    path = _affine(a, b, 3)
+    drop = _negatives(a) - _negatives(a + b)
+    assert spectral_flow_crossing(path)[0] == spectral_flow_tracking(path)[0] == drop

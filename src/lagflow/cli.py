@@ -133,7 +133,7 @@ def _cmd_maslov(args) -> int:
 
 def _cmd_reduce(args) -> int:
     tol = _tolerance(args)
-    if args.unitary:
+    if args.unitary is not None:
         u = require_unitary(serialize.decode_matrix(_load_json(args.unitary)))
         if not args.w_indices:
             raise InputError("--unitary requires --w-indices")
@@ -185,16 +185,13 @@ def _cmd_intersect_total(args) -> int:
 
 
 def _cmd_universal(args) -> int:
-    chosen = [bool(args.spectrum), bool(args.flow), bool(args.reduce)]
-    if sum(chosen) != 1:
-        raise InputError("choose exactly one of --spectrum/--flow/--reduce")
-    if args.spectrum:
+    if args.spectrum is not None:
         if args.window is None:
             raise InputError("--spectrum requires --window A B")
         u = serialize.decode_matrix(_load_json(args.spectrum))
         vals = exact_spectrum(u, (args.window[0], args.window[1]))
         _emit({"eigenvalues": [float(v) for v in vals]})
-    elif args.flow:
+    elif args.flow is not None:
         loop = serialize.decode_unitary_loop(_load_json(args.flow))
         flow = universal_loop_flow(loop)
         if args.plot:
@@ -241,11 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_maslov)
 
     p = sub.add_parser("reduce", help="symplectic reduction")
-    p.add_argument("--unitary", metavar="U_JSON")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--unitary", metavar="U_JSON")
     p.add_argument("--w-indices", type=int, nargs="+", metavar="I")
     p.add_argument("--lam", type=float, nargs=2, default=[1.0, 0.0],
                    metavar=("RE", "IM"))
-    p.add_argument("--lagrangian", metavar="L_JSON")
+    group.add_argument("--lagrangian", metavar="L_JSON")
     p.add_argument("--w-frame", metavar="W_JSON")
     p.add_argument("--tol", type=float)
     p.set_defaults(run=_cmd_reduce)
@@ -267,11 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_intersect_total)
 
     p = sub.add_parser("universal", help="universal boundary family operations")
-    p.add_argument("--spectrum", metavar="U_JSON")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--spectrum", metavar="U_JSON")
     p.add_argument("--window", type=float, nargs=2, metavar=("A", "B"))
-    p.add_argument("--flow", metavar="LOOP_JSON")
+    group.add_argument("--flow", metavar="LOOP_JSON")
     p.add_argument("--m", type=int, default=256)
-    p.add_argument("--reduce", metavar="U_JSON")
+    group.add_argument("--reduce", metavar="U_JSON")
     p.add_argument("--plot", metavar="CSV")
     p.set_defaults(run=_cmd_universal)
 
@@ -282,8 +281,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.verb == "reduce" and bool(args.unitary) == bool(args.lagrangian):
-            raise InputError("choose exactly one of --unitary/--lagrangian")
         return args.run(args)
     except PreconditionError as exc:
         print(f"lagflow: {exc}", file=sys.stderr)

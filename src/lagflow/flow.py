@@ -19,8 +19,15 @@ turns arg det U by a known angle, and that turn less the change of the
 summed principal eigenphases is 2 pi times the step's net passages
 (Cappell, Lee & Miller, CPAM 47, 1994; Phillips, Canad. Math. Bull. 39,
 1996).  Crossings are located by halving steps on that count and signed by
-sgn<-J dP/dt v, v> on a unit vector v of L ∩ H-.  On switched graphs of a
-Hermitian path the two notions agree crossing by crossing.
+the form <-J dP/dt v, v> on L ∩ H-.  In the Cayley frame Z = [1 + U;
+-i(1 - U)] / 2 that space is Z Ker(1 + U), and for v = Z w the form is
+1/2 <-i U* dU/dt w, w>, so no frame projection is differenced.  On
+switched graphs of a Hermitian path the two notions agree crossing by
+crossing.
+
+Sampled paths are signed with their interpolant's exact derivative: the
+linear slope, and -i U* dU/dt = V diag(phi) V* / (b - a) on a geodesic step
+[a, b]; a ``func`` path without one takes a Richardson difference.
 
 Both spectral-flow routes evaluate each parameter value once per call:
 the node scan, every branch's midpoints and bisection steps and the touch
@@ -41,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .grassmann import J_matrix, LagrangianFrame, cayley_graph, lagrangian_to_unitary
+from .grassmann import LagrangianFrame, cayley_graph, lagrangian_to_unitary
 from .linalg import DEFAULT_TOL, Tolerance, numeric_kernel, symmetrize
 
 __all__ = [
@@ -109,9 +116,9 @@ class HermitianPath:
 
     Sampled values are interpolated linearly between nodes; when ``func``
     is supplied it is used instead (the samples then only seed crossing
-    detection).  Analytic derivatives may be supplied per node or as
-    ``dfunc``; otherwise derivatives come from Richardson-extrapolated
-    central differences.
+    detection).  Analytic derivatives may be supplied as ``dfunc`` or per
+    node; otherwise a sampled path takes its interpolant's slope and a
+    ``func`` path a Richardson-extrapolated central difference.
     """
 
     grid: np.ndarray
@@ -159,17 +166,12 @@ class HermitianPath:
         t = min(max(float(t), 0.0), 1.0)
         if self.dfunc is not None:
             return symmetrize(self.dfunc(t))
+        if self.func is not None and self.derivatives is None:
+            return _richardson_derivative(self.value_at, t, self.grid)
+        i, s = _bracket(self.grid, t)
         if self.derivatives is not None:
-            i, s = _bracket(self.grid, t)
             return (1.0 - s) * self.derivatives[i] + s * self.derivatives[i + 1]
-        return _richardson_derivative(self.value_at, t, self._fd_step(t))
-
-    def _fd_step(self, t: float) -> float:
-        spacing = float(np.min(np.diff(self.grid)))
-        h = min(spacing, _FD_STEP)
-        if 0.0 < t < 1.0:
-            h = min(h, t / 2.0, (1.0 - t) / 2.0)
-        return max(h, 1e-12)
+        return (self.values[i + 1] - self.values[i]) / (self.grid[i + 1] - self.grid[i])
 
     def restricted(self, a: float, b: float) -> "HermitianPath":
         """Sub-path over [a, b], reparametrized to [0, 1]."""
@@ -194,13 +196,18 @@ class HermitianPath:
         return HermitianPath(scaled, vals, derivs, func, dfunc)
 
 
-def _richardson_derivative(f, t: float, h: float) -> np.ndarray:
+def _richardson_derivative(f, t: float, grid: np.ndarray) -> np.ndarray:
+    """(4 d(h/2) - d(h)) / 3 for central differences d of f at t; h = min(grid
+    spacing, _FD_STEP), at most t/2 and (1 - t)/2 inside (0, 1), at least 1e-12."""
+    h = min(float(np.min(np.diff(grid))), _FD_STEP)
+    if 0.0 < t < 1.0:
+        h = min(h, t / 2.0, (1.0 - t) / 2.0)
+    h = max(h, 1e-12)
+
     def central(step):
         return (f(t + step) - f(t - step)) / (2.0 * step)
 
-    d1 = central(h)
-    d2 = central(h / 2.0)
-    return symmetrize((4.0 * d2 - d1) / 3.0)
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
 def _refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
@@ -595,24 +602,20 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
 
     passages happen, and the index is sum(c).  Steps with c != 0 are
     halved on their count to width 1e-14, and each crossing found is
-    signed by the form <-J dP/dt v, v> on L ∩ H- (Richardson differences
-    of the frame projections).  Signs that do not sum to the index raise
-    "degenerate crossing"; a +1 and a -1 inside one step cancel in c and
-    are not listed.  The count is exact for the geodesic interpolant of a
-    sampled path; for a ``func`` path see :func:`_det_steps`, and a path
-    that winds a full turn between two samples is beyond any sampler.
-    Endpoints must be transversal to H-.
+    signed by the form 1/2 <-i U* dU/dt w, w> on Ker(1 + U), which is
+    <-J dP/dt v, v> on L ∩ H- (module docstring).  Signs that do not sum
+    to the index raise "degenerate crossing"; a +1 and a -1 inside one
+    step cancel in c and are not listed.  The count is exact for the
+    geodesic interpolant of a sampled path; for a ``func`` path see
+    :func:`_det_steps`, and a path that winds a full turn between two
+    samples is beyond any sampler.  Endpoints must be transversal to H-.
     """
     n = path.n
     if path.func is None:
-        # the frames at crossings lie inside steps, where path.frame_at is
-        # the Cayley graph of the geodesic; reading u_at decomposes no step twice
         geodesic, step = _geodesic(path.grid, [lagrangian_to_unitary(v) for v in path.values])
         u_at = cache(geodesic)
-        frame_at = lambda t: cayley_graph(u_at(t))  # noqa: E731
     else:
-        step, frame_at = None, path.frame_at
-        u_at = cache(lambda t: lagrangian_to_unitary(path.func(t)))
+        step, u_at = None, cache(lambda t: lagrangian_to_unitary(path.func(t)))
     for t in (0.0, 1.0):
         phases = np.angle(np.linalg.eigvals(u_at(t)))
         if np.min(np.abs(np.abs(phases) - np.pi)) <= 1e-12:
@@ -625,36 +628,34 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
     theta = cache(lambda t: float(np.sum(np.angle(np.linalg.eigvals(u_at(t))))))
     passages = lambda a, b: _whole((turn(a, b) + theta(a) - theta(b)) / (2.0 * np.pi))  # noqa: E731
     events: list[tuple[float, str]] = []
-
-    def locate(a, b, c):  # halve [a, b], holding c passages, to 1e-14 wide pieces
-        m = 0.5 * (a + b)
-        if c and b - a < 1e-14:
-            events.append((m, "cross"))
-        elif c:
-            left = passages(a, m)
-            locate(a, m, left)
-            locate(m, b, c - left)
-
     total = 0
     for a, b in zip(ts[:-1], ts[1:]):
         c = passages(a, b)
         total += c
-        locate(a, b, c)
+        pending = [(a, b, c)]
+        while pending:  # halve [lo, hi], holding k passages, to 1e-14 wide pieces
+            lo, hi, k = pending.pop()
+            mid = 0.5 * (lo + hi)
+            if k and hi - lo < 1e-14:
+                events.append((mid, "cross"))
+            elif k:
+                left = passages(lo, mid)
+                pending += [(mid, hi, k - left), (lo, mid, left)]
 
-    jmat = J_matrix(n)
+    kern_tol = Tolerance(max(tol.rank_eps, 1e-7), tol.crossing_eps)
     crossings: list[Crossing] = []
     for t_star, _ in _merge_events(events, 1e-9):
-        frame = frame_at(t_star).frame
-        kern_coords = numeric_kernel(frame[:n], Tolerance(max(tol.rank_eps, 1e-7),
-                                                          tol.crossing_eps))
-        if kern_coords.shape[1] == 0:
+        u = u_at(t_star)
+        kernel = numeric_kernel(0.5 * (np.eye(n) + u), kern_tol)
+        if kernel.shape[1] == 0:
             raise PreconditionError("degenerate crossing")
-        kernel = frame @ kern_coords
-
-        spacing_loc = min(t_star / 2.0, (1.0 - t_star) / 2.0, _FD_STEP)
-        p_of = lambda t: frame_at(t).projection()  # noqa: E731
-        pdot = _richardson_derivative(p_of, t_star, max(spacing_loc, 1e-12))
-        crossings.append(Crossing(t_star, _crossing_signature(kernel, -jmat @ pdot, tol)))
+        if step is None:
+            rate = -1j * (u.conj().T @ _richardson_derivative(u_at, t_star, path.grid))
+        else:  # -i U* dU/dt is constant on a geodesic step
+            i, _ = _bracket(path.grid, t_star)
+            phi, vecs = step(i)
+            rate = (vecs * phi) @ vecs.conj().T / (path.grid[i + 1] - path.grid[i])
+        crossings.append(Crossing(t_star, _crossing_signature(kernel, 0.5 * rate, tol)))
     if sum(c.sign for c in crossings) != total:
         raise PreconditionError("degenerate crossing")
     return total, crossings

@@ -242,7 +242,7 @@ def _operator_vectors(jet: FamilyJet) -> tuple[np.ndarray, np.ndarray, int]:
     vals, vecs = _eigh(t0)
     thresh = tol.rank_eps * max(1.0, float(np.abs(vals).max(initial=0.0)))
     ran = vecs[:, np.abs(vals) > thresh]
-    w_perp = orthocomplement_basis(w, dim_ambient=jet.n)
+    w_perp = orthocomplement_basis(w)
     target = subspace_intersection_basis(w_perp, ran, tol)
     if target.shape[1] != k - p:
         raise PreconditionError("W_T dimension mismatch")

@@ -99,29 +99,29 @@ def symmetrize(m) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def require_hermitian(m, tol: float = _HERM_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Validate the Hermitian defect and return the symmetrized matrix.
 
-    The defect ||M - M*||_max must stay below ``tol * max(1, ||M||_max)``.
+    The defect ||M - M*||_max must stay below 1e-12 * max(1, ||M||_max).
     """
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise InputError("Hermitian matrix must be square")
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     defect = float(np.abs(m - m.conj().T).max(initial=0.0))
-    if defect > tol * scale:
+    if defect > _HERM_TOL * scale:
         raise InputError(f"matrix is not Hermitian (defect {defect:.3e})")
     return 0.5 * (m + m.conj().T)
 
 
-def require_unitary(u, tol: float = _UNITARY_TOL) -> np.ndarray:
-    """Validate U*U = I up to ``tol`` and return U as complex128."""
+def require_unitary(u) -> np.ndarray:
+    """Validate U*U = I up to 1e-10 and return U as complex128."""
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise InputError("unitary matrix must be square")
     n = u.shape[0]
     res = float(np.abs(u.conj().T @ u - np.eye(n)).max(initial=0.0))
-    if res > tol:
+    if res > _UNITARY_TOL:
         raise InputError(f"matrix is not unitary (residual {res:.3e})")
     return u
 
@@ -195,8 +195,7 @@ def orthonormalize(a, drop_eps: float = 1e-12) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def orthocomplement_basis(frame, dim_ambient: int | None = None,
-                          tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def orthocomplement_basis(frame) -> np.ndarray:
     """Deterministic orthonormal basis of the orthocomplement of a frame.
 
     Projects the standard basis vectors onto the complement and keeps a
@@ -205,7 +204,7 @@ def orthocomplement_basis(frame, dim_ambient: int | None = None,
     standard basis vectors, in index order.
     """
     q = orthonormalize(frame)
-    n = q.shape[0] if dim_ambient is None else dim_ambient
+    n = q.shape[0]
     if q.shape[1] == 0:
         return np.eye(n, dtype=np.complex128)
     # the residual projector has scale 1, so drop_eps is an absolute cut

@@ -116,7 +116,7 @@ class IsotropicSubspace:
 def _reduced_space_frame(w: IsotropicSubspace) -> np.ndarray:
     """Canonical H_W frame [a_1..a_q, b_1..b_q] built from the n x q basis v."""
     n = w.ambient_n
-    v = orthocomplement_basis(w.h_part, dim_ambient=n)
+    v = orthocomplement_basis(w.h_part)
     q = v.shape[1]
     c = np.zeros((2 * n, 2 * q), dtype=np.complex128)
     c[:n, :q] = v
@@ -127,7 +127,7 @@ def _reduced_space_frame(w: IsotropicSubspace) -> np.ndarray:
 def _annihilator(w: IsotropicSubspace) -> np.ndarray:
     """Orthonormal frame of W^omega = (JW)-perp, 2n x (2n - p)."""
     n = w.ambient_n
-    return orthocomplement_basis(J_matrix(n) @ w.frame, dim_ambient=2 * n)
+    return orthocomplement_basis(J_matrix(n) @ w.frame)
 
 
 def annihilator_and_reduced(w: IsotropicSubspace) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +204,7 @@ def reduce_unitary(u, w_basis, lam: complex = 1.0,
     if wb.shape[0] != n:
         raise InputError("W basis does not match the unitary dimension")
     p = wb.shape[1]
-    vb = orthocomplement_basis(wb, dim_ambient=n)
+    vb = orthocomplement_basis(wb)
     x = wb.conj().T @ u @ wb
     y = wb.conj().T @ u @ vb
     z = vb.conj().T @ u @ wb

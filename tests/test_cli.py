@@ -54,6 +54,18 @@ def test_sf_both_methods(tmp_path, capsys):
     assert abs(result["crossings"][0]["t"] - 0.5) < 1e-9
 
 
+def test_sf_signs_a_crossing_next_to_a_slope_jump(tmp_path, capsys):
+    # the crossing lies 7e-5 before the node at 0.5, where the slope jumps
+    path_obj = {"grid": [0.0, 0.5, 1.0],
+                "values": [ser.encode_matrix(np.array([[v]])) for v in (-1.0, 1.4e-4, 1000.0)]}
+    p = write(tmp_path, "path.json", path_obj)
+    code, out, err = run(capsys, "sf", p)
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert result["flow"] == 1
+    assert [c["sign"] for c in result["crossings"]] == [1]
+
+
 def test_sf_plot_csv(tmp_path, capsys):
     path_obj = {"grid": [0.0, 1.0],
                 "values": [ser.encode_matrix(np.diag([-0.5, 1.0])),

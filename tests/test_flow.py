@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from lagflow.grassmann import (
     lagrangian_to_unitary,
     switched_graph,
 )
+from lagflow.universal import UnitaryLoop, universal_loop_flow
 
 from conftest import evenly_winding, random_hermitian, random_unitary
 
@@ -358,3 +361,54 @@ def test_from_function_measures_each_gap_once(monkeypatch):
     path = LagrangianPath.from_function(lambda t: switched_graph(a + t * b), 17)
     assert path.grid.size == 17
     assert len(projections) == 2 * 16  # two projections per gap, 16 gaps
+
+
+def test_sampled_path_is_signed_with_its_interpolant_slope():
+    # the branch rises through zero 7e-5 before the node at 0.5, where its
+    # slope jumps from 2 to 2000; a difference across that node gave sign -1
+    path = HermitianPath(np.array([0.0, 0.5, 1.0]),
+                         tuple(np.array([[v]]) for v in (-1.0, 1.4e-4, 1000.0)))
+    flow, crossings = spectral_flow_crossing(path)
+    assert (flow, [c.sign for c in crossings]) == (1, [1])
+    assert crossings[0].t == pytest.approx(0.5 / (1.0 + 1.4e-4), abs=1e-12)
+    assert path.derivative_at(0.4)[0, 0] == pytest.approx(2.0 * (1.0 + 1.4e-4), rel=1e-15)
+    assert spectral_flow_tracking(path)[0] == 1
+
+
+def test_sampled_maslov_is_signed_with_the_geodesic_speed():
+    # e^{i theta(t)} passes through -1 7e-5 before the node at 0.5, where
+    # the phase speed jumps from 2 to 50
+    grid = np.array([0.0, 0.25, 0.5, 0.52, 0.76, 1.0])
+    theta = np.pi + 1.4e-4 + np.array([-1.0, -0.5, 0.0, 1.0, 1.5, 2.0])
+    path = LagrangianPath(grid, tuple(cayley_graph(np.array([[np.exp(1j * x)]]))
+                                      for x in theta))
+    flow, crossings = maslov_index(path)
+    assert (flow, [c.sign for c in crossings]) == (1, [1])
+    assert crossings[0].t == pytest.approx(0.5 - 7e-5, abs=1e-12)
+
+
+def test_flow_routes_leave_no_reference_cycles():
+    # a cycle would keep a call's caches alive until the next collection
+    a, b = np.diag([-1.0, 0.5, 2.0]), np.diag([3.0, -2.0, 1.0])
+    hpath = affine_path(a, b)
+    lfunc = LagrangianPath.from_function(lambda t: switched_graph(a + t * b), 17)
+    windings = np.array([1.0, 1.0, 0.0])
+    loop = UnitaryLoop.from_function(
+        lambda t: np.diag(np.exp(1j * (np.array([0.3, -1.1, 2.0]) + 2 * np.pi * t * windings))))
+    calls = [(maslov_index, lfunc),
+             (maslov_index, LagrangianPath(lfunc.grid, lfunc.values)),
+             (spectral_flow_crossing, hpath),
+             (spectral_flow_tracking, hpath),
+             (universal_loop_flow, loop),
+             (universal_loop_flow, UnitaryLoop(loop.grid, loop.values))]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for route, arg in calls:
+            route(arg)  # warm-up: first-call caches of numpy and scipy
+            gc.collect()
+            route(arg)
+            assert gc.collect() == 0, route.__name__
+    finally:
+        if enabled:
+            gc.enable()

@@ -128,7 +128,7 @@ def test_reduce_unitary_kernel_preservation(rng):
         assert np.abs(red.conj().T @ red - np.eye(3)).max() < 1e-10
         red_kern = numeric_kernel(np.eye(3) + red)
         assert red_kern.shape[1] == kern.shape[1]
-        vb = orthocomplement_basis(orthonormalize(w), dim_ambient=5)
+        vb = orthocomplement_basis(orthonormalize(w))
         projected = orthonormalize(vb.conj().T @ kern)
         assert subspaces_equal(red_kern, projected)
 

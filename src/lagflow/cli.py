@@ -123,10 +123,8 @@ def _cmd_maslov(args) -> int:
     path = serialize.decode_lagrangian_path(_load_json(args.path))
     result = maslov_index(path, tol)
     if args.plot:
-        def eigenphases(t):
-            return np.sort(np.angle(np.linalg.eigvals(lagrangian_to_unitary(path.frame_at(t)))))
-
-        _write_branch_csv(args.plot, path.grid, 8, "theta", path.n, eigenphases)
+        _write_branch_csv(args.plot, path.grid, 8, "theta", path.n,
+                          lambda t: np.sort(np.angle(np.linalg.eigvals(path._geodesic.at(t)))))
     _emit_flow(*result)
     return EXIT_OK
 

@@ -27,7 +27,9 @@ crossing.
 
 Sampled paths are signed with their interpolant's exact derivative: the
 linear slope, and -i U* dU/dt = V diag(phi) V* / (b - a) on a geodesic step
-[a, b]; a ``func`` path without one takes a Richardson difference.
+[a, b], each step decomposed once per path; a ``func`` path without one
+takes a Richardson difference.  At a node, where the interpolant kinks, an
+event counts half the signature on each side.
 
 Both spectral-flow routes evaluate each parameter value once per call:
 the node scan, every branch's midpoints and bisection steps and the touch
@@ -91,7 +93,8 @@ class Crossing:
 
 
 def _check_grid(grid) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
+    """A read-only copy of the grid, its endpoints snapped to 0 and 1."""
+    g = np.array(grid, dtype=float)
     if g.ndim != 1 or g.size < 2:
         raise InputError("grid needs at least two nodes")
     if not np.all(np.diff(g) > 0):
@@ -99,6 +102,7 @@ def _check_grid(grid) -> np.ndarray:
     if abs(g[0]) > 1e-12 or abs(g[-1] - 1.0) > 1e-12:
         raise InputError("grid must run from 0 to 1")
     g[0], g[-1] = 0.0, 1.0
+    g.flags.writeable = False
     return g
 
 
@@ -108,6 +112,16 @@ def _bracket(grid: np.ndarray, t: float) -> tuple[int, float]:
     i = min(max(i, 0), grid.size - 2)
     a, b = grid[i], grid[i + 1]
     return i, (t - a) / (b - a)
+
+
+def _sides(grid: np.ndarray, t: float) -> list[int]:
+    """Grid steps whose interpolant signs an event at t: both neighbours of an
+    interior node that t meets to the events' localisation width, 1e-14, else
+    the step that holds t."""
+    k = int(np.argmin(np.abs(grid - t)))
+    if 0 < k < grid.size - 1 and abs(grid[k] - t) <= 1e-14:
+        return [k - 1, k]
+    return [_bracket(grid, t)[0]]
 
 
 @dataclass(frozen=True)
@@ -171,7 +185,17 @@ class HermitianPath:
         i, s = _bracket(self.grid, t)
         if self.derivatives is not None:
             return (1.0 - s) * self.derivatives[i] + s * self.derivatives[i + 1]
+        return self._slope(i)
+
+    def _slope(self, i: int) -> np.ndarray:
         return (self.values[i + 1] - self.values[i]) / (self.grid[i + 1] - self.grid[i])
+
+    def _rates(self, t: float) -> list[np.ndarray]:
+        """The rates that sign an event at t: a sampled path without
+        derivatives takes the slope of each step of :func:`_sides`."""
+        if self.func is None and self.dfunc is None and self.derivatives is None:
+            return [self._slope(i) for i in _sides(self.grid, t)]
+        return [self.derivative_at(t)]
 
     def restricted(self, a: float, b: float) -> "HermitianPath":
         """Sub-path over [a, b], reparametrized to [0, 1]."""
@@ -346,13 +370,18 @@ def _merge_events(events: Sequence[tuple[float, str]], radius: float
     return [(float(np.mean(group)), not crossed) for group, crossed in merged]
 
 
-def _crossing_signature(kernel: np.ndarray, rate: np.ndarray, tol: Tolerance) -> int:
-    """Signature of the crossing form on the kernel; error when singular."""
-    form = kernel.conj().T @ rate @ kernel
-    q = np.linalg.eigvalsh(symmetrize(form))
-    if np.min(np.abs(q)) <= tol.crossing_eps:
-        raise PreconditionError("degenerate crossing")
-    return int(np.sum(q > 0) - np.sum(q < 0))
+def _crossing_signature(kernel: np.ndarray, rates: Sequence[np.ndarray],
+                        tol: Tolerance) -> int:
+    """Signature of the crossing form on the kernel; error when singular.  At a
+    kink, given both one-sided rates, (sig Q- + sig Q+) / 2 (Robbin & Salamon,
+    Topology 32, 1993): whole, as both have the parity of dim Ker."""
+    sigs = []
+    for rate in rates:
+        q = np.linalg.eigvalsh(symmetrize(kernel.conj().T @ rate @ kernel))
+        if np.min(np.abs(q)) <= tol.crossing_eps:
+            raise PreconditionError("degenerate crossing")
+        sigs.append(int(np.sum(q > 0) - np.sum(q < 0)))
+    return sum(sigs) // len(sigs)
 
 
 def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
@@ -394,8 +423,7 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
         kernel = vecs[:, kmask]
         if kernel.shape[1] == 0:
             continue
-        rate = path.derivative_at(t_star)
-        sgn = _crossing_signature(kernel, rate, tol)
+        sgn = _crossing_signature(kernel, path._rates(t_star), tol)
         crossings.append(Crossing(t_star, sgn))
         flow += sgn
     return flow, crossings
@@ -424,31 +452,25 @@ def spectral_flow_tracking(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
 # lagrangian paths and the Maslov index
 
 
-def _frame_gaps(frames: Sequence[LagrangianFrame]):
-    """Subspace distances of consecutive frames, one by one: spectral norms
-    of the projection differences."""
-    return (np.linalg.norm(a.projection() - b.projection(), 2)
-            for a, b in zip(frames[:-1], frames[1:]))
-
-
-class _SpacedFrames(tuple):
-    """Frames whose consecutive gaps a sampler has already held to 0.5."""
+class _WideStep(InputError):
+    """Consecutive frames farther apart than the 0.5 sampling guard."""
 
 
 @dataclass(frozen=True)
 class LagrangianPath:
     """One-parameter family of lagrangian frames on [0, 1].
 
-    Consecutive samples must stay within subspace distance 0.5 (spectral
-    norm of the projection difference), a sampling adequacy guard.  When
-    ``func`` is given it supplies frames at arbitrary parameters;
-    otherwise frames between nodes come from the unitary geodesic of the
-    Arnold correspondents.
+    Consecutive samples must stay within subspace distance 0.5, a sampling
+    adequacy guard: max|sin(phi/2)| <= 0.5 over the eigenphases phi of
+    Ua* Ub for their Arnold unitaries.  When ``func`` is given it supplies
+    frames at arbitrary parameters; otherwise frames between nodes come
+    from the unitary geodesic of the Arnold correspondents.
     """
 
     grid: np.ndarray
     values: tuple[LagrangianFrame, ...]
     func: Callable[[float], LagrangianFrame] | None = field(default=None, compare=False)
+    _geodesic: _Geodesic | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = _check_grid(self.grid)
@@ -462,11 +484,17 @@ class LagrangianPath:
             raise InputError("path half-dimension must be >= 1")
         if any(v.n != n for v in vals):
             raise InputError("all frames must share one half-dimension")
-        spaced = isinstance(self.values, _SpacedFrames)
-        if not spaced and any(gap > 0.5 + 1e-9 for gap in _frame_gaps(vals)):
-            raise InputError("consecutive frames exceed subspace distance 0.5")
+        geodesic = _Geodesic(g, [lagrangian_to_unitary(v) for v in vals])
+        try:
+            wide = any(np.max(np.abs(np.sin(0.5 * geodesic.step(i)[0]))) > 0.5 + 1e-9
+                       for i in range(g.size - 1))
+        except PreconditionError:  # past the step guard, so wider still
+            wide = True
+        if wide:
+            raise _WideStep("consecutive frames exceed subspace distance 0.5")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_geodesic", geodesic if self.func is None else None)
 
     @classmethod
     def from_function(cls, func, nodes: int = 17) -> "LagrangianPath":
@@ -474,10 +502,10 @@ class LagrangianPath:
         count = max(int(nodes), 2)
         for _ in range(8):
             grid = np.linspace(0.0, 1.0, count)
-            vals = tuple(func(t) for t in grid)
-            if max(_frame_gaps(vals)) <= 0.5:
-                return cls(grid, _SpacedFrames(vals), func)
-            count = 2 * count - 1
+            try:
+                return cls(grid, tuple(func(t) for t in grid), func)
+            except _WideStep:
+                count = 2 * count - 1
         raise InputError("consecutive frames exceed subspace distance 0.5")
 
     @property
@@ -489,13 +517,16 @@ class LagrangianPath:
         if self.func is not None:
             return self.func(t)
         i, s = _bracket(self.grid, t)
-        if s <= 0.0:
-            return self.values[i]
-        if s >= 1.0:
-            return self.values[i + 1]
-        ua = lagrangian_to_unitary(self.values[i])
-        ub = lagrangian_to_unitary(self.values[i + 1])
-        return cayley_graph(_unitary_geodesic(ua, _step_angles(ua, ub), s))
+        if 0.0 < s < 1.0:
+            return cayley_graph(self._geodesic.at(t))
+        return self.values[i + (s >= 1.0)]
+
+    def _rates(self, t: float, u_at) -> list[np.ndarray]:
+        """-i U* dU/dt at an event t, U = u_at: constant on each geodesic step
+        of :func:`_sides`, one Richardson difference on a ``func`` path."""
+        if self.func is None:
+            return [self._geodesic.rate(i) for i in _sides(self.grid, t)]
+        return [-1j * (u_at(t).conj().T @ _richardson_derivative(u_at, t, self.grid))]
 
 
 def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -514,28 +545,43 @@ def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return phi, vecs
 
 
-def _unitary_geodesic(ua: np.ndarray, step: tuple[np.ndarray, np.ndarray],
-                      s: float) -> np.ndarray:
-    """Ua exp(s log R), given step = (phi, vecs) of :func:`_step_angles`."""
-    phi, vecs = step
-    return ua @ ((vecs * np.exp(1j * s * phi)) @ vecs.conj().T)
+class _Geodesic:
+    """U(t) on the unitary geodesics between the nodes of a sampled path or loop.
 
+    Grid step i, of length h, is decomposed when first read: (phi, V) of
+    :func:`_step_angles` for U_i* U_i+1.  At s = (t - t_i) / h on it, U(t) =
+    U_i V diag(e^{i s phi}) V*, arg det U has turned by s sum(phi), and
+    -i U* dU/dt = V diag(phi) V* / h.  The owner keeps the nodes unchanged;
+    concurrent readers may decompose a step twice.
+    """
 
-def _geodesic(grid: np.ndarray, nodes: Sequence[np.ndarray]):
-    """(u_at, step): U(t) on the unitary geodesics between the nodes, and
-    step(i), the decomposition of grid step i, made once per step for as
-    long as the caller holds them."""
-    step = cache(lambda i: _step_angles(nodes[i], nodes[i + 1]))
+    def __init__(self, grid: np.ndarray, nodes: Sequence[np.ndarray]):
+        self.grid = grid
+        self.nodes = tuple(nodes)
+        self._steps = [None] * (grid.size - 1)
 
-    def u_at(t: float) -> np.ndarray:
-        i, s = _bracket(grid, t)
-        if s <= 0.0:
-            return nodes[i]
-        if s >= 1.0:
-            return nodes[i + 1]
-        return _unitary_geodesic(nodes[i], step(i), s)
+    def step(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        step = self._steps[i]
+        if step is None:
+            step = self._steps[i] = _step_angles(self.nodes[i], self.nodes[i + 1])
+        return step
 
-    return u_at, step
+    def at(self, t: float) -> np.ndarray:
+        i, s = _bracket(self.grid, t)
+        if not 0.0 < s < 1.0:
+            return self.nodes[i + (s >= 1.0)]
+        phi, vecs = self.step(i)
+        return self.nodes[i] @ ((vecs * np.exp(1j * s * phi)) @ vecs.conj().T)
+
+    def turn(self, a: float, b: float) -> float:
+        """The turn of arg det U over [a, b], inside one grid step."""
+        i, _ = _bracket(self.grid, 0.5 * (a + b))
+        return (b - a) / (self.grid[i + 1] - self.grid[i]) * float(np.sum(self.step(i)[0]))
+
+    def rate(self, i: int) -> np.ndarray:
+        """-i U* dU/dt on grid step i."""
+        phi, vecs = self.step(i)
+        return (vecs * phi) @ vecs.conj().T / (self.grid[i + 1] - self.grid[i])
 
 
 def _whole(x: float) -> int:
@@ -546,28 +592,17 @@ def _whole(x: float) -> int:
     return int(k)
 
 
-def _det_steps(u_at, grid: np.ndarray, step=None):
-    """Steps for a determinant count along u_at (cached), and turn(a, b).
+def _det_steps(u_at, grid: np.ndarray):
+    """Steps for a determinant count along a ``func`` path's u_at (cached),
+    and turn(a, b).
 
     turn(a, b) = sum(phi) of :func:`_step_angles` is the change of arg det
-    U along the geodesic step [a, b].  When u_at is the geodesic
-    interpolant of the grid, step is its decomposition of each grid step
-    (see :func:`_geodesic`), which the grid steps' turns reuse, and the
-    count is exact.  Otherwise steps with max|phi| > pi/2 are halved, and
-    one more halving must leave every step's turn unchanged.
+    U along the geodesic step [a, b].  Steps with max|phi| > pi/2 are
+    halved, and one more halving must leave every step's turn unchanged.
     """
     ts = list(grid)
-    nodal = {} if step is None else {(a, b): i for i, (a, b) in enumerate(zip(ts[:-1], ts[1:]))}
-
-    @cache
-    def angles(a, b):
-        if (a, b) in nodal:
-            return step(nodal[a, b])[0]
-        return _step_angles(u_at(a), u_at(b))[0]
-
+    angles = cache(lambda a, b: _step_angles(u_at(a), u_at(b))[0])
     turn = lambda a, b: float(np.sum(angles(a, b)))  # noqa: E731
-    if step is not None:
-        return ts, turn
 
     def wide(a, b):
         try:
@@ -611,11 +646,8 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
     samples is beyond any sampler.  Endpoints must be transversal to H-.
     """
     n = path.n
-    if path.func is None:
-        geodesic, step = _geodesic(path.grid, [lagrangian_to_unitary(v) for v in path.values])
-        u_at = cache(geodesic)
-    else:
-        step, u_at = None, cache(lambda t: lagrangian_to_unitary(path.func(t)))
+    u_at = cache(path._geodesic.at if path.func is None
+                 else lambda t: lagrangian_to_unitary(path.func(t)))
     for t in (0.0, 1.0):
         phases = np.angle(np.linalg.eigvals(u_at(t)))
         if np.min(np.abs(np.abs(phases) - np.pi)) <= 1e-12:
@@ -624,7 +656,8 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
         if np.linalg.svd(top, compute_uv=False)[-1] <= tol.rank_eps:
             raise PreconditionError("degenerate endpoint")
 
-    ts, turn = _det_steps(u_at, path.grid, step)
+    ts, turn = ((list(path.grid), path._geodesic.turn) if path.func is None
+                else _det_steps(u_at, path.grid))
     theta = cache(lambda t: float(np.sum(np.angle(np.linalg.eigvals(u_at(t))))))
     passages = lambda a, b: _whole((turn(a, b) + theta(a) - theta(b)) / (2.0 * np.pi))  # noqa: E731
     events: list[tuple[float, str]] = []
@@ -649,13 +682,8 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
         kernel = numeric_kernel(0.5 * (np.eye(n) + u), kern_tol)
         if kernel.shape[1] == 0:
             raise PreconditionError("degenerate crossing")
-        if step is None:
-            rate = -1j * (u.conj().T @ _richardson_derivative(u_at, t_star, path.grid))
-        else:  # -i U* dU/dt is constant on a geodesic step
-            i, _ = _bracket(path.grid, t_star)
-            phi, vecs = step(i)
-            rate = (vecs * phi) @ vecs.conj().T / (path.grid[i + 1] - path.grid[i])
-        crossings.append(Crossing(t_star, _crossing_signature(kernel, 0.5 * rate, tol)))
+        rates = [0.5 * rate for rate in path._rates(t_star, u_at)]
+        crossings.append(Crossing(t_star, _crossing_signature(kernel, rates, tol)))
     if sum(c.sign for c in crossings) != total:
         raise PreconditionError("degenerate crossing")
     return total, crossings

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .flow import HermitianPath, _check_grid, _det_steps, _geodesic, _whole
+from .flow import HermitianPath, _check_grid, _det_steps, _Geodesic, _whole
 from .grassmann import LagrangianFrame
 from .linalg import orthonormalize, require_unitary
 
@@ -96,10 +96,11 @@ class UnitaryLoop:
     grid: np.ndarray
     values: tuple[np.ndarray, ...]
     func: Callable[[float], np.ndarray] | None = field(default=None, compare=False)
+    _geodesic: _Geodesic | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = _check_grid(self.grid)
-        vals = tuple(require_unitary(v) for v in self.values)
+        vals = tuple(np.array(require_unitary(v)) for v in self.values)
         if len(vals) != g.size:
             raise InputError("one unitary per grid node required")
         dim = vals[0].shape[0]
@@ -109,8 +110,11 @@ class UnitaryLoop:
             raise InputError("all loop values must share one dimension")
         if np.abs(vals[0] - vals[-1]).max() > 1e-9:
             raise InputError("loop endpoints do not match")
+        for v in vals:  # read-only copies: a later edit of the caller's reaches no cached step
+            v.flags.writeable = False
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_geodesic", _Geodesic(g, vals) if self.func is None else None)
 
     @classmethod
     def from_function(cls, func, nodes: int = 33) -> "UnitaryLoop":
@@ -125,7 +129,7 @@ class UnitaryLoop:
         t = min(max(float(t), 0.0), 1.0)
         if self.func is not None:
             return require_unitary(self.func(t))
-        return _geodesic(self.grid, self.values)[0](t)
+        return self._geodesic.at(t)
 
 
 def universal_loop_flow(loop: UnitaryLoop) -> int:
@@ -144,8 +148,8 @@ def universal_loop_flow(loop: UnitaryLoop) -> int:
     phases0 = np.angle(np.linalg.eigvals(loop.value_at(0.0)))
     if np.min(np.abs(phases0)) <= 1e-12:
         raise PreconditionError("degenerate endpoint")
-    step = _geodesic(loop.grid, loop.values)[1] if loop.func is None else None
-    ts, turn = _det_steps(cache(loop.value_at), loop.grid, step)
+    ts, turn = ((list(loop.grid), loop._geodesic.turn) if loop.func is None
+                else _det_steps(cache(loop.value_at), loop.grid))
     return _whole(sum(turn(a, b) for a, b in zip(ts[:-1], ts[1:])) / (2.0 * np.pi))
 
 

@@ -66,6 +66,20 @@ def test_sf_signs_a_crossing_next_to_a_slope_jump(tmp_path, capsys):
     assert [c["sign"] for c in result["crossings"]] == [1]
 
 
+@pytest.mark.parametrize("values", [(-1.0, 0.0, -0.001), (1.0, 0.0, 0.001),
+                                    (-10.0, 1e-8, -0.001)])
+def test_sf_counts_a_branch_turning_back_at_a_node_as_zero(tmp_path, capsys, values):
+    # the branch reaches zero at the node 0.5 and turns back, or crosses
+    # 5e-10 before the node and crosses back 5e-6 after it
+    path_obj = {"grid": [0.0, 0.5, 1.0],
+                "values": [ser.encode_matrix(np.array([[v]])) for v in values]}
+    p = write(tmp_path, "path.json", path_obj)
+    for method in ("crossing", "both"):
+        code, out, err = run(capsys, "sf", p, "--method", method)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["flow"] == 0
+
+
 def test_sf_plot_csv(tmp_path, capsys):
     path_obj = {"grid": [0.0, 1.0],
                 "values": [ser.encode_matrix(np.diag([-0.5, 1.0])),

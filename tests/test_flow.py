@@ -1,9 +1,12 @@
 import gc
+import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lagflow.flow
+from lagflow.cli import main as cli_main
 from lagflow.errors import InputError, PreconditionError
 from lagflow.flow import (
     HermitianPath,
@@ -18,9 +21,10 @@ from lagflow.grassmann import (
     lagrangian_to_unitary,
     switched_graph,
 )
-from lagflow.universal import UnitaryLoop, universal_loop_flow
+from lagflow.serialize import encode_lagrangian
+from lagflow.universal import UnitaryLoop, discretized_path, universal_loop_flow
 
-from conftest import evenly_winding, random_hermitian, random_unitary
+from conftest import evenly_winding, random_hermitian, random_unitary, unitary_with_phases
 
 
 def affine_path(a, b, nodes=9):
@@ -347,20 +351,58 @@ def test_sampled_maslov_decomposes_each_node_step_once(monkeypatch):
         assert len(same) <= 1
 
 
-def test_from_function_measures_each_gap_once(monkeypatch):
-    projections = []
-    original = LagrangianFrame.projection
+def test_frames_farther_apart_than_the_guard_are_an_input_error():
+    # sin(0.52) < 0.5 < sin(0.55); an antipodal step is past the geodesics' reach
+    def path(phase):
+        frames = (cayley_graph(np.eye(1)), cayley_graph(np.array([[np.exp(1j * phase)]])))
+        return LagrangianPath(np.array([0.0, 1.0]), frames)
 
-    def counting(self):
-        projections.append(self)
-        return original(self)
+    assert path(1.04).grid.size == 2
+    for phase in (1.1, np.pi):
+        with pytest.raises(InputError, match="consecutive frames exceed subspace distance 0.5"):
+            path(phase)
 
-    monkeypatch.setattr(LagrangianFrame, "projection", counting)
-    rng = np.random.default_rng(17)
-    a, b = random_hermitian(6, rng), random_hermitian(6, rng)
+
+def test_sampled_paths_decompose_each_grid_step_once(monkeypatch, tmp_path, capsys):
+    # the 0.5 guard decomposes the 16 grid steps; maslov_index and the
+    # eigenphase plot read those decompositions and make no Schur call
+    calls = []
+    original = scipy.linalg.schur
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    v = random_unitary(4, np.random.default_rng(6))
+    a = (v * np.array([-1.0, -0.5, 1.0, 2.0])) @ v.conj().T
+    b = 1.5 * np.eye(4)
     path = LagrangianPath.from_function(lambda t: switched_graph(a + t * b), 17)
-    assert path.grid.size == 17
-    assert len(projections) == 2 * 16  # two projections per gap, 16 gaps
+    assert (path.grid.size, len(calls)) == (17, 16)
+    sampled = LagrangianPath(path.grid, path.values)
+    assert len(calls) == 32
+    assert maslov_index(sampled)[0] == 2
+    assert len(calls) == 32
+
+    calls.clear()
+    lpath = tmp_path / "lpath.json"
+    lpath.write_text(json.dumps({"grid": path.grid.tolist(),
+                                 "values": [encode_lagrangian(f) for f in path.values]}))
+    assert cli_main(["maslov", str(lpath), "--plot", str(tmp_path / "phases.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["flow"] == 2
+    assert len(calls) == 16
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 65])
+def test_subspace_distance_is_the_largest_half_angle_sine(n):
+    # ||P_a - P_b||_2 = max|sin(phi/2)|, phi the eigenphases of Ua* Ub
+    rng = np.random.default_rng(n)
+    for spread in (0.05, 0.5, 2.0):
+        ua = random_unitary(n, rng)
+        ub = ua @ unitary_with_phases(rng.uniform(-spread, spread, n), rng)
+        phi, _ = lagflow.flow._step_angles(ua, ub)
+        gap = np.linalg.norm(cayley_graph(ua).projection() - cayley_graph(ub).projection(), 2)
+        assert abs(np.max(np.abs(np.sin(0.5 * phi))) - gap) < 1e-13
 
 
 def test_sampled_path_is_signed_with_its_interpolant_slope():
@@ -387,28 +429,92 @@ def test_sampled_maslov_is_signed_with_the_geodesic_speed():
     assert crossings[0].t == pytest.approx(0.5 - 7e-5, abs=1e-12)
 
 
+@pytest.mark.parametrize("values, flow", [((-1.0, 0.0, -0.001), 0), ((1.0, 0.0, 0.001), 0),
+                                          ((-1.0, 0.0, 1.0), 1), ((-1.0, 0.0, 10.0), 1)])
+def test_an_event_on_a_node_counts_half_of_each_side(values, flow):
+    # at 0.5 the interpolant has two slopes: the branch touches zero and
+    # turns back (flow 0), or passes through (flow 1), with or without a kink
+    path = HermitianPath(np.array([0.0, 0.5, 1.0]), tuple(np.array([[v]]) for v in values))
+    assert spectral_flow_tracking(path)[0] == flow
+    total, crossings = spectral_flow_crossing(path)
+    assert (total, [c.sign for c in crossings]) == (flow, [flow])
+    assert crossings[0].t == pytest.approx(0.5, abs=1e-12)
+
+    graphs = LagrangianPath.from_function(lambda t: switched_graph(path.value_at(t)), 33)
+    assert maslov_index(LagrangianPath(graphs.grid, graphs.values))[0] == flow
+
+
+@pytest.mark.parametrize("peak", [1e-8, 1e-10])
+def test_a_crossing_next_to_a_node_is_signed_on_its_own_step(peak):
+    # the branch rises through zero 5e-10 (5e-12) before the node 0.5 with
+    # slope 20 and falls back 5e-6 (5e-8) after it with slope -2e-3
+    path = HermitianPath(np.array([0.0, 0.5, 1.0]),
+                         tuple(np.array([[v]]) for v in (-10.0, peak, -0.001)))
+    assert spectral_flow_tracking(path)[0] == 0
+    total, crossings = spectral_flow_crossing(path)
+    assert (total, [c.sign for c in crossings]) == (0, [1, -1])
+    assert crossings[0].t < 0.5 < crossings[1].t
+
+    graphs = LagrangianPath.from_function(lambda t: switched_graph(path.value_at(t)), 33)
+    total, crossings = maslov_index(LagrangianPath(graphs.grid, graphs.values))
+    assert (total, [c.sign for c in crossings]) == (0, [1, -1])
+
+
+def test_a_kinked_touch_of_a_func_path_is_a_named_precondition():
+    # a func path has no one-sided rates, so the touch cannot be signed
+    path = HermitianPath(np.array([0.0, 0.5, 1.0]),
+                         tuple(np.array([[v]]) for v in (1.0, 0.0, 0.001)))
+    graphs = LagrangianPath.from_function(lambda t: switched_graph(path.value_at(t)), 33)
+    with pytest.raises(PreconditionError, match="degenerate crossing"):
+        maslov_index(graphs)
+
+
+def test_paths_keep_read_only_copies_of_the_callers_arrays():
+    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 1e-13])
+    angles = 2 * np.pi * np.linspace(0.0, 1.0, 5) + 0.3
+    values = [np.array([[np.exp(1j * x)]]) for x in angles]
+    loop = UnitaryLoop(grid, tuple(values))
+    assert universal_loop_flow(loop) == 1
+    values[1][0, 0] = np.exp(0.3j)  # an edit after construction reaches no cached step
+    assert universal_loop_flow(loop) == 1
+    assert grid[-1] == 1.0 - 1e-13 and loop.grid[-1] == 1.0
+    with pytest.raises(ValueError):
+        loop.values[1][0, 0] = 1.0
+    frames = tuple(cayley_graph(np.array([[np.exp(0.1j * k)]])) for k in range(grid.size))
+    paths = [HermitianPath(grid, tuple(np.eye(1) for _ in grid)),
+             LagrangianPath(grid, frames), loop]
+    for path in paths:
+        with pytest.raises(ValueError):
+            path.grid[0] = 0.5
+    assert grid[-1] == 1.0 - 1e-13  # no constructor snapped the caller's grid
+
+
 def test_flow_routes_leave_no_reference_cycles():
-    # a cycle would keep a call's caches alive until the next collection
+    # a cycle would keep a call's caches, or a path's steps, alive until
+    # the next collection
     a, b = np.diag([-1.0, 0.5, 2.0]), np.diag([3.0, -2.0, 1.0])
     hpath = affine_path(a, b)
     lfunc = LagrangianPath.from_function(lambda t: switched_graph(a + t * b), 17)
     windings = np.array([1.0, 1.0, 0.0])
     loop = UnitaryLoop.from_function(
         lambda t: np.diag(np.exp(1j * (np.array([0.3, -1.1, 2.0]) + 2 * np.pi * t * windings))))
-    calls = [(maslov_index, lfunc),
-             (maslov_index, LagrangianPath(lfunc.grid, lfunc.values)),
-             (spectral_flow_crossing, hpath),
-             (spectral_flow_tracking, hpath),
-             (universal_loop_flow, loop),
-             (universal_loop_flow, UnitaryLoop(loop.grid, loop.values))]
+    calls = [lambda: maslov_index(lfunc),
+             lambda: maslov_index(LagrangianPath(lfunc.grid, lfunc.values)),
+             lambda: LagrangianPath(lfunc.grid, lfunc.values).frame_at(0.3),
+             lambda: spectral_flow_crossing(hpath),
+             lambda: spectral_flow_tracking(hpath),
+             lambda: universal_loop_flow(loop),
+             lambda: universal_loop_flow(UnitaryLoop(loop.grid, loop.values)),
+             lambda: UnitaryLoop(loop.grid, loop.values).value_at(0.3),
+             lambda: discretized_path(UnitaryLoop(loop.grid, loop.values), 16).value_at(0.3)]
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for route, arg in calls:
-            route(arg)  # warm-up: first-call caches of numpy and scipy
+        for k, call in enumerate(calls):
+            call()  # warm-up: first-call caches of numpy and scipy
             gc.collect()
-            route(arg)
-            assert gc.collect() == 0, route.__name__
+            call()
+            assert gc.collect() == 0, k
     finally:
         if enabled:
             gc.enable()

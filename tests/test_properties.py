@@ -158,3 +158,35 @@ def test_both_routes_give_the_inertia_drop_beyond_64(n, seed):
     path = _affine(a, b, 3)
     drop = _negatives(a) - _negatives(a + b)
     assert spectral_flow_crossing(path)[0] == spectral_flow_tracking(path)[0] == drop
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(n=st.sampled_from([1, 3, 6, 65]), seed=SEEDS)
+def test_flow_is_additive_under_concatenation(n, seed):
+    # a sampled path with a kink at its node 0.5, cut there and at 0.3
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, 3)
+    path = HermitianPath(grid, tuple(random_hermitian(n, rng) / np.sqrt(n) for _ in grid))
+    cuts = (0.5, 0.3)
+    ends = [path.value_at(t) for t in (0.0, *cuts, 1.0)]
+    assume(min(np.min(np.abs(np.linalg.eigvalsh(m))) for m in ends) > 1e-3)
+    for route in (spectral_flow_crossing, spectral_flow_tracking):
+        flow = route(path)[0]
+        for cut in cuts:
+            halves = path.restricted(0.0, cut), path.restricted(cut, 1.0)
+            assert flow == sum(route(half)[0] for half in halves)
+
+
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(seed=SEEDS)
+def test_flow_is_the_maslov_index_of_sampled_switched_graphs_at_65(seed):
+    # between nodes the switched graphs follow the unitary geodesics
+    n = 65
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(n, rng) / np.sqrt(n)
+    b = random_hermitian(n, rng) / np.sqrt(n) + 0.3 * np.eye(n)
+    ends = np.concatenate([np.linalg.eigvalsh(a), np.linalg.eigvalsh(a + b)])
+    assume(np.min(np.abs(ends)) > 1e-3)
+    graphs = LagrangianPath.from_function(lambda t: switched_graph(a + t * b), 17)
+    flow = maslov_index(LagrangianPath(graphs.grid, graphs.values))[0]
+    assert flow == spectral_flow_tracking(_affine(a, b, 3))[0] == _negatives(a) - _negatives(a + b)

@@ -648,17 +648,16 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
     n = path.n
     u_at = cache(path._geodesic.at if path.func is None
                  else lambda t: lagrangian_to_unitary(path.func(t)))
-    for t in (0.0, 1.0):
-        phases = np.angle(np.linalg.eigvals(u_at(t)))
-        if np.min(np.abs(np.abs(phases) - np.pi)) <= 1e-12:
-            raise PreconditionError("degenerate endpoint")
-        top = path.frame_at(t).frame[:n]
-        if np.linalg.svd(top, compute_uv=False)[-1] <= tol.rank_eps:
+    phases = cache(lambda t: np.angle(np.linalg.eigvals(u_at(t))))
+    for t in (0.0, 1.0):  # |cos(theta/2)| are the singular values of the top block
+        # X = (1 + U)(X + iY)/2 of an orthonormal frame [X; Y], as X + iY is unitary
+        if (np.min(np.abs(np.abs(phases(t)) - np.pi)) <= 1e-12
+                or np.min(np.abs(np.cos(0.5 * phases(t)))) <= tol.rank_eps):
             raise PreconditionError("degenerate endpoint")
 
     ts, turn = ((list(path.grid), path._geodesic.turn) if path.func is None
                 else _det_steps(u_at, path.grid))
-    theta = cache(lambda t: float(np.sum(np.angle(np.linalg.eigvals(u_at(t))))))
+    theta = lambda t: float(np.sum(phases(t)))  # noqa: E731
     passages = lambda a, b: _whole((turn(a, b) + theta(a) - theta(b)) / (2.0 * np.pi))  # noqa: E731
     events: list[tuple[float, str]] = []
     total = 0

@@ -71,7 +71,7 @@ class LagrangianFrame:
     frame: np.ndarray
 
     def __post_init__(self):
-        z = as_complex_matrix(self.frame)
+        z = np.array(as_complex_matrix(self.frame))
         if z.shape[0] != 2 * z.shape[1]:
             raise InputError("lagrangian frame must be 2n x n")
         n = z.shape[1]
@@ -81,6 +81,7 @@ class LagrangianFrame:
         form = z[:n].conj().T @ z[n:] - z[n:].conj().T @ z[:n]  # Z*JZ, as JZ = [Y; -X]
         if np.abs(form).max(initial=0.0) > _FRAME_TOL:
             raise InputError("frame does not span a lagrangian subspace")
+        z.flags.writeable = False  # a read-only copy: a later edit of the caller's reaches no path
         object.__setattr__(self, "frame", z)
 
     @property

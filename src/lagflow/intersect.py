@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .grassmann import J_matrix, LagrangianFrame, _switched_graph
+from .grassmann import J_matrix, LagrangianFrame, _inv_sqrt_eye_plus_sq, _switched_graph
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -388,18 +388,17 @@ class MeshedFamily:
         return out
 
 
-def _w_extension(w: np.ndarray) -> np.ndarray:
-    return np.vstack([np.zeros_like(w), w])
-
-
 def _detector(family: MeshedFamily, x: np.ndarray) -> float:
-    """sigma_min of [frame(switched graph of T(x)) | -W-extension]."""
+    """sigma_min of [Z | -(0; W)] for the switched graph Z = [T; 1]B of T(x),
+    B = (1 + T^2)^(-1/2).  Its Gram matrix is [[1, -BW], [-(BW)*, 1]], so the
+    square is 1 - sigma_max(BW); |BWc|^2 + |TBWc|^2 = |c|^2 turns that into
+    s / sqrt(1 + sqrt(1 - s^2)), s = sigma_min(TBW), which keeps its digits
+    near 0 where sqrt(1 - sigma_max(BW)) does not."""
     t = family.value_at(x)
     if t is None:
         return np.inf
-    frame = _switched_graph(t)[0].frame
-    block = np.hstack([frame, -_w_extension(family.w)])
-    return float(np.linalg.svd(block, compute_uv=False)[-1])
+    s = float(np.linalg.svd(t @ _inv_sqrt_eye_plus_sq(t) @ family.w, compute_uv=False)[-1])
+    return s / np.sqrt(1.0 + np.sqrt(max(1.0 - s * s, 0.0)))  # s rounds above 1 for large T
 
 
 def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:

@@ -21,6 +21,7 @@ from lagflow.grassmann import (
     lagrangian_to_unitary,
     switched_graph,
 )
+from lagflow.linalg import Tolerance
 from lagflow.serialize import encode_lagrangian
 from lagflow.universal import UnitaryLoop, discretized_path, universal_loop_flow
 
@@ -487,6 +488,38 @@ def test_paths_keep_read_only_copies_of_the_callers_arrays():
         with pytest.raises(ValueError):
             path.grid[0] = 0.5
     assert grid[-1] == 1.0 - 1e-13  # no constructor snapped the caller's grid
+
+
+def test_lagrangian_frames_keep_read_only_copies_of_the_callers_arrays():
+    # a sampled path reads a node's frame at the node and its geodesic next to it
+    grid = np.linspace(0.0, 1.0, 9)
+    arrays = [0.5 * np.vstack([1 + z, -1j * (1 - z)])
+              for z in (np.array([[np.exp(0.1j * k)]]) for k in range(grid.size))]
+    path = LagrangianPath(grid, tuple(LagrangianFrame(a) for a in arrays))
+    at_node, beside = path.frame_at(0.125).frame.copy(), path.frame_at(0.14).frame.copy()
+    arrays[1][:] = cayley_graph(np.array([[np.exp(2.0j)]])).frame
+    assert np.array_equal(path.frame_at(0.125).frame, at_node)
+    assert np.array_equal(path.frame_at(0.14).frame, beside)
+    with pytest.raises(ValueError):
+        path.values[1].frame[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("delta, rank_eps, degenerate", [
+    (0.5e-12, 1e-14, True), (2e-12, 1e-14, False),  # |theta| within 1e-12 of pi
+    (1.5e-8, 1e-8, True), (2.5e-8, 1e-8, False),  # |cos(theta/2)| = sin(delta/2) <= rank_eps
+])
+def test_maslov_endpoint_a_phase_delta_below_pi(delta, rank_eps, degenerate):
+    def frame(t):
+        return cayley_graph(np.array([[np.exp(1j * (np.pi - delta - 0.5 * t))]]))
+
+    sampled = LagrangianPath.from_function(frame, 3)
+    tol = Tolerance(rank_eps=rank_eps)
+    for path in (sampled, LagrangianPath(sampled.grid, sampled.values)):
+        if degenerate:
+            with pytest.raises(PreconditionError, match="degenerate endpoint"):
+                maslov_index(path, tol)
+        else:
+            assert maslov_index(path, tol) == (0, [])
 
 
 def test_flow_routes_leave_no_reference_cycles():

@@ -20,6 +20,7 @@ from lagflow.intersect import (
     operator_jet_to_lagrangian,
     total_intersection_number,
 )
+from lagflow.intersect import _detector  # the mesh scan's private measure
 from lagflow.linalg import orthonormalize
 from lagflow.reduction import IsotropicSubspace
 
@@ -322,6 +323,42 @@ def test_sampled_family_rejects_a_non_hermitian_node():
            "values": [encode_matrix(v) for v in values]}
     with pytest.raises(InputError, match="matrix is not Hermitian"):
         decode_meshed_family(obj, Tolerance())
+
+
+def _frame_detector(family, x):
+    """The detector as first defined: sigma_min of [Z | -(0; W)] with Z the
+    orthonormal switched-graph frame of T(x)."""
+    frame = switched_graph(family.value_at(x)).frame
+    block = np.hstack([frame, -np.vstack([np.zeros_like(family.w), family.w])])
+    return float(np.linalg.svd(block, compute_uv=False)[-1])
+
+
+def test_detector_equals_the_switched_graph_frame_formula():
+    # n <= 6 and 65, k <= 3, scales 1e-3 to 1e4; two cases in three put an
+    # eigenvalue 1e-12 to 1e-2 of T on a unit vector of W
+    rng = np.random.default_rng(12)
+    for case in range(900):
+        n = 65 if case % 25 == 0 else case % 6 + 1
+        k = int(rng.integers(1, min(n, 3) + 1))
+        w = random_unitary(n, rng)[:, : n - k + 1]
+        scale = 10.0 ** rng.uniform(-3, 4)
+        if case % 3:
+            c = rng.normal(size=n - k + 1) + 1j * rng.normal(size=n - k + 1)
+            q, _ = np.linalg.qr(np.column_stack([w @ c, random_unitary(n, rng)[:, 1:]]))
+            lam = rng.normal(size=n)
+            lam[0] = rng.choice([-1, 1]) * 10.0 ** rng.uniform(-12, -2)
+            t = scale * (q * lam) @ q.conj().T
+        else:
+            t = random_hermitian(n, rng, scale)
+        axes = tuple(np.linspace(-1.0, 1.0, 3) for _ in range(2 * k - 1))
+        fam = MeshedFamily(k, axes, w, func=lambda x, t=t: t)
+        x = np.zeros(2 * k - 1)
+        ref = _frame_detector(fam, x)
+        assert abs(_detector(fam, x) - ref) <= (1e-15 if ref < 1e-2 else 1e-10)
+    # at |T| ~ 1e9 sigma_min(TBW) rounds to 1 + 2e-16, and 1 - s^2 below 0
+    t = random_hermitian(3, np.random.default_rng(7), 1e9)
+    fam = MeshedFamily(1, (np.linspace(-1.0, 1.0, 3),), np.eye(3), func=lambda x: t)
+    assert abs(_detector(fam, np.zeros(1)) - _frame_detector(fam, np.zeros(1))) <= 1e-8
 
 
 def test_scipy_names_bind_on_first_lookup():

@@ -3,9 +3,10 @@
 Two independent spectral-flow algorithms are provided:
 
 * :func:`spectral_flow_crossing` locates each zero crossing of the sorted
-  eigenvalue branches by bisection and adds the signature of the crossing
-  form  v |-> <dA/dt v, v>  on the numerical kernel (for a simple crossing
-  this is sign<dA v, v>, the classical local flow),
+  eigenvalue branches with the bracketed root finder :func:`_root` and adds
+  the signature of the crossing form  v |-> <dA/dt v, v>  on the numerical
+  kernel (for a simple crossing this is sign<dA v, v>, the classical local
+  flow),
 * :func:`spectral_flow_tracking` counts negative eigenvalues n-(t) on the
   x4 refined grid; each interval adds n-(t_i) - n-(t_i+1) crossings at its
   midpoint.  It uses no derivatives, and its total is the endpoint inertia
@@ -18,12 +19,15 @@ with no eigenphase matched or lifted: a geodesic step between samples
 turns arg det U by a known angle, and that turn less the change of the
 summed principal eigenphases is 2 pi times the step's net passages
 (Cappell, Lee & Miller, CPAM 47, 1994; Phillips, Canad. Math. Bull. 39,
-1996).  Crossings are located by halving steps on that count and signed by
-the form <-J dP/dt v, v> on L ∩ H-.  In the Cayley frame Z = [1 + U;
--i(1 - U)] / 2 that space is Z Ker(1 + U), and for v = Z w the form is
-1/2 <-i U* dU/dt w, w>, so no frame projection is differenced.  On
-switched graphs of a Hermitian path the two notions agree crossing by
-crossing.
+1996).  A piece of a step that holds one passage is handed to :func:`_root`
+on arg(-lambda), lambda the eigenvalue of U nearest -1, and its final
+bracket is counted again; the count alone decides, and pieces that hold
+more passages, or whose root the recount rejects, are halved on it.
+Crossings are signed by the form <-J dP/dt v, v> on L ∩ H-.  In the
+Cayley frame Z = [1 + U; -i(1 - U)] / 2 that space is Z Ker(1 + U), and
+for v = Z w the form is 1/2 <-i U* dU/dt w, w>, so no frame projection is
+differenced.  On switched graphs of a Hermitian path the two notions agree
+crossing by crossing.
 
 Sampled paths are signed with their interpolant's exact derivative: the
 linear slope, and -i U* dU/dt = V diag(phi) V* / (b - a) on a geodesic step
@@ -32,9 +36,9 @@ takes a Richardson difference.  At a node, where the interpolant kinks, an
 event counts half the signature on each side.
 
 Both spectral-flow routes evaluate each parameter value once per call:
-the node scan, every branch's midpoints and bisection steps and the touch
-refinement read the same sorted eigenvalues of A(t).  Only the kernel at
-a located crossing needs A(t) again, for its eigenvectors.
+the node scan, every branch's midpoints and root-finder steps and the
+touch refinement read the same sorted eigenvalues of A(t).  Only the
+kernel at a located crossing needs A(t) again, for its eigenvectors.
 
 Crossings are only counted in the open interior (0, 1); paths whose
 endpoints are degenerate are rejected rather than half-counted, which
@@ -292,34 +296,60 @@ def _path_eigs(path: HermitianPath, tol: Tolerance):
     return eig_at, scale, max(tol.crossing_eps, 1e-12 * scale)
 
 
-def _bisect(g, lo: float, hi: float, glo: float, width: float) -> float:
-    """A sign change of g on [lo, hi], given glo = g(lo), to the given width."""
-    for _ in range(80):
+def _root(g, lo: float, hi: float, glo: float, ghi: float, width: float
+          ) -> tuple[float, float, float]:
+    """A sign change of g on [lo, hi], given glo = g(lo) and ghi = g(hi) of
+    opposite signs: ITP (Oliveira & Takahashi, ACM TOMS 47, 2021) with
+    kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1.
+
+    Each step evaluates g once: at the regula falsi point, moved by
+    kappa1 (hi - lo)^2 towards the midpoint and then into the radius around
+    the midpoint that keeps bisection's step count plus one.  The bracket
+    shrinks superlinearly on a smooth g, and never takes more than
+    ceil(log2((hi - lo) / width)) + 1 evaluations to reach width (up to
+    the rounding of its ends).  Returns (t, lo, hi): the final bracket, and
+    t, an exact zero or the end of the final bracket with the smaller |g|,
+    so always a point where g is known.
+    """
+    k1 = 0.2 / (hi - lo)
+    steps = max(int(np.ceil(np.log2((hi - lo) / width))), 0) + 1
+    for j in range(steps):
+        if hi - lo <= width:
+            break
         mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0 or hi - lo < width:
-            return mid
-        if glo * gm < 0.0:
-            hi = mid
+        radius = 0.5 * width * 2.0 ** (steps - j) - 0.5 * (hi - lo)
+        falsi = lo + (hi - lo) * glo / (glo - ghi)
+        sigma = np.sign(mid - falsi)
+        delta = k1 * (hi - lo) ** 2
+        x = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+        if abs(x - mid) > radius:
+            x = mid - sigma * radius
+        if not lo < x < hi:
+            x = mid
+        gx = g(x)
+        if gx == 0.0:
+            return x, lo, hi
+        if (gx < 0.0) == (glo < 0.0):
+            lo, glo = x, gx
         else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
+            hi, ghi = x, gx
+    return (lo if abs(glo) <= abs(ghi) else hi), lo, hi
 
 
 def _branch_crossings(branch, a, b, fa, fb, touch_eps, out, depth=0):
     """Collect zeros of a continuous scalar branch on [a, b].
 
-    Sign changes are bisected (kind "cross"); dips that keep deepening are
-    resolved recursively so a branch crossing twice between nodes is still
-    found, and dips below touch_eps without a sign change are reported as
-    kind "touch" for the caller's kernel analysis.
+    Sign changes go to :func:`_root` (kind "cross"); dips that keep
+    deepening are resolved recursively so a branch crossing twice between
+    nodes is still found, and dips below touch_eps without a sign change
+    are reported as kind "touch" for the caller's kernel analysis.
     """
     if depth > _MAX_DEPTH:
         raise PreconditionError("grid too coarse")
     if fa == 0.0 or fb == 0.0:
         raise PreconditionError("grid too coarse")
     if fa * fb < 0.0:
-        out.append((_bisect(branch, a, b, fa, 1e-15), "cross"))
+        out.append((_root(branch, a, b, fa, fb, 1e-15)[0], "cross"))
         return
     mid = 0.5 * (a + b)
     fm = branch(mid)
@@ -470,7 +500,7 @@ class LagrangianPath:
     grid: np.ndarray
     values: tuple[LagrangianFrame, ...]
     func: Callable[[float], LagrangianFrame] | None = field(default=None, compare=False)
-    _geodesic: _Geodesic | None = field(init=False, repr=False, compare=False)
+    _geodesic: _Geodesic = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = _check_grid(self.grid)
@@ -484,7 +514,9 @@ class LagrangianPath:
             raise InputError("path half-dimension must be >= 1")
         if any(v.n != n for v in vals):
             raise InputError("all frames must share one half-dimension")
-        geodesic = _Geodesic(g, [lagrangian_to_unitary(v) for v in vals])
+        between = None if self.func is None else (
+            lambda t, func=self.func: lagrangian_to_unitary(func(t)))
+        geodesic = _Geodesic(g, [lagrangian_to_unitary(v) for v in vals], between)
         try:
             wide = any(np.max(np.abs(np.sin(0.5 * geodesic.step(i)[0]))) > 0.5 + 1e-9
                        for i in range(g.size - 1))
@@ -494,7 +526,7 @@ class LagrangianPath:
             raise _WideStep("consecutive frames exceed subspace distance 0.5")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_geodesic", geodesic if self.func is None else None)
+        object.__setattr__(self, "_geodesic", geodesic)
 
     @classmethod
     def from_function(cls, func, nodes: int = 17) -> "LagrangianPath":
@@ -546,18 +578,20 @@ def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class _Geodesic:
-    """U(t) on the unitary geodesics between the nodes of a sampled path or loop.
+    """U(t) of a path or loop: its node unitaries on the grid, and between the
+    nodes ``between(t)`` for a ``func`` path, else the unitary geodesics.
 
     Grid step i, of length h, is decomposed when first read: (phi, V) of
-    :func:`_step_angles` for U_i* U_i+1.  At s = (t - t_i) / h on it, U(t) =
-    U_i V diag(e^{i s phi}) V*, arg det U has turned by s sum(phi), and
-    -i U* dU/dt = V diag(phi) V* / h.  The owner keeps the nodes unchanged;
-    concurrent readers may decompose a step twice.
+    :func:`_step_angles` for U_i* U_i+1.  At s = (t - t_i) / h on it, the
+    geodesic is U(t) = U_i V diag(e^{i s phi}) V*, arg det U has turned by
+    s sum(phi), and -i U* dU/dt = V diag(phi) V* / h.  The owner keeps the
+    nodes unchanged; concurrent readers may decompose a step twice.
     """
 
-    def __init__(self, grid: np.ndarray, nodes: Sequence[np.ndarray]):
+    def __init__(self, grid: np.ndarray, nodes: Sequence[np.ndarray], between=None):
         self.grid = grid
         self.nodes = tuple(nodes)
+        self.between = between
         self._steps = [None] * (grid.size - 1)
 
     def step(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -570,6 +604,8 @@ class _Geodesic:
         i, s = _bracket(self.grid, t)
         if not 0.0 < s < 1.0:
             return self.nodes[i + (s >= 1.0)]
+        if self.between is not None:
+            return self.between(t)
         phi, vecs = self.step(i)
         return self.nodes[i] @ ((vecs * np.exp(1j * s * phi)) @ vecs.conj().T)
 
@@ -592,16 +628,24 @@ def _whole(x: float) -> int:
     return int(k)
 
 
-def _det_steps(u_at, grid: np.ndarray):
-    """Steps for a determinant count along a ``func`` path's u_at (cached),
-    and turn(a, b).
+def _det_steps(u_at, geodesic: _Geodesic):
+    """Steps for a determinant count along a ``func`` path's u_at (cached,
+    ``geodesic.at``), and turn(a, b).
 
     turn(a, b) = sum(phi) of :func:`_step_angles` is the change of arg det
-    U along the geodesic step [a, b].  Steps with max|phi| > pi/2 are
-    halved, and one more halving must leave every step's turn unchanged.
+    U along the geodesic step [a, b]; a grid step reads the decomposition
+    ``geodesic`` holds.  Steps with max|phi| > pi/2 are halved, and one
+    more halving must leave every step's turn unchanged.
     """
-    ts = list(grid)
-    angles = cache(lambda a, b: _step_angles(u_at(a), u_at(b))[0])
+    ts = list(geodesic.grid)
+    step = {(a, b): i for i, (a, b) in enumerate(zip(ts[:-1], ts[1:]))}
+
+    @cache
+    def angles(a, b):
+        if (a, b) in step:
+            return geodesic.step(step[a, b])[0]
+        return _step_angles(u_at(a), u_at(b))[0]
+
     turn = lambda a, b: float(np.sum(angles(a, b)))  # noqa: E731
 
     def wide(a, b):
@@ -636,18 +680,21 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
         c = (sum(phi) + sum(theta(U_a)) - sum(theta(U_b))) / 2 pi
 
     passages happen, and the index is sum(c).  Steps with c != 0 are
-    halved on their count to width 1e-14, and each crossing found is
-    signed by the form 1/2 <-i U* dU/dt w, w> on Ker(1 + U), which is
-    <-J dP/dt v, v> on L ∩ H- (module docstring).  Signs that do not sum
-    to the index raise "degenerate crossing"; a +1 and a -1 inside one
-    step cancel in c and are not listed.  The count is exact for the
-    geodesic interpolant of a sampled path; for a ``func`` path see
-    :func:`_det_steps`, and a path that winds a full turn between two
-    samples is beyond any sampler.  Endpoints must be transversal to H-.
+    located to width 1e-14: a piece with c = +-1 whose ends bracket a sign
+    change c of arg(-lambda), lambda the eigenvalue of U nearest -1, by
+    :func:`_root`, kept when the final bracket counts c again (the nearest
+    eigenvalue can change between the ends, and arg(-lambda) jump across
+    0 with no passage), and every other piece by halving on the count.
+    Each crossing found is signed by the form 1/2 <-i U* dU/dt w, w> on
+    Ker(1 + U), which is <-J dP/dt v, v> on L ∩ H- (module docstring).
+    Signs that do not sum to the index raise "degenerate crossing"; a +1
+    and a -1 inside one step cancel in c and are not listed.  The count is
+    exact for the geodesic interpolant of a sampled path; for a ``func``
+    path see :func:`_det_steps`, and a path that winds a full turn between
+    two samples is beyond any sampler.  Endpoints must be transversal to H-.
     """
     n = path.n
-    u_at = cache(path._geodesic.at if path.func is None
-                 else lambda t: lagrangian_to_unitary(path.func(t)))
+    u_at = cache(path._geodesic.at)
     phases = cache(lambda t: np.angle(np.linalg.eigvals(u_at(t))))
     for t in (0.0, 1.0):  # |cos(theta/2)| are the singular values of the top block
         # X = (1 + U)(X + iY)/2 of an orthonormal frame [X; Y], as X + iY is unitary
@@ -656,23 +703,37 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
             raise PreconditionError("degenerate endpoint")
 
     ts, turn = ((list(path.grid), path._geodesic.turn) if path.func is None
-                else _det_steps(u_at, path.grid))
+                else _det_steps(u_at, path._geodesic))
     theta = lambda t: float(np.sum(phases(t)))  # noqa: E731
     passages = lambda a, b: _whole((turn(a, b) + theta(a) - theta(b)) / (2.0 * np.pi))  # noqa: E731
+
+    def near(t):  # arg(-lambda) for the eigenvalue lambda of U(t) nearest -1
+        phase = phases(t)[np.argmax(np.abs(phases(t)))]
+        return float(phase - np.pi if phase > 0.0 else phase + np.pi)
+
     events: list[tuple[float, str]] = []
     total = 0
     for a, b in zip(ts[:-1], ts[1:]):
         c = passages(a, b)
         total += c
-        pending = [(a, b, c)]
-        while pending:  # halve [lo, hi], holding k passages, to 1e-14 wide pieces
-            lo, hi, k = pending.pop()
+        pending = [(a, b, c, True)]
+        while pending:  # pieces [lo, hi] holding k passages, located to 1e-14
+            lo, hi, k, seek = pending.pop()
+            if not k:
+                continue
+            if hi - lo < 1e-14:
+                events.append((0.5 * (lo + hi), "cross"))
+                continue
+            glo, ghi = near(lo), near(hi)
+            if seek and glo * ghi < 0.0 and np.sign(ghi) == k:
+                t, left, right = _root(near, lo, hi, glo, ghi, 1e-14)
+                if passages(left, right) == k:
+                    events.append((t, "cross"))
+                    continue
+                seek = False  # a jump of near, not the passage: halve from here on
             mid = 0.5 * (lo + hi)
-            if k and hi - lo < 1e-14:
-                events.append((mid, "cross"))
-            elif k:
-                left = passages(lo, mid)
-                pending += [(mid, hi, k - left), (lo, mid, left)]
+            left = passages(lo, mid)
+            pending += [(mid, hi, k - left, seek), (lo, mid, left, seek)]
 
     kern_tol = Tolerance(max(tol.rank_eps, 1e-7), tol.crossing_eps)
     crossings: list[Crossing] = []

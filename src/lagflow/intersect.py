@@ -444,7 +444,9 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
         val = grid[idx]
         if not np.isfinite(val) or val >= trigger:
             continue
-        if any(np.isfinite(grid[nb]) and grid[nb] < val for nb in neighbors(idx)):
+        # a tie with a neighbour earlier in scan order starts one run, there
+        if any(np.isfinite(grid[nb]) and (grid[nb] < val or (grid[nb] == val and nb < idx))
+               for nb in neighbors(idx)):
             continue
         x0 = _mesh_node(family, idx)
         res = minimize(

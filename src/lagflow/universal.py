@@ -96,7 +96,7 @@ class UnitaryLoop:
     grid: np.ndarray
     values: tuple[np.ndarray, ...]
     func: Callable[[float], np.ndarray] | None = field(default=None, compare=False)
-    _geodesic: _Geodesic | None = field(init=False, repr=False, compare=False)
+    _geodesic: _Geodesic = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = _check_grid(self.grid)
@@ -114,7 +114,9 @@ class UnitaryLoop:
             v.flags.writeable = False
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_geodesic", _Geodesic(g, vals) if self.func is None else None)
+        between = None if self.func is None else (
+            lambda t, func=self.func: require_unitary(func(t)))
+        object.__setattr__(self, "_geodesic", _Geodesic(g, vals, between))
 
     @classmethod
     def from_function(cls, func, nodes: int = 33) -> "UnitaryLoop":
@@ -126,10 +128,7 @@ class UnitaryLoop:
         return self.values[0].shape[0]
 
     def value_at(self, t: float) -> np.ndarray:
-        t = min(max(float(t), 0.0), 1.0)
-        if self.func is not None:
-            return require_unitary(self.func(t))
-        return self._geodesic.at(t)
+        return self._geodesic.at(min(max(float(t), 0.0), 1.0))
 
 
 def universal_loop_flow(loop: UnitaryLoop) -> int:
@@ -149,7 +148,7 @@ def universal_loop_flow(loop: UnitaryLoop) -> int:
     if np.min(np.abs(phases0)) <= 1e-12:
         raise PreconditionError("degenerate endpoint")
     ts, turn = ((list(loop.grid), loop._geodesic.turn) if loop.func is None
-                else _det_steps(cache(loop.value_at), loop.grid))
+                else _det_steps(cache(loop.value_at), loop._geodesic))
     return _whole(sum(turn(a, b) for a, b in zip(ts[:-1], ts[1:])) / (2.0 * np.pi))
 
 

@@ -532,11 +532,13 @@ def test_flow_routes_leave_no_reference_cycles():
     loop = UnitaryLoop.from_function(
         lambda t: np.diag(np.exp(1j * (np.array([0.3, -1.1, 2.0]) + 2 * np.pi * t * windings))))
     calls = [lambda: maslov_index(lfunc),
+             lambda: maslov_index(LagrangianPath.from_function(lfunc.func, 17)),
              lambda: maslov_index(LagrangianPath(lfunc.grid, lfunc.values)),
              lambda: LagrangianPath(lfunc.grid, lfunc.values).frame_at(0.3),
              lambda: spectral_flow_crossing(hpath),
              lambda: spectral_flow_tracking(hpath),
              lambda: universal_loop_flow(loop),
+             lambda: universal_loop_flow(UnitaryLoop.from_function(loop.func)),
              lambda: universal_loop_flow(UnitaryLoop(loop.grid, loop.values)),
              lambda: UnitaryLoop(loop.grid, loop.values).value_at(0.3),
              lambda: discretized_path(UnitaryLoop(loop.grid, loop.values), 16).value_at(0.3)]
@@ -551,3 +553,190 @@ def test_flow_routes_leave_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the bracketed root finder and the crossing times it locates
+
+
+def _itp_bound(lo, hi, width):
+    return max(int(np.ceil(np.log2((hi - lo) / width))), 0) + 1
+
+
+def _check_root(g, lo, hi, width):
+    """_root on g over [lo, hi]: its evaluations, and its answer checked."""
+    seen = {lo: g(lo), hi: g(hi)}
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        seen[x] = g(x)
+        return seen[x]
+
+    t, left, right = lagflow.flow._root(counted, lo, hi, seen[lo], seen[hi], width)
+    assert len(calls) <= _itp_bound(lo, hi, width)
+    assert lo <= left <= t <= right <= hi
+    assert t in seen and left in seen and right in seen  # only points where g is known
+    if seen[t] != 0.0:  # else an exact zero
+        # as wide as width, up to the rounding of the bracket's ends
+        assert t in (left, right) and right - left <= width + 4 * np.spacing(abs(t))
+        assert np.sign(seen[left]) == -np.sign(seen[right]) != 0
+        assert abs(seen[t]) == min(abs(seen[left]), abs(seen[right]))
+    return t, len(calls)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_root_on_smooth_functions(seed):
+    rng = np.random.default_rng(seed)
+    root = rng.uniform(-1.0, 2.0)
+    lo, hi = root - rng.uniform(1e-3, 2.0), root + rng.uniform(1e-3, 2.0)
+    slope = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2, 2)
+    # the log-slope of g changes by up to 1 over [lo, hi] (mild) or by up
+    # to 24 (steep); ITP keeps its superlinear steps on the first, and on
+    # the second it may spend its slack and finish by bisection
+    for bend, most in ((rng.uniform(-1.0, 1.0) / (hi - lo), 12), (rng.uniform(-3.0, 3.0), None)):
+        def g(x):  # one simple zero, at root
+            return slope * (x - root) * np.exp(bend * (x - root))
+
+        for width in (1e-15, 1e-14, 1e-10):
+            t, evals = _check_root(g, lo, hi, width)
+            assert abs(t - root) <= max(width, 4e-16 * max(1.0, abs(root)))
+            assert most is None or evals <= most  # bisection takes 35 to 53
+
+
+@pytest.mark.parametrize("name", ["step", "flat", "noise", "triple"])
+def test_root_is_never_worse_than_bisection(name):
+    def noise(x):  # sign noise of size 1e-12 within about 1e-12 of 0.4
+        return 1e-12 * (-1.0) ** int(abs(x) * 1e15 % 7)
+
+    g = {"step": lambda x: -1.0 if x < 0.3 else 2.0,
+         "flat": lambda x: 1e3 * max(x - 0.7, 0.0) - 1e-9,  # -1e-9 up to 0.7
+         "noise": lambda x: (x - 0.4) + noise(x),
+         "triple": lambda x: (x - 0.3) ** 3}[name]
+    for lo, hi in ((0.0, 1.0), (-3.0, 0.9)):
+        for width in (1e-15, 1e-14, 1e-6):
+            _check_root(g, lo, hi, width)
+
+
+@pytest.mark.parametrize("n", [1, 6, 64, 65])
+def test_crossing_times_are_the_exact_roots(n):
+    # A(t) = V diag(a + t b) V*: the first three entries (one if n = 1) cross
+    # zero at -a/b, the others stay at least 0.8 away from it
+    rng = np.random.default_rng(n)
+    v = random_unitary(n, rng)
+    roots = np.array([0.23, 0.52, 0.81])[:min(n, 3)]
+    rest = n - roots.size
+    b = np.concatenate([[1.3, -0.9, 1.1][:roots.size], rng.uniform(-0.2, 0.2, rest)])
+    a = np.concatenate([-roots * b[:roots.size],
+                        rng.choice([-1.0, 1.0], rest) * rng.uniform(1.0, 2.0, rest)])
+
+    def value(t):
+        return (v * (a + t * b)) @ v.conj().T
+
+    signs = list(np.sign(b[:roots.size]).astype(int))
+    func_path = HermitianPath.from_function(value, 9)
+    for path in (func_path, HermitianPath(func_path.grid, func_path.values)):
+        flow, crossings = spectral_flow_crossing(path)
+        assert [c.sign for c in crossings] == signs
+        assert np.max(np.abs([c.t for c in crossings] - roots)) <= 1e-13
+
+    graphs = LagrangianPath.from_function(lambda t: switched_graph(value(t)), 17)
+    sampled = LagrangianPath(graphs.grid, graphs.values)
+    # on the sampled path U(t) keeps the eigenbasis V, and each eigenphase
+    # moves linearly on a grid step: its passage through pi is exact
+    theta = np.array([np.angle(np.diag(v.conj().T @ lagrangian_to_unitary(f) @ v))
+                      for f in graphs.values])
+    sampled_roots = []
+    for i in range(roots.size):
+        j = int(np.searchsorted(graphs.grid, roots[i])) - 1
+        h = graphs.grid[j + 1] - graphs.grid[j]
+        turn = np.angle(np.exp(1j * (theta[j + 1, i] - theta[j, i])))
+        to_pi = np.mod(np.sign(turn) * (np.pi - theta[j, i]), 2.0 * np.pi)
+        sampled_roots.append(graphs.grid[j] + to_pi / abs(turn) * h)
+    for path, exact in ((graphs, roots), (sampled, np.array(sampled_roots))):
+        flow, crossings = maslov_index(path)
+        assert [c.sign for c in crossings] == signs
+        assert np.max(np.abs([c.t for c in crossings] - exact)) <= 1e-13
+
+
+def test_crossing_route_spends_few_evaluations_per_crossing():
+    # bisection to width 1e-15 spent 47 evaluations per crossing
+    rng = np.random.default_rng(11)
+    n = 64
+    a = random_hermitian(n, rng, 1.0 / 8.0)
+    b = random_hermitian(n, rng, 1.0 / 8.0) + 0.3 * np.eye(n)
+    calls = []
+
+    def func(t):
+        calls.append(t)
+        return a + t * b
+
+    path = HermitianPath.from_function(func, 3, dfunc=lambda t: b)
+    calls.clear()
+    flow, crossings = spectral_flow_crossing(path)
+    assert flow == spectral_flow_tracking(path)[0] and len(crossings) == 5
+    scan = np.linspace(0.0, 1.0, 33)  # the x8 refined nodes and the midpoints between them
+    beyond = [t for t in calls if np.min(np.abs(scan - t)) > 1e-12]
+    # the root finder's steps, and A(t) once more at each crossing for its kernel
+    assert len(beyond) <= 15 * len(crossings)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_maslov_recounts_a_root_where_the_nearest_eigenvalue_changes(monkeypatch, sampled):
+    # the first phase rises through pi at t = 0.6.  Near -1 at t = 0 is the
+    # third (theta = pi - 0.05, arg(-lambda) < 0), which moves away, so the
+    # second (-pi + 0.16, arg(-lambda) > 0) is nearest from t = 0.22: there
+    # arg(-lambda) jumps across 0 with no passage
+    v = random_unitary(3, np.random.default_rng(5))
+
+    def frame(t):
+        theta = np.array([np.pi + (t - 0.6), -np.pi + 0.16, np.pi - 0.05 - 0.5 * t])
+        return cayley_graph((v * np.exp(1j * theta)) @ v.conj().T)
+
+    path = LagrangianPath.from_function(frame, 2)
+    if sampled:  # the phases move linearly, so the geodesic is the same path
+        path = LagrangianPath(path.grid, path.values)
+    assert path.grid.size == 2
+    found = []
+    original = lagflow.flow._root
+
+    def recording(*args):
+        found.append(original(*args))
+        return found[-1]
+
+    monkeypatch.setattr(lagflow.flow, "_root", recording)
+    flow, crossings = maslov_index(path)
+    assert abs(found[0][0] - 0.22) < 1e-12  # the jump, which the recount rejects
+    assert (flow, [c.sign for c in crossings]) == (1, [1])
+    assert abs(crossings[0].t - 0.6) < 1e-13
+
+
+def test_func_maslov_decomposes_each_grid_step_once(monkeypatch):
+    # the 0.5 guard decomposes the node pairs; maslov_index reads them and
+    # asks func nothing at a grid node
+    v = random_unitary(4, np.random.default_rng(6))
+    a = (v * np.array([-1.0, -0.5, 1.0, 2.0])) @ v.conj().T
+    b = 1.5 * np.eye(4)
+    calls, pairs = [], []
+
+    def func(t):
+        calls.append(t)
+        return switched_graph(a + t * b)
+
+    original = lagflow.flow._step_angles
+
+    def counting(ua, ub):
+        pairs.append((ua, ub))
+        return original(ua, ub)
+
+    monkeypatch.setattr(lagflow.flow, "_step_angles", counting)
+    path = LagrangianPath.from_function(func, 17)
+    assert path.grid.size == 17 and len(pairs) == 16
+    calls.clear()
+    flow, crossings = maslov_index(path)
+    assert (flow, [c.sign for c in crossings]) == (2, [1, 1])
+    assert not set(calls) & set(path.grid)
+    nodes = [lagrangian_to_unitary(f) for f in path.values]
+    for ua, ub in zip(nodes[:-1], nodes[1:]):
+        same = [p for p in pairs if np.array_equal(p[0], ua) and np.array_equal(p[1], ub)]
+        assert len(same) == 1

@@ -393,3 +393,24 @@ def test_locate_crossings_calls_the_module_minimize(monkeypatch):
     points = locate_crossings(fam)
     assert len(points) == 1 and abs(points[0][0] - 0.13) < fam.spacing() / 2**6
     assert len(calls) >= 1
+
+
+def test_a_tie_between_neighbouring_nodes_starts_one_run(monkeypatch):
+    import lagflow.intersect
+
+    starts = []
+    original = lagflow.intersect.minimize
+
+    def counting(*args, **kwargs):
+        starts.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lagflow.intersect, "minimize", counting)
+    # Ker T(x) = span e1 at x = 0, halfway between the nodes -0.1 and 0.1,
+    # whose detector values are exactly equal
+    axes = (np.array([-0.5, -0.3, -0.1, 0.1, 0.3, 0.5]),)
+    fam = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0], 1.0]))
+    assert _detector(fam, np.array([-0.1])) == _detector(fam, np.array([0.1]))
+    points = locate_crossings(fam)
+    assert len(points) == 1 and abs(points[0][0]) < fam.spacing() / 2**6
+    assert [list(x) for x in starts] == [[-0.1]]  # from the first node in scan order

@@ -64,9 +64,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # scipy.optimize loads on the first use of ``minimize`` (PEP 562), so
-    # importing lagflow loads no scipy; from then on ``minimize`` is an
-    # ordinary module global, which bench/tracer.py replaces to count runs
+    # intersect.py uses no scipy.optimize; only bench/tracer.py reads
+    # ``minimize`` here, so that lookup binds it (PEP 562)
     if name != "minimize":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy.optimize import minimize
@@ -402,98 +401,54 @@ def _detector(family: MeshedFamily, x: np.ndarray) -> float:
 
 
 def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
-    """Mesh scan plus Nelder-Mead refinement of kernel-meets-W points.
+    """Mesh scan plus Newton refinement of kernel-meets-W points.
 
-    Returns refined parameter points, deterministic in mesh index order.
-    Raises "boundary crossing" when a crossing sits at the mesh boundary
-    and "unresolved cluster" when two refined candidates stay closer than
-    the mesh spacing without merging.
+    A Newton run on T(x) W c = 0 starts from each mesh node that is a local
+    minimum of the detector.  Its end is kept where the detector is below
+    rank_eps and Ker T meets W in a line; ends within spacing/8 merge, and
+    the points return in mesh index order.  Runs stay in the box widened by
+    spacing/2, so a crossing further out is none of the family's; one within
+    spacing/2 of the box's edge, inside or out, raises "boundary crossing",
+    and two closer than the spacing raise "unresolved cluster".
     """
     shape = tuple(a.size for a in family.axes)
-    grid = np.empty(shape, dtype=float)
-    for idx in np.ndindex(shape):
-        grid[idx] = _detector(family, _mesh_node(family, idx))
-
-    finite = np.isfinite(grid)
-    if not finite.any():
-        return []
-    safe = np.where(finite, grid, np.nan)
-    max_jump = 0.0
-    with np.errstate(invalid="ignore"):
-        for d in range(family.dims):
-            j = np.abs(np.diff(safe, axis=d))
-            if np.any(np.isfinite(j)):
-                max_jump = max(max_jump, float(np.nanmax(j)))
-    if max_jump == 0.0:
-        return []
-    trigger = 4.0 * max_jump
-
-    def neighbors(idx):
-        for d in range(family.dims):
-            for step in (-1, 1):
-                j = list(idx)
-                j[d] += step
-                if 0 <= j[d] < shape[d]:
-                    yield tuple(j)
+    grid = np.array([_detector(family, _mesh_node(family, idx))
+                     for idx in np.ndindex(shape)]).reshape(shape)
+    # local minima; a tie with a neighbour earlier in scan order leaves the
+    # run to that neighbour
+    starts = np.isfinite(grid)
+    for d in range(family.dims):
+        g, start = np.moveaxis(grid, d, 0), np.moveaxis(starts, d, 0)
+        start[:-1] &= g[1:] >= g[:-1]
+        start[1:] &= g[:-1] > g[1:]
 
     spacing = family.spacing()
-    accept = family.tol.rank_eps
-    minimize = globals().get("minimize") or __getattr__("minimize")
-    candidates: list[np.ndarray] = []
-    for idx in sorted(np.ndindex(shape)):
-        val = grid[idx]
-        if not np.isfinite(val) or val >= trigger:
-            continue
-        # a tie with a neighbour earlier in scan order starts one run, there
-        if any(np.isfinite(grid[nb]) and (grid[nb] < val or (grid[nb] == val and nb < idx))
-               for nb in neighbors(idx)):
-            continue
-        x0 = _mesh_node(family, idx)
-        res = minimize(
-            lambda x: min(_detector(family, x), 1e6),
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": 200,
-                "xatol": spacing / 2**8,
-                "fatol": 1e-15,
-                "initial_simplex": _initial_simplex(x0, spacing / 2.0),
-            },
-        )
-        if not np.isfinite(res.fun) or res.fun >= accept:
-            continue
-        x_star = np.asarray(res.x, dtype=float)
-        t_star = family.value_at(x_star)
-        if t_star is None:
-            continue
-        kern_tol = _kernel_tolerance(family.tol, res.fun)
-        kernel = numeric_kernel(t_star, kern_tol)
-        if kernel.shape[1] == 0:
-            continue
-        meet = subspace_intersection_basis(kernel, family.w, kern_tol)
-        if meet.shape[1] != 1:
-            continue
-        candidates.append(x_star)
-
     merged: list[np.ndarray] = []
-    for x in candidates:
-        for m in merged:
-            if np.linalg.norm(x - m) <= spacing / 8.0:
-                break
-        else:
+    for idx in zip(*np.nonzero(starts)):
+        x = _newton(family, _mesh_node(family, idx))
+        detector = np.inf if x is None else _detector(family, x)
+        if detector >= family.tol.rank_eps:
+            continue
+        kern_tol = _kernel_tolerance(family.tol, detector)
+        kernel = numeric_kernel(family.value_at(x), kern_tol)
+        if (subspace_intersection_basis(kernel, family.w, kern_tol).shape[1] == 1
+                and all(np.linalg.norm(x - m) > spacing / 8.0 for m in merged)):
             merged.append(x)
     for a, b in itertools.combinations(merged, 2):
         if np.linalg.norm(a - b) < spacing:
             raise PreconditionError("unresolved cluster")
-    for x in merged:
-        for d, axis in enumerate(family.axes):
-            if x[d] - axis[0] < spacing / 2.0 or axis[-1] - x[d] < spacing / 2.0:
-                raise PreconditionError("boundary crossing")
+    lo, hi = _box(family)
+    if any(np.any((x - lo < spacing / 2.0) | (hi - x < spacing / 2.0)) for x in merged):
+        raise PreconditionError("boundary crossing")
     return merged
 
 
 def _mesh_node(family: MeshedFamily, idx: tuple[int, ...]) -> np.ndarray:
     return np.array([family.axes[d][i] for d, i in enumerate(idx)])
+
+
+def _box(family: MeshedFamily) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([a[0] for a in family.axes]), np.array([a[-1] for a in family.axes])
 
 
 def _kernel_tolerance(tol: Tolerance, detector: float) -> Tolerance:
@@ -503,12 +458,56 @@ def _kernel_tolerance(tol: Tolerance, detector: float) -> Tolerance:
     return Tolerance(min(rank_eps, np.nextafter(1.0, 0.0)), tol.crossing_eps)
 
 
-def _initial_simplex(x0: np.ndarray, size: float) -> np.ndarray:
-    d = x0.size
-    simplex = np.tile(x0, (d + 1, 1))
-    for i in range(d):
-        simplex[i + 1, i] += size
-    return simplex
+# a run towards the crossing of U^2 B on its chart (1, -1) (the degree
+# oracle's family in tests/) creeps along the unit-ball edge for 15 steps
+_NEWTON_STEPS = 16
+_NEWTON_HALVINGS = 8
+
+
+def _newton(family: MeshedFamily, x: np.ndarray) -> np.ndarray | None:
+    """Gauss-Newton on T(x) W c = 0, |c| = 1, from a node x where T has a value.
+
+    c starts as the right singular vector of T(x) W for its least singular
+    value.  A step solves in least squares the real and imaginary parts of
+    [J_x | TW | iTW] (dx, Re dc, Im dc) = -TWc and c* dc = 0, (2n + 2) x
+    (2n + 1) and of full rank at a transversal crossing; J_x is the central
+    difference of TWc with step spacing/2^10, one-sided where T has a value
+    on one side only.  A step is halved while its end leaves the box widened
+    by spacing/2 or T has no value there; a run that cannot move ends in None.
+    """
+    spacing, (lo, hi) = family.spacing(), _box(family)
+    h = spacing / 2**10
+    t = family.value_at(x)
+    c = np.linalg.svd(t @ family.w)[2][-1].conj()
+    d, m = x.size, c.size
+    for _ in range(_NEWTON_STEPS):
+        tw, wc = t @ family.w, family.w @ c
+        jac = np.empty((t.shape[0], d), dtype=np.complex128)
+        for i, e in enumerate(h * np.eye(d)):
+            tp, tm = family.value_at(x + e), family.value_at(x - e)
+            if tp is None and tm is None:
+                return None
+            width = 2.0 * h if tp is not None and tm is not None else h
+            jac[:, i] = ((t if tp is None else tp) - (t if tm is None else tm)) @ wc / width
+        rows = np.vstack([np.hstack([jac, tw, 1j * tw]),
+                          np.concatenate([np.zeros(d), c.conj(), 1j * c.conj()])])
+        rhs = np.append(-(tw @ c), 0.0)
+        step = np.linalg.lstsq(np.vstack([rows.real, rows.imag]),
+                               np.concatenate([rhs.real, rhs.imag]), rcond=None)[0]
+        dx, dc = step[:d], step[d:d + m] + 1j * step[d + m:]
+        if np.linalg.norm(dx) <= 1e-15 * max(1.0, float(np.linalg.norm(x))):
+            break
+        for _ in range(_NEWTON_HALVINGS + 1):
+            end = x + dx
+            inside = np.all((lo - spacing / 2.0 <= end) & (end <= hi + spacing / 2.0))
+            t_end = family.value_at(end) if inside else None
+            if t_end is not None:
+                break
+            dx, dc = dx / 2.0, dc / 2.0
+        else:
+            return None
+        x, t, c = end, t_end, (c + dc) / np.linalg.norm(c + dc)
+    return x
 
 
 def crossing_jet(family: MeshedFamily, x: np.ndarray) -> FamilyJet:

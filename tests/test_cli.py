@@ -193,6 +193,20 @@ def test_intersect_total_cli(tmp_path, capsys):
     assert len(result["crossings"]) == 1
 
 
+def test_intersect_total_cli_finds_a_crossing_of_a_scaled_family(tmp_path, capsys):
+    # 100 diag(x - 0.3, 1): the detector reads 0.89 to 1 on every node, so
+    # no threshold on the node values can single out the crossing at 0.3
+    axis = np.linspace(-1.0, 1.0, 9)
+    fam = {"k": 1, "axes": [list(axis)], "W_frame": ser.encode_matrix(np.eye(2)),
+           "values": [ser.encode_matrix(100.0 * np.diag([x - 0.3, 1.0])) for x in axis]}
+    code, out, _ = run(capsys, "intersect-total", write(tmp_path, "family.json", fam))
+    assert code == 0
+    result = json.loads(out)
+    assert result["total"] == 1
+    (crossing,) = result["crossings"]
+    assert abs(crossing["point"][0] - 0.3) < 1e-14 and crossing["epsilon"] == 1
+
+
 def test_intersect_total_cli_rejects_a_non_hermitian_node(tmp_path, capsys):
     axes = [list(np.linspace(-0.6, 0.6, 3))]
     values = [ser.encode_matrix(x * np.eye(2)) for x in axes[0]]
@@ -333,6 +347,10 @@ def test_imports_and_numpy_only_verbs_load_no_scipy(tmp_path):
                  {"grid": [0.0, 1.0], "values": [ser.encode_matrix(np.diag([-0.5, 1.0])),
                                                  ser.encode_matrix(np.diag([0.5, 2.0]))]})
     w = write(tmp_path, "w.json", ser.encode_matrix(np.array([[0.0], [1.0]])))
+    axis = np.linspace(0.0, 1.0, 5)
+    family = write(tmp_path, "family.json",
+                   {"k": 1, "axes": [list(axis)], "W_frame": ser.encode_matrix(np.eye(2)),
+                    "values": [ser.encode_matrix(np.diag([x - 0.4, 1.0])) for x in axis]})
     jet = write(tmp_path, "jet.json",
                 {"k": 2, "T0": ser.encode_matrix(np.zeros((2, 2))),
                  "partials": [ser.encode_matrix(np.array([[0, 0], [0, 1.0]])),
@@ -343,6 +361,7 @@ def test_imports_and_numpy_only_verbs_load_no_scipy(tmp_path):
              ["sf", path, "--method", "both"], ["schubert", lag],
              ["reduce", "--unitary", u, "--w-indices", "1"],
              ["reduce", "--lagrangian", chart, "--w-frame", w], ["intersect", jet],
+             ["intersect-total", family],
              ["universal", "--spectrum", u, "--window", "-7", "7"],
              ["universal", "--reduce", u]]
     src = str(Path(lagflow.__file__).resolve().parents[1])

@@ -7,8 +7,9 @@ fixed sign eps0 times
     deg f = (1/24 pi^2) int_{S^3} tr((f^-1 df)^3),
 
 integrated here with numpy alone.  eps0 is fixed by the identity family,
-whose one crossing, U = -I, is the centre of the chart (0, -1).  The
-families are linear in the quaternion q, so df = f(dq).
+whose one crossing, U = -I, is the centre of the chart (0, -1).  Each
+family comes with its differential df(q, dq): f(dq) for those linear in
+the quaternion q, the product rule for U^2 B.
 """
 
 from functools import cache
@@ -37,7 +38,7 @@ def su2(q):
     return np.einsum("...j,jab->...ab", q, _UNITS)
 
 
-def degree(f, m=24):
+def degree(f, df, m=24):
     """(1/24 pi^2) int tr((f^-1 df)^3) in Hopf coordinates
     q = (cos e cos a, sin e cos b, sin e sin b, cos e sin a), oriented
     (e, b, a); Gauss-Legendre in e, trapezoid in the periodic a and b."""
@@ -52,7 +53,7 @@ def degree(f, m=24):
                 np.stack([zero, -se * sb, se * cb, zero], -1),
                 np.stack([-ce * sa, zero, zero, ce * ca], -1))
     f_inv = np.conj(np.swapaxes(f(q), -1, -2))
-    a1, a2, a3 = (f_inv @ f(t) for t in tangents)
+    a1, a2, a3 = (f_inv @ df(q, t) for t in tangents)
     # the 3-form on (d_e, d_b, d_a): sum over permutations = 3 tr(A1 [A2, A3])
     density = 3.0 * np.trace(a1 @ (a2 @ a3 - a3 @ a2), axis1=-2, axis2=-1).real
     return float(np.sum(density * w_e[:, None, None])) * (np.pi / m) ** 2 / (24 * np.pi**2)
@@ -92,44 +93,61 @@ def chart_points(f, coord, sign):
 
 @cache
 def eps0():
-    assert degree(su2) == pytest.approx(1.0, abs=1e-9)
+    assert degree(su2, lambda q, dq: su2(dq)) == pytest.approx(1.0, abs=1e-9)
     (_, eps), = chart_points(su2, 0, -1)
     return eps
 
 
 _RNG = np.random.default_rng(3)
 _A, _B = (su2(q / np.linalg.norm(q)) for q in _RNG.normal(size=(2, 4)))
-FAMILIES = {"adjoint": lambda q: np.conj(np.swapaxes(su2(q), -1, -2)),
-            "off-centre": lambda q: _A @ su2(q) @ _B}
+
+
+def _adjoint(q):
+    return np.conj(np.swapaxes(su2(q), -1, -2))
+
+
+# name -> (f, df)
+FAMILIES = {"adjoint": (_adjoint, lambda q, dq: _adjoint(dq)),
+            "off-centre": (lambda q: _A @ su2(q) @ _B, lambda q, dq: _A @ su2(dq) @ _B),
+            "square": (lambda q: su2(q) @ su2(q) @ _B,
+                       lambda q, dq: (su2(dq) @ su2(q) + su2(q) @ su2(dq)) @ _B)}
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_total_over_the_charts_is_eps0_times_the_degree(name):
-    f = FAMILIES[name]
-    deg = degree(f)
+    f, df = FAMILIES[name]
+    deg = degree(f, df)
     assert abs(deg - round(deg)) < 1e-9
-    found, edge = [], []
+    charts, edge = {}, []
     for coord in range(4):
         for sign in (1, -1):
             try:
-                found += chart_points(f, coord, sign)
+                charts[coord, sign] = chart_points(f, coord, sign)
             except PreconditionError as exc:
                 if str(exc) != "boundary crossing":
                     raise
                 edge.append((coord, sign))
     unique = []
-    for q, eps in found:
+    for q, eps in (point for found in charts.values() for point in found):
         same = [eps2 for q2, eps2 in unique if np.linalg.norm(q - q2) < 0.05]
         assert same in ([], [eps])  # charts that share a point agree on its sign
         if not same:
             unique.append((q, eps))
-    # deg = +-1: one point, where f = -I
-    assert len(unique) == 1
-    q_star, total = unique[0]
-    assert np.abs(f(q_star) + np.eye(2)).max() < 1e-9
-    assert total == eps0() * round(deg)
+    # |deg| points, where f = -I
+    assert len(unique) == abs(round(deg))
+    for q, _ in unique:
+        assert np.abs(f(q) + np.eye(2)).max() < 1e-9
+    assert sum(eps for _, eps in unique) == eps0() * round(deg)
     # a chart may stop at a point on its edge that another chart located inside
     for coord, sign in edge:
-        x = np.delete(q_star, coord)
-        to_edge = min(1.0 - np.linalg.norm(x), AXIS[-1] - np.abs(x).max())
-        assert to_edge < AXIS[1] - AXIS[0]
+        to_edge = [min(1.0 - np.linalg.norm(np.delete(q, coord)),
+                       AXIS[-1] - np.abs(np.delete(q, coord)).max())
+                   for q, _ in unique if q[coord] * sign > 0]
+        assert min(to_edge, default=np.inf) < AXIS[1] - AXIS[0]
+    # and no chart passes over a point inside its box: it locates it or raises
+    for q, _ in unique:
+        for coord in range(4):
+            if q[coord] != 0 and np.abs(np.delete(q, coord)).max() <= AXIS[-1]:
+                located = charts.get((coord, 1 if q[coord] > 0 else -1))
+                assert located is None or any(np.linalg.norm(q - q2) < 0.05
+                                              for q2, _ in located)

@@ -376,36 +376,37 @@ def test_scipy_names_bind_on_first_lookup():
         lagflow.flow.no_such_name
 
 
-def test_locate_crossings_calls_the_module_minimize(monkeypatch):
-    import lagflow.intersect
-
+def test_newton_locates_a_k1_crossing_to_rounding_in_few_evaluations(monkeypatch):
     calls = []
-    original = lagflow.intersect.minimize
+    value_at = MeshedFamily.value_at
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counting(self, x):
+        calls.append(np.array(x))
+        return value_at(self, x)
 
-    monkeypatch.setattr(lagflow.intersect, "minimize", counting)
+    monkeypatch.setattr(MeshedFamily, "value_at", counting)
     # k = 1: one parameter, W = C^2, and Ker T(x) = span e1 at x = 0.13 only
     axes = (np.linspace(-0.6, 0.6, 9),)
     fam = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0] - 0.13, 1.0]))
     points = locate_crossings(fam)
-    assert len(points) == 1 and abs(points[0][0] - 0.13) < fam.spacing() / 2**6
-    assert len(calls) >= 1
+    assert len(points) == 1 and abs(points[0][0] - 0.13) < 1e-14
+    # 9 scan nodes; one run from 0.15: T there, then per step a central
+    # difference (2) and its end (1), the second step too short to take;
+    # the detector and the kernel check at the end: 17, with one to spare
+    assert len(calls) <= 18
 
 
 def test_a_tie_between_neighbouring_nodes_starts_one_run(monkeypatch):
     import lagflow.intersect
 
     starts = []
-    original = lagflow.intersect.minimize
+    original = lagflow.intersect._newton
 
-    def counting(*args, **kwargs):
-        starts.append(args[1])
-        return original(*args, **kwargs)
+    def counting(family, x0):
+        starts.append(x0)
+        return original(family, x0)
 
-    monkeypatch.setattr(lagflow.intersect, "minimize", counting)
+    monkeypatch.setattr(lagflow.intersect, "_newton", counting)
     # Ker T(x) = span e1 at x = 0, halfway between the nodes -0.1 and 0.1,
     # whose detector values are exactly equal
     axes = (np.array([-0.5, -0.3, -0.1, 0.1, 0.3, 0.5]),)
@@ -414,3 +415,56 @@ def test_a_tie_between_neighbouring_nodes_starts_one_run(monkeypatch):
     points = locate_crossings(fam)
     assert len(points) == 1 and abs(points[0][0]) < fam.spacing() / 2**6
     assert [list(x) for x in starts] == [[-0.1]]  # from the first node in scan order
+
+
+def test_a_crossing_beyond_half_a_spacing_outside_the_box_is_not_the_familys():
+    # 9 nodes on [-1, 1], spacing 0.25: a second crossing at 1.2 lies 0.2
+    # outside the box and is no crossing of the family; at 1.1 it lies in
+    # the band of half a spacing around the box's edge and raises
+    axes = (np.linspace(-1.0, 1.0, 9),)
+    far = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0] - 0.3, x[0] - 1.2]))
+    points = locate_crossings(far)
+    assert len(points) == 1 and abs(points[0][0] - 0.3) < 1e-14
+    near = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0] - 0.3, x[0] - 1.1]))
+    with pytest.raises(PreconditionError, match="boundary crossing"):
+        locate_crossings(near)
+
+
+def test_runs_start_from_the_local_minima_of_the_scan(monkeypatch):
+    import lagflow.intersect
+
+    starts = []
+    original = lagflow.intersect._newton
+
+    def counting(family, x0):
+        starts.append(tuple(x0))
+        return original(family, x0)
+
+    monkeypatch.setattr(lagflow.intersect, "_newton", counting)
+    # a symmetric axis ties mirrored nodes exactly; T has no value on a strip
+    axis = np.array([-0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6])
+
+    def func(x):
+        if x[0] > 0.5:
+            return None
+        return np.array([[x @ x - 0.05, 0.3 * x[1]], [0.3 * x[1], np.cos(3.0 * x[2])]])
+
+    fam = MeshedFamily(2, (axis, axis, axis), W2, func=func)
+    try:
+        locate_crossings(fam)
+    except PreconditionError:
+        pass
+    # the reference rule, node by node: a finite local minimum whose equal
+    # neighbours all come later in scan order
+    shape = (7, 7, 7)
+    grid = {idx: _detector(fam, axis[list(idx)]) for idx in np.ndindex(shape)}
+    expected, ties = [], 0
+    for idx, val in grid.items():
+        nbs = [idx[:d] + (idx[d] + s,) + idx[d + 1:] for d in range(3) for s in (-1, 1)
+               if 0 <= idx[d] + s < 7]
+        ties += np.isfinite(val) and any(grid[nb] == val for nb in nbs)
+        if np.isfinite(val) and not any(grid[nb] < val or (grid[nb] == val and nb < idx)
+                                        for nb in nbs):
+            expected.append(tuple(axis[list(idx)]))
+    assert ties and len(expected) > 1
+    assert starts == expected

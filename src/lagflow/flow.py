@@ -205,23 +205,14 @@ class HermitianPath:
         """Sub-path over [a, b], reparametrized to [0, 1]."""
         if not (0.0 <= a < b <= 1.0):
             raise InputError("invalid restriction interval")
-        inner = [t for t in self.grid if a < t < b]
-        new_grid = np.array([a] + inner + [b])
-        scaled = (new_grid - a) / (b - a)
-        scaled[0], scaled[-1] = 0.0, 1.0
+        new_grid = np.array([a] + [t for t in self.grid if a < t < b] + [b])
         vals = tuple(self.value_at(t) for t in new_grid)
-        func = None
-        if self.func is not None:
-            base = self.func
-            func = lambda s, _a=a, _b=b: base(_a + (_b - _a) * s)  # noqa: E731
-        dfunc = None
-        if self.dfunc is not None:
-            dbase = self.dfunc
-            dfunc = lambda s, _a=a, _b=b: (_b - _a) * dbase(_a + (_b - _a) * s)  # noqa: E731
+        func = None if self.func is None else lambda s, f=self.func: f(a + (b - a) * s)
+        dfunc = None if self.dfunc is None else lambda s, f=self.dfunc: (b - a) * f(a + (b - a) * s)
         derivs = None
         if func is None and dfunc is None and self.derivatives is not None:
             derivs = tuple((b - a) * self.derivative_at(t) for t in new_grid)
-        return HermitianPath(scaled, vals, derivs, func, dfunc)
+        return HermitianPath((new_grid - a) / (b - a), vals, derivs, func, dfunc)
 
 
 def _richardson_derivative(f, t: float, grid: np.ndarray) -> np.ndarray:
@@ -239,11 +230,8 @@ def _richardson_derivative(f, t: float, grid: np.ndarray) -> np.ndarray:
 
 
 def _refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
-    out = []
-    for a, b in zip(grid[:-1], grid[1:]):
-        out.extend(np.linspace(a, b, factor + 1)[:-1])
-    out.append(grid[-1])
-    return np.array(out)
+    return np.concatenate([np.linspace(a, b, factor + 1)[:-1]
+                           for a, b in zip(grid[:-1], grid[1:])] + [grid[-1:]])
 
 
 def _shift_interior_zeros(ts: np.ndarray, eig_at, eps: float
@@ -553,13 +541,6 @@ class LagrangianPath:
             return cayley_graph(self._geodesic.at(t))
         return self.values[i + (s >= 1.0)]
 
-    def _rates(self, t: float, u_at) -> list[np.ndarray]:
-        """-i U* dU/dt at an event t, U = u_at: constant on each geodesic step
-        of :func:`_sides`, one Richardson difference on a ``func`` path."""
-        if self.func is None:
-            return [self._geodesic.rate(i) for i in _sides(self.grid, t)]
-        return [-1j * (u_at(t).conj().T @ _richardson_derivative(u_at, t, self.grid))]
-
 
 def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases phi of R = Ua* Ub, and R's orthonormal eigenvectors.
@@ -579,13 +560,14 @@ def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 class _Geodesic:
     """U(t) of a path or loop: its node unitaries on the grid, and between the
-    nodes ``between(t)`` for a ``func`` path, else the unitary geodesics.
+    nodes ``between(t)`` for a ``func`` path, else the unitary geodesics; the
+    one place that tells the two apart.
 
     Grid step i, of length h, is decomposed when first read: (phi, V) of
     :func:`_step_angles` for U_i* U_i+1.  At s = (t - t_i) / h on it, the
     geodesic is U(t) = U_i V diag(e^{i s phi}) V*, arg det U has turned by
     s sum(phi), and -i U* dU/dt = V diag(phi) V* / h.  The owner keeps the
-    nodes unchanged; concurrent readers may decompose a step twice.
+    nodes unchanged; concurrent readers may decompose a step, or count, twice.
     """
 
     def __init__(self, grid: np.ndarray, nodes: Sequence[np.ndarray], between=None):
@@ -593,6 +575,7 @@ class _Geodesic:
         self.nodes = tuple(nodes)
         self.between = between
         self._steps = [None] * (grid.size - 1)
+        self._counted = None
 
     def step(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         step = self._steps[i]
@@ -609,15 +592,67 @@ class _Geodesic:
         phi, vecs = self.step(i)
         return self.nodes[i] @ ((vecs * np.exp(1j * s * phi)) @ vecs.conj().T)
 
-    def turn(self, a: float, b: float) -> float:
-        """The turn of arg det U over [a, b], inside one grid step."""
-        i, _ = _bracket(self.grid, 0.5 * (a + b))
-        return (b - a) / (self.grid[i + 1] - self.grid[i]) * float(np.sum(self.step(i)[0]))
+    def counted(self, u_at) -> tuple[np.ndarray, tuple[float, ...]]:
+        """(ts, turns): the steps [ts_j, ts_j+1] a determinant count reads, the
+        grid's or :func:`_checked_steps`, and sum(phi) on each, kept from the
+        first count; u_at is the call's cached :meth:`at`."""
+        counted = self._counted
+        if counted is None:
+            g = self.grid
+            steps = ([(g[i], g[i + 1], self.step(i)[0]) for i in range(g.size - 1)]
+                     if self.between is None else _checked_steps(self, u_at))
+            counted = self._counted = (np.array([a for a, _, _ in steps] + [1.0]),
+                                       tuple(float(np.sum(phi)) for _, _, phi in steps))
+        return counted
 
-    def rate(self, i: int) -> np.ndarray:
-        """-i U* dU/dt on grid step i."""
-        phi, vecs = self.step(i)
-        return (vecs * phi) @ vecs.conj().T / (self.grid[i + 1] - self.grid[i])
+    def turn(self, a: float, b: float, u_at) -> float:
+        """The turn of arg det U over [a, b] in a counted step: its share of the
+        step's, but on part of a ``func`` step that of the geodesic U(a)-U(b)."""
+        ts, turns = self.counted(u_at)
+        j, _ = _bracket(ts, 0.5 * (a + b))
+        if self.between is None or (a, b) == (ts[j], ts[j + 1]):
+            return (b - a) / (ts[j + 1] - ts[j]) * turns[j]
+        return float(np.sum(_step_angles(u_at(a), u_at(b))[0]))
+
+    def rates(self, t: float, u_at) -> list[np.ndarray]:
+        """-i U* dU/dt at an event t: V diag(phi) V* / h on each geodesic step
+        of :func:`_sides`, one Richardson difference of u_at on a ``func`` path."""
+        if self.between is not None:
+            return [-1j * (u_at(t).conj().T @ _richardson_derivative(u_at, t, self.grid))]
+        return [(vecs * phi) @ vecs.conj().T / (self.grid[i + 1] - self.grid[i])
+                for i in _sides(self.grid, t) for phi, vecs in [self.step(i)]]
+
+
+def _checked_steps(geodesic: _Geodesic, u_at) -> list[tuple[float, float, np.ndarray]]:
+    """(a, b, phi) of a ``func`` path's counted steps: grid steps halved while
+    some |phi| > pi/2, and checked: one more halving must leave every turn."""
+
+    def angles(a, b, i=None):  # None past the principal log's reach, so wide
+        try:
+            return (_step_angles(u_at(a), u_at(b)) if i is None else geodesic.step(i))[0]
+        except PreconditionError:
+            return None
+
+    def halves(a, b):
+        m = 0.5 * (a + b)
+        return [(a, m, angles(a, m)), (m, b, angles(m, b))]
+
+    g = geodesic.grid
+    steps = [(g[i], g[i + 1], angles(g[i], g[i + 1], i)) for i in range(g.size - 1)]
+    for _ in range(_MAX_SPLITS):
+        wide = [phi is None or np.max(np.abs(phi)) > 0.5 * np.pi for _, _, phi in steps]
+        if not any(wide):
+            break
+        steps = [piece for (a, b, phi), w in zip(steps, wide)
+                 for piece in (halves(a, b) if w else [(a, b, phi)])]
+    else:
+        raise PreconditionError("grid too coarse")
+    turn = lambda a, b: float(np.sum(_step_angles(u_at(a), u_at(b))[0]))  # noqa: E731
+    for a, b, phi in steps:
+        m = 0.5 * (a + b)
+        if _whole((turn(a, m) + turn(m, b) - float(np.sum(phi))) / (2.0 * np.pi)):
+            raise PreconditionError("grid too coarse")
+    return steps
 
 
 def _whole(x: float) -> int:
@@ -626,46 +661,6 @@ def _whole(x: float) -> int:
     if abs(x - k) > 1e-6:
         raise PreconditionError("grid too coarse")
     return int(k)
-
-
-def _det_steps(u_at, geodesic: _Geodesic):
-    """Steps for a determinant count along a ``func`` path's u_at (cached,
-    ``geodesic.at``), and turn(a, b).
-
-    turn(a, b) = sum(phi) of :func:`_step_angles` is the change of arg det
-    U along the geodesic step [a, b]; a grid step reads the decomposition
-    ``geodesic`` holds.  Steps with max|phi| > pi/2 are halved, and one
-    more halving must leave every step's turn unchanged.
-    """
-    ts = list(geodesic.grid)
-    step = {(a, b): i for i, (a, b) in enumerate(zip(ts[:-1], ts[1:]))}
-
-    @cache
-    def angles(a, b):
-        if (a, b) in step:
-            return geodesic.step(step[a, b])[0]
-        return _step_angles(u_at(a), u_at(b))[0]
-
-    turn = lambda a, b: float(np.sum(angles(a, b)))  # noqa: E731
-
-    def wide(a, b):
-        try:
-            return np.max(np.abs(angles(a, b))) > 0.5 * np.pi
-        except PreconditionError:  # past the guard, so wider still
-            return True
-
-    for _ in range(_MAX_SPLITS):
-        inserts = [0.5 * (a + b) for a, b in zip(ts[:-1], ts[1:]) if wide(a, b)]
-        if not inserts:
-            break
-        ts = sorted(ts + inserts)
-    else:
-        raise PreconditionError("grid too coarse")
-    for a, b in zip(ts[:-1], ts[1:]):
-        m = 0.5 * (a + b)
-        if _whole((turn(a, m) + turn(m, b) - turn(a, b)) / (2.0 * np.pi)) != 0:
-            raise PreconditionError("grid too coarse")
-    return ts, turn
 
 
 def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
@@ -690,11 +685,11 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
     Signs that do not sum to the index raise "degenerate crossing"; a +1
     and a -1 inside one step cancel in c and are not listed.  The count is
     exact for the geodesic interpolant of a sampled path; for a ``func``
-    path see :func:`_det_steps`, and a path that winds a full turn between
+    path see :func:`_checked_steps`, and a path that winds a full turn between
     two samples is beyond any sampler.  Endpoints must be transversal to H-.
     """
-    n = path.n
-    u_at = cache(path._geodesic.at)
+    n, geodesic = path.n, path._geodesic
+    u_at = cache(geodesic.at)
     phases = cache(lambda t: np.angle(np.linalg.eigvals(u_at(t))))
     for t in (0.0, 1.0):  # |cos(theta/2)| are the singular values of the top block
         # X = (1 + U)(X + iY)/2 of an orthonormal frame [X; Y], as X + iY is unitary
@@ -702,10 +697,10 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
                 or np.min(np.abs(np.cos(0.5 * phases(t)))) <= tol.rank_eps):
             raise PreconditionError("degenerate endpoint")
 
-    ts, turn = ((list(path.grid), path._geodesic.turn) if path.func is None
-                else _det_steps(u_at, path._geodesic))
+    ts, _ = geodesic.counted(u_at)
     theta = lambda t: float(np.sum(phases(t)))  # noqa: E731
-    passages = lambda a, b: _whole((turn(a, b) + theta(a) - theta(b)) / (2.0 * np.pi))  # noqa: E731
+    passages = lambda a, b: _whole(  # noqa: E731
+        (geodesic.turn(a, b, u_at) + theta(a) - theta(b)) / (2.0 * np.pi))
 
     def near(t):  # arg(-lambda) for the eigenvalue lambda of U(t) nearest -1
         phase = phases(t)[np.argmax(np.abs(phases(t)))]
@@ -742,7 +737,7 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
         kernel = numeric_kernel(0.5 * (np.eye(n) + u), kern_tol)
         if kernel.shape[1] == 0:
             raise PreconditionError("degenerate crossing")
-        rates = [0.5 * rate for rate in path._rates(t_star, u_at)]
+        rates = [0.5 * rate for rate in geodesic.rates(t_star, u_at)]
         crossings.append(Crossing(t_star, _crossing_signature(kernel, rates, tol)))
     if sum(c.sign for c in crossings) != total:
         raise PreconditionError("degenerate crossing")

@@ -405,8 +405,8 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
 
     A Newton run on T(x) W c = 0 starts from each mesh node that is a local
     minimum of the detector.  Its end is kept where the detector is below
-    rank_eps and Ker T meets W in a line; ends within spacing/8 merge, and
-    the points return in mesh index order.  Runs stay in the box widened by
+    rank_eps (the jet checks dim(Ker T ∩ W)); ends within spacing/8 merge,
+    and the points return in mesh index order.  Runs stay in the box widened by
     spacing/2, so a crossing further out is none of the family's; one within
     spacing/2 of the box's edge, inside or out, raises "boundary crossing",
     and two closer than the spacing raise "unresolved cluster".
@@ -427,12 +427,8 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
     for idx in zip(*np.nonzero(starts)):
         x = _newton(family, _mesh_node(family, idx))
         detector = np.inf if x is None else _detector(family, x)
-        if detector >= family.tol.rank_eps:
-            continue
-        kern_tol = _kernel_tolerance(family.tol, detector)
-        kernel = numeric_kernel(family.value_at(x), kern_tol)
-        if (subspace_intersection_basis(kernel, family.w, kern_tol).shape[1] == 1
-                and all(np.linalg.norm(x - m) > spacing / 8.0 for m in merged)):
+        if detector < family.tol.rank_eps and all(
+                np.linalg.norm(x - m) > spacing / 8.0 for m in merged):
             merged.append(x)
     for a, b in itertools.combinations(merged, 2):
         if np.linalg.norm(a - b) < spacing:
@@ -449,13 +445,6 @@ def _mesh_node(family: MeshedFamily, idx: tuple[int, ...]) -> np.ndarray:
 
 def _box(family: MeshedFamily) -> tuple[np.ndarray, np.ndarray]:
     return np.array([a[0] for a in family.axes]), np.array([a[-1] for a in family.axes])
-
-
-def _kernel_tolerance(tol: Tolerance, detector: float) -> Tolerance:
-    """Rank tolerance at a located crossing: 1e3 x the detector value, at
-    least tol.rank_eps, and below 1, the bound Tolerance enforces."""
-    rank_eps = max(1e3 * max(detector, 1e-16), tol.rank_eps)
-    return Tolerance(min(rank_eps, np.nextafter(1.0, 0.0)), tol.crossing_eps)
 
 
 # a run towards the crossing of U^2 B on its chart (1, -1) (the degree
@@ -515,13 +504,20 @@ def crossing_jet(family: MeshedFamily, x: np.ndarray) -> FamilyJet:
     t0 = family.value_at(x)
     if t0 is None:
         raise PreconditionError("boundary crossing")
-    kern_tol = _kernel_tolerance(family.tol, _detector(family, x))
+    # rank tolerance: 1e3 x the detector, at least rank_eps, and below 1
+    rank_eps = max(1e3 * max(_detector(family, x), 1e-16), family.tol.rank_eps)
+    kern_tol = Tolerance(min(rank_eps, np.nextafter(1.0, 0.0)), family.tol.crossing_eps)
     return FamilyJet(family.k, t0, tuple(family.partials_at(x)), family.w, kern_tol)
 
 
 def total_intersection_number(family: MeshedFamily
                               ) -> tuple[int, list[tuple[np.ndarray, int]]]:
-    """Sum of local intersection numbers over all located crossings."""
+    """Sum of local intersection numbers over all located crossings.
+
+    For k = 1 and W = C^n, with T(lo), T(hi) at the axis' ends invertible at
+    rank_eps (else "boundary crossing"), it is orientation (n-(T(lo)) -
+    n-(T(hi))), else "unresolved cluster".  k >= 2 has no such oracle.
+    """
     points = locate_crossings(family)
     total = 0
     detail: list[tuple[np.ndarray, int]] = []
@@ -529,4 +525,12 @@ def total_intersection_number(family: MeshedFamily
         eps = family.orientation * intersection_number_operator(crossing_jet(family, x))
         detail.append((x, eps))
         total += eps
+    if family.k == 1 and family.w.shape[1] == family.w.shape[0]:
+        ends = [family.value_at(x) for x in _box(family)]
+        if all(t is not None for t in ends):
+            if any(numeric_kernel(t, family.tol).shape[1] for t in ends):
+                raise PreconditionError("boundary crossing")
+            lo, hi = (int(np.sum(np.linalg.eigvalsh(t) < 0.0)) for t in ends)
+            if family.orientation * (lo - hi) != total:
+                raise PreconditionError("unresolved cluster")
     return total, detail

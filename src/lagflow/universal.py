@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .flow import HermitianPath, _check_grid, _det_steps, _Geodesic, _whole
+from .flow import HermitianPath, _check_grid, _Geodesic, _whole
 from .grassmann import LagrangianFrame
 from .linalg import orthonormalize, require_unitary
 
@@ -139,17 +139,16 @@ def universal_loop_flow(loop: UnitaryLoop) -> int:
     step from U_a to U_b, arg det U turns by sum(phi), phi the eigenphases
     of U_a* U_b, and the flow is the sum of these turns over the loop
     divided by 2 pi.  No eigenphase is matched or lifted.  The count is exact for
-    the geodesic interpolant of a sampled loop; for a ``func`` loop, steps
-    with max|phi| > pi/2 are halved and one more halving must leave every
-    turn unchanged, else "grid too coarse".  A loop that winds a full turn
-    between two samples is beyond any sampler.
+    the geodesic interpolant of a sampled loop; a ``func`` loop is counted on
+    steps refined and checked once per loop (``flow._checked_steps``), else
+    "grid too coarse".  A loop that winds a full turn between two samples
+    is beyond any sampler.
     """
     phases0 = np.angle(np.linalg.eigvals(loop.value_at(0.0)))
     if np.min(np.abs(phases0)) <= 1e-12:
         raise PreconditionError("degenerate endpoint")
-    ts, turn = ((list(loop.grid), loop._geodesic.turn) if loop.func is None
-                else _det_steps(cache(loop.value_at), loop._geodesic))
-    return _whole(sum(turn(a, b) for a, b in zip(ts[:-1], ts[1:])) / (2.0 * np.pi))
+    _, turns = loop._geodesic.counted(cache(loop._geodesic.at))
+    return _whole(sum(turns) / (2.0 * np.pi))
 
 
 def universal_reduction(u) -> np.ndarray:

@@ -207,6 +207,45 @@ def test_intersect_total_cli_finds_a_crossing_of_a_scaled_family(tmp_path, capsy
     assert abs(crossing["point"][0] - 0.3) < 1e-14 and crossing["epsilon"] == 1
 
 
+def test_intersect_total_cli_rejects_a_kernel_of_dimension_two(tmp_path, capsys):
+    # x I_2 with W = C^2: both eigenvalues cross at x = 0, so the flow is 2;
+    # a located point whose kernel meets W in a plane must not be dropped
+    axis = np.linspace(-1.0, 1.0, 9)
+    fam = {"k": 1, "axes": [list(axis)], "W_frame": ser.encode_matrix(np.eye(2)),
+           "values": [ser.encode_matrix(x * np.eye(2)) for x in axis]}
+    code, out, err = run(capsys, "intersect-total", write(tmp_path, "family.json", fam))
+    assert code == 2 and out == "" and "kernel too large" in err
+
+
+def test_intersect_total_cli_rejects_two_crossings_in_one_cell(tmp_path, capsys):
+    # diag(x, x + 1e-3): two crossings 1e-3 apart inside one cell of width
+    # 0.25; one Newton run finds one of them, and the k = 1 total must equal
+    # n-(T(-1)) - n-(T(1)) = 2
+    axis = np.linspace(-1.0, 1.0, 9)
+    fam = {"k": 1, "axes": [list(axis)], "W_frame": ser.encode_matrix(np.eye(2)),
+           "values": [ser.encode_matrix(np.diag([x, x + 1e-3])) for x in axis]}
+    code, out, err = run(capsys, "intersect-total", write(tmp_path, "family.json", fam))
+    assert code == 2 and out == "" and "unresolved cluster" in err
+
+
+def test_sf_cli_signs_with_per_node_derivatives(tmp_path, capsys):
+    # diag(-1, .5, 2) + t diag(3, -2, 1): the second entry falls through zero
+    # at t = 1/4 and the first rises through it at t = 1/3
+    grid = np.linspace(0.0, 1.0, 9)
+    a, b = np.diag([-1.0, 0.5, 2.0]), np.diag([3.0, -2.0, 1.0])
+    path = write(tmp_path, "path.json",
+                 {"grid": list(grid), "values": [ser.encode_matrix(a + t * b) for t in grid],
+                  "derivatives": [ser.encode_matrix(b) for _ in grid]})
+    for method in ("crossing", "both"):
+        code, out, err = run(capsys, "sf", path, "--method", method)
+        assert code == 0 and err == ""
+        result = json.loads(out)
+        assert result["flow"] == 0
+        assert [c["sign"] for c in result["crossings"]] == [-1, 1]
+        times = [c["t"] for c in result["crossings"]]
+        assert abs(times[0] - 0.25) < 1e-12 and abs(times[1] - 1.0 / 3.0) < 1e-12
+
+
 def test_intersect_total_cli_rejects_a_non_hermitian_node(tmp_path, capsys):
     axes = [list(np.linspace(-0.6, 0.6, 3))]
     values = [ser.encode_matrix(x * np.eye(2)) for x in axes[0]]

@@ -174,6 +174,29 @@ def test_concatenation_additivity(rng):
         assert spectral_flow_crossing(left)[0] + spectral_flow_crossing(right)[0] == flow
 
 
+@pytest.mark.parametrize("kind", ["dfunc", "derivatives"])
+def test_concatenation_additivity_with_given_derivatives(kind):
+    # diag(-1, .5, 2) + t diag(3, -2, 1) crosses at t = 1/4 (-1) and 1/3 (+1);
+    # cut between them, each half keeps one crossing, signed by the
+    # derivative the restriction rescales
+    a, b = np.diag([-1.0, 0.5, 2.0]), np.diag([3.0, -2.0, 1.0])
+    if kind == "dfunc":
+        path = HermitianPath.from_function(lambda t: a + t * b, 9, dfunc=lambda t: b)
+    else:
+        grid = np.linspace(0.0, 1.0, 9)
+        path = HermitianPath(grid, tuple(a + t * b for t in grid), tuple(b for _ in grid))
+    assert spectral_flow_crossing(path)[0] == 0
+    left, right = path.restricted(0.0, 0.3), path.restricted(0.3, 1.0)
+    assert (left.dfunc is None) == (kind != "dfunc")
+    assert (left.derivatives is None) == (kind != "derivatives")
+    assert np.allclose(left.derivative_at(0.5), 0.3 * b)
+    assert np.allclose(right.derivative_at(0.5), 0.7 * b)
+    for half, sign, t in ((left, -1, 0.25 / 0.3), (right, 1, (1.0 / 3.0 - 0.3) / 0.7)):
+        flow, crossings = spectral_flow_crossing(half)
+        assert (flow, [c.sign for c in crossings]) == (sign, [sign])
+        assert abs(crossings[0].t - t) < 1e-12
+
+
 def test_homotopy_invariance_small_loop(rng):
     path, flow = admissible_affine(3, rng)
     gap = min(np.min(np.abs(np.linalg.eigvalsh(path.value_at(t))))
@@ -740,3 +763,35 @@ def test_func_maslov_decomposes_each_grid_step_once(monkeypatch):
     for ua, ub in zip(nodes[:-1], nodes[1:]):
         same = [p for p in pairs if np.array_equal(p[0], ua) and np.array_equal(p[1], ub)]
         assert len(same) == 1
+
+
+def test_func_maslov_checks_its_steps_once(monkeypatch):
+    # the first count halves each of the 16 steps once, to check it: two
+    # Schur calls and one func call per step, and the locating adds its own;
+    # a later count reads the checked steps and makes only the locating's
+    # calls, which in the first call found two of the check's U(t) cached
+    v = random_unitary(4, np.random.default_rng(6))
+    a = (v * np.array([-1.0, -0.5, 1.0, 2.0])) @ v.conj().T
+    b = 1.5 * np.eye(4)
+    schur_calls, func_calls = [], []
+    original = scipy.linalg.schur
+
+    def counting(*args, **kwargs):
+        schur_calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    def func(t):
+        func_calls.append(t)
+        return switched_graph(a + t * b)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    path = LagrangianPath.from_function(func, 17)
+    assert (path.grid.size, len(schur_calls)) == (17, 16)
+    counts = []
+    for _ in range(2):
+        schur_calls.clear()
+        func_calls.clear()
+        assert maslov_index(path)[0] == 2
+        counts.append((len(schur_calls), len(func_calls)))
+    assert counts[0] == (34, 39)
+    assert counts[1] == (34 - 32, 39 - 16 + 2)

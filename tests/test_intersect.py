@@ -392,8 +392,8 @@ def test_newton_locates_a_k1_crossing_to_rounding_in_few_evaluations(monkeypatch
     assert len(points) == 1 and abs(points[0][0] - 0.13) < 1e-14
     # 9 scan nodes; one run from 0.15: T there, then per step a central
     # difference (2) and its end (1), the second step too short to take;
-    # the detector and the kernel check at the end: 17, with one to spare
-    assert len(calls) <= 18
+    # the detector at the end: 16, with one to spare
+    assert len(calls) <= 17
 
 
 def test_a_tie_between_neighbouring_nodes_starts_one_run(monkeypatch):
@@ -428,6 +428,36 @@ def test_a_crossing_beyond_half_a_spacing_outside_the_box_is_not_the_familys():
     near = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0] - 0.3, x[0] - 1.1]))
     with pytest.raises(PreconditionError, match="boundary crossing"):
         locate_crossings(near)
+
+
+def test_a_k1_total_is_checked_against_the_axis_flow(monkeypatch):
+    import dataclasses
+
+    import lagflow.intersect
+
+    # diag(x - 0.3, x - 1.2): n-(T(-1)) - n-(T(1)) = 2 - 1, one crossing +1
+    axes = (np.linspace(-1.0, 1.0, 9),)
+    fam = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0] - 0.3, x[0] - 1.2]))
+    assert total_intersection_number(fam)[0] == 1
+    assert total_intersection_number(dataclasses.replace(fam, orientation=-1))[0] == -1
+    # W a line of C^2: the kernel e2 at x = 0.3 misses W, and n- is no oracle
+    line = MeshedFamily(1, axes, np.array([[1.0], [0.0]]),
+                        func=lambda x: np.diag([1.0, x[0] - 0.3]))
+    assert total_intersection_number(line) == (0, [])
+    # T has no value at the upper end: no oracle either
+    holed = MeshedFamily(1, axes, np.eye(2), func=lambda x: (
+        None if x[0] > 0.9 else np.diag([x[0] - 0.3, 1.0])))
+    assert total_intersection_number(holed)[0] == 1
+
+    monkeypatch.setattr(lagflow.intersect, "locate_crossings", lambda family: [])
+    with pytest.raises(PreconditionError, match="unresolved cluster"):
+        total_intersection_number(fam)  # a scan that missed the crossing
+    assert total_intersection_number(holed) == (0, [])
+    for end in (-1.0, 1.0):  # T singular at an end, at rank_eps
+        edge = MeshedFamily(1, axes, np.eye(2), func=lambda x, e=end: np.diag(
+            [x[0] - e + 0.5 * fam.tol.rank_eps * e, 1.0]))
+        with pytest.raises(PreconditionError, match="boundary crossing"):
+            total_intersection_number(edge)
 
 
 def test_runs_start_from_the_local_minima_of_the_scan(monkeypatch):

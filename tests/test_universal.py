@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lagflow.errors import InputError, PreconditionError
-from lagflow.flow import spectral_flow_tracking
+from lagflow.flow import LagrangianPath, maslov_index, spectral_flow_tracking
 from lagflow.grassmann import cayley_graph
 from lagflow.linalg import subspaces_equal
 from lagflow.universal import (
@@ -109,6 +110,84 @@ def test_loop_flow_of_evenly_spaced_windings(n, endpoint):
     # at n >= 64 one step moves every phase past two or more neighbours
     loop = UnitaryLoop.from_function(evenly_winding(n, endpoint), 33)
     assert universal_loop_flow(loop) == n
+
+
+def winding_pair(phase):
+    """t |-> diag(e^{i phase(t)}, e^{0.3i}): one phase moves, the other stays off 0 and pi."""
+    return lambda t: np.diag([np.exp(1j * phase(t)), np.exp(0.3j)])
+
+
+def winding(w):
+    return winding_pair(lambda t: 2 * np.pi * w * t + 0.5)
+
+
+# four excursions up to 0.98 pi past the start and back; the phase passes
+# pi and -pi but nets no turn, and every node of 5 or 9 sits where it rests
+bumps = winding_pair(lambda t: 0.98 * np.pi * np.sin(8 * np.pi * t) + 0.5)
+
+
+def cayley_func_path(u, nodes):
+    """A ``func`` path of Cayley graphs on exactly ``nodes`` nodes (no guard refinement)."""
+    grid = np.linspace(0.0, 1.0, nodes)
+    func = lambda t: cayley_graph(u(t))  # noqa: E731
+    return LagrangianPath(grid, tuple(func(t) for t in grid), func)
+
+
+@pytest.mark.parametrize("nodes", [5, 3])
+def test_loop_flow_refines_steps_a_func_loop_turns_past_their_reach(nodes):
+    # a step of 3/4 or 3/2 turns reads as a short turn backwards; halved
+    # until every step turns at most pi/2, the count is the winding
+    loop = UnitaryLoop.from_function(winding(3), nodes)
+    assert universal_loop_flow(loop) == universal_loop_flow(loop) == 3
+
+
+def test_a_func_loop_that_turns_once_per_step_is_too_coarse():
+    # both nodes coincide; the halving check sees the turn the step hides
+    loop = UnitaryLoop.from_function(winding(1), 2)
+    path = cayley_func_path(winding(1), 2)
+    for call in (lambda: universal_loop_flow(loop), lambda: maslov_index(path)) * 2:
+        with pytest.raises(PreconditionError, match="grid too coarse"):
+            call()
+
+
+@pytest.mark.parametrize("phase, nodes", [
+    # a tent up to 1.6 pi at t = 1/2 and back: each node step reads as a
+    # short turn of -0.4 pi, but its halves turn 0.8 pi each
+    (lambda t: 0.5 + 3.2 * np.pi * min(t, 1.0 - t), 3),
+    # a jump of 0.9 pi at t = 0.3 stays wider than pi/2 at every halving
+    (lambda t: 0.5 + 0.9 * np.pi * (0.3 <= t < 0.7), 5),
+])
+def test_a_func_loop_that_halving_cannot_resolve_is_too_coarse(phase, nodes):
+    loop = UnitaryLoop.from_function(winding_pair(phase), nodes)
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="grid too coarse"):
+            universal_loop_flow(loop)
+
+
+@pytest.mark.parametrize("nodes", [5, 9, 17])
+def test_excursions_between_the_nodes_of_a_func_loop_net_nothing(nodes):
+    loop = UnitaryLoop.from_function(bumps, nodes)
+    assert universal_loop_flow(loop) == universal_loop_flow(loop) == 0
+    if nodes < 17:  # at 17 nodes the frames break the 0.5 guard
+        path = cayley_func_path(bumps, nodes)
+        assert maslov_index(path)[0] == maslov_index(path)[0] == 0
+
+
+def test_a_func_loop_checks_its_steps_once(monkeypatch):
+    calls = []
+    original = scipy.linalg.schur
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    loop = UnitaryLoop.from_function(winding(3), 5)
+    assert universal_loop_flow(loop) == 3
+    assert calls
+    calls.clear()
+    assert universal_loop_flow(loop) == 3
+    assert calls == []
 
 
 def test_loop_flow_degenerate_endpoint():

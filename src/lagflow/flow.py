@@ -68,8 +68,9 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # flow.py uses no scipy.optimize; bench/tracer.py still looks up
-    # ``linear_sum_assignment`` here, so that lookup binds it (PEP 562)
+    # lagflow uses no scipy; bench/tracer.py still looks up
+    # ``linear_sum_assignment`` here, so that lookup binds it (PEP 562) from
+    # the scipy of the ``test`` extra
     if name != "linear_sum_assignment":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy.optimize import linear_sum_assignment
@@ -409,6 +410,8 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
     Returns (flow, crossings).  Preconditions: invertible endpoints; every
     crossing must carry a nondegenerate crossing form (for a simple
     crossing this is the classical |<dA v, v>| > crossing_eps condition).
+    Signs that do not sum to n-(A(0)) - n-(A(1)) raise "unresolved cluster":
+    the grid left crossings unseen between two nodes.
     """
     eig_at, scale, node_eps = _path_eigs(path, tol)
     ts, evs, stuck = _shift_interior_zeros(_refine_grid(path.grid, 8), eig_at, node_eps)
@@ -444,6 +447,8 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
         sgn = _crossing_signature(kernel, path._rates(t_star), tol)
         crossings.append(Crossing(t_star, sgn))
         flow += sgn
+    if flow != np.sum(eig_at(0.0) < 0.0) - np.sum(eig_at(1.0) < 0.0):
+        raise PreconditionError("unresolved cluster")
     return flow, crossings
 
 
@@ -548,14 +553,38 @@ def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray
     The step from Ua to Ub is the geodesic Ua exp(s log R), 0 <= s <= 1,
     along which arg det U moves by exactly sum(phi).  It needs the
     principal log, so a step with some |phi| > pi - 1e-6 is too coarse.
-    """
-    from scipy.linalg import schur
 
-    tri, vecs = schur(ua.conj().T @ ub, output="complex")  # diagonal: R is normal
-    phi = np.angle(np.diag(tri))
+    With R' = e^{-i alpha} R, the Cayley transform K = i (1 - R')(1 + R')^-1
+    is Hermitian, and eigh(K) = (mu, V) gives phi = alpha + 2 arctan(mu).
+    alpha = 0 is accurate while every |phi| <= pi/2, where cond(1 + R) <=
+    sqrt(2); a step past that, or with R' singular at -1, is solved again
+    with the pole -e^{i alpha} in the middle of the widest gap of R's
+    eigenphases.
+    """
+    r = ua.conj().T @ ub
+    try:
+        phi, vecs = _cayley_angles(r, 0.0)
+    except np.linalg.LinAlgError:  # R has the eigenvalue -1
+        phi = None
+    if phi is None or np.max(np.abs(phi)) > 0.5 * np.pi:
+        theta = np.sort(np.angle(np.linalg.eigvals(r)))
+        gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
+        j = int(np.argmax(gaps))
+        phi, vecs = _cayley_angles(r, theta[j] + 0.5 * gaps[j] - np.pi)
+        phi -= 2.0 * np.pi * np.round(phi / (2.0 * np.pi))
     if np.max(np.abs(phi)) > np.pi - 1e-6:
         raise PreconditionError("grid too coarse")
     return phi, vecs
+
+
+def _cayley_angles(r: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha + 2 arctan(mu), V) for eigh(K) = (mu, V) of the Cayley transform
+    K of e^{-i alpha} R, not wrapped; LinAlgError when -1 is its eigenvalue."""
+    eye = np.eye(r.shape[0])
+    rot = np.exp(-1j * alpha) * r
+    k = 1j * np.linalg.solve(eye + rot, eye - rot)
+    mu, vecs = np.linalg.eigh(0.5 * (k + k.conj().T))
+    return alpha + 2.0 * np.arctan(mu), vecs
 
 
 class _Geodesic:
@@ -612,7 +641,7 @@ class _Geodesic:
         j, _ = _bracket(ts, 0.5 * (a + b))
         if self.between is None or (a, b) == (ts[j], ts[j + 1]):
             return (b - a) / (ts[j + 1] - ts[j]) * turns[j]
-        return float(np.sum(_step_angles(u_at(a), u_at(b))[0]))
+        return _turn(u_at, a, b)
 
     def rates(self, t: float, u_at) -> list[np.ndarray]:
         """-i U* dU/dt at an event t: V diag(phi) V* / h on each geodesic step
@@ -647,12 +676,16 @@ def _checked_steps(geodesic: _Geodesic, u_at) -> list[tuple[float, float, np.nda
                  for piece in (halves(a, b) if w else [(a, b, phi)])]
     else:
         raise PreconditionError("grid too coarse")
-    turn = lambda a, b: float(np.sum(_step_angles(u_at(a), u_at(b))[0]))  # noqa: E731
     for a, b, phi in steps:
         m = 0.5 * (a + b)
-        if _whole((turn(a, m) + turn(m, b) - float(np.sum(phi))) / (2.0 * np.pi)):
+        if _whole((_turn(u_at, a, m) + _turn(u_at, m, b) - float(np.sum(phi))) / (2.0 * np.pi)):
             raise PreconditionError("grid too coarse")
     return steps
+
+
+def _turn(u_at, a: float, b: float) -> float:
+    """sum(phi) of :func:`_step_angles`: the turn of arg det U along the geodesic U(a)-U(b)."""
+    return float(np.sum(_step_angles(u_at(a), u_at(b))[0]))
 
 
 def _whole(x: float) -> int:

@@ -64,8 +64,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # intersect.py uses no scipy.optimize; only bench/tracer.py reads
-    # ``minimize`` here, so that lookup binds it (PEP 562)
+    # lagflow uses no scipy; only bench/tracer.py reads ``minimize`` here,
+    # so that lookup binds it (PEP 562) from the scipy of the ``test`` extra
     if name != "minimize":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy.optimize import minimize
@@ -302,7 +302,9 @@ class MeshedFamily:
     back), or ``values`` holds Hermitian node samples, checked here and
     interpolated multilinearly.  ``orientation`` is the sign of the
     parameter frame against the ambient orientation of the family's
-    manifold; it multiplies every local intersection number.
+    manifold; it multiplies every local intersection number.  W must have
+    codimension k-1 in C^n: sampled values are checked here, and a ``func``
+    family at the first value :func:`locate_crossings` reads.
     """
 
     k: int
@@ -329,8 +331,7 @@ class MeshedFamily:
             shape = tuple(a.size for a in axes)
             if vals.shape[: len(shape)] != shape or vals.ndim != len(shape) + 2:
                 raise InputError("sampled values do not match the mesh shape")
-            if w.shape[0] != vals.shape[-1]:
-                raise InputError("W frame does not match the family dimension")
+            _check_w(w, self.k, vals.shape[-1])
             nodes = [require_hermitian(v) for v in vals.reshape((-1,) + vals.shape[-2:])]
             object.__setattr__(self, "values", np.stack(nodes).reshape(vals.shape))
         object.__setattr__(self, "axes", axes)
@@ -387,16 +388,27 @@ class MeshedFamily:
         return out
 
 
+def _check_w(w: np.ndarray, k: int, n: int):
+    if w.shape[0] != n:
+        raise InputError("W frame does not match the family dimension")
+    if w.shape[1] != n - (k - 1):
+        raise InputError("W must have codimension k-1 in C^n")
+
+
 def _detector(family: MeshedFamily, x: np.ndarray) -> float:
-    """sigma_min of [Z | -(0; W)] for the switched graph Z = [T; 1]B of T(x),
-    B = (1 + T^2)^(-1/2).  Its Gram matrix is [[1, -BW], [-(BW)*, 1]], so the
-    square is 1 - sigma_max(BW); |BWc|^2 + |TBWc|^2 = |c|^2 turns that into
-    s / sqrt(1 + sqrt(1 - s^2)), s = sigma_min(TBW), which keeps its digits
-    near 0 where sqrt(1 - sigma_max(BW)) does not."""
-    t = family.value_at(x)
+    return _gap(family.value_at(x), family.w)
+
+
+def _gap(t: np.ndarray | None, w: np.ndarray) -> float:
+    """sigma_min of [Z | -(0; W)] for the switched graph Z = [T; 1]B of T,
+    B = (1 + T^2)^(-1/2), and inf where T has no value.  Its Gram matrix is
+    [[1, -BW], [-(BW)*, 1]], so the square is 1 - sigma_max(BW); |BWc|^2 +
+    |TBWc|^2 = |c|^2 turns that into s / sqrt(1 + sqrt(1 - s^2)), s =
+    sigma_min(TBW), which keeps its digits near 0 where sqrt(1 - sigma_max(BW))
+    does not."""
     if t is None:
         return np.inf
-    s = float(np.linalg.svd(t @ _inv_sqrt_eye_plus_sq(t) @ family.w, compute_uv=False)[-1])
+    s = float(np.linalg.svd(t @ _inv_sqrt_eye_plus_sq(t) @ w, compute_uv=False)[-1])
     return s / np.sqrt(1.0 + np.sqrt(max(1.0 - s * s, 0.0)))  # s rounds above 1 for large T
 
 
@@ -412,8 +424,11 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
     and two closer than the spacing raise "unresolved cluster".
     """
     shape = tuple(a.size for a in family.axes)
-    grid = np.array([_detector(family, _mesh_node(family, idx))
-                     for idx in np.ndindex(shape)]).reshape(shape)
+    values = [family.value_at(_mesh_node(family, idx)) for idx in np.ndindex(shape)]
+    # a func family shows its dimension at its first value
+    _check_w(family.w, family.k, next((t.shape[0] for t in values if t is not None),
+                                      family.w.shape[0]))
+    grid = np.array([_gap(t, family.w) for t in values]).reshape(shape)
     # local minima; a tie with a neighbour earlier in scan order leaves the
     # run to that neighbour
     starts = np.isfinite(grid)
@@ -505,7 +520,7 @@ def crossing_jet(family: MeshedFamily, x: np.ndarray) -> FamilyJet:
     if t0 is None:
         raise PreconditionError("boundary crossing")
     # rank tolerance: 1e3 x the detector, at least rank_eps, and below 1
-    rank_eps = max(1e3 * max(_detector(family, x), 1e-16), family.tol.rank_eps)
+    rank_eps = max(1e3 * max(_gap(t0, family.w), 1e-16), family.tol.rank_eps)
     kern_tol = Tolerance(min(rank_eps, np.nextafter(1.0, 0.0)), family.tol.crossing_eps)
     return FamilyJet(family.k, t0, tuple(family.partials_at(x)), family.w, kern_tol)
 
@@ -514,7 +529,7 @@ def total_intersection_number(family: MeshedFamily
                               ) -> tuple[int, list[tuple[np.ndarray, int]]]:
     """Sum of local intersection numbers over all located crossings.
 
-    For k = 1 and W = C^n, with T(lo), T(hi) at the axis' ends invertible at
+    For k = 1 (so W = C^n), with T(lo), T(hi) at the axis' ends invertible at
     rank_eps (else "boundary crossing"), it is orientation (n-(T(lo)) -
     n-(T(hi))), else "unresolved cluster".  k >= 2 has no such oracle.
     """
@@ -525,7 +540,7 @@ def total_intersection_number(family: MeshedFamily
         eps = family.orientation * intersection_number_operator(crossing_jet(family, x))
         detail.append((x, eps))
         total += eps
-    if family.k == 1 and family.w.shape[1] == family.w.shape[0]:
+    if family.k == 1:
         ends = [family.value_at(x) for x in _box(family)]
         if all(t is not None for t in ends):
             if any(numeric_kernel(t, family.tol).shape[1] for t in ends):

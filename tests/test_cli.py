@@ -228,6 +228,17 @@ def test_intersect_total_cli_rejects_two_crossings_in_one_cell(tmp_path, capsys)
     assert code == 2 and out == "" and "unresolved cluster" in err
 
 
+@pytest.mark.parametrize("line", [[1.0, 0.0], [0.0, 1.0]])
+def test_intersect_total_cli_rejects_a_w_of_the_wrong_codimension(tmp_path, capsys, line):
+    # k = 1 needs W = C^2; a line is malformed whether or not the kernel of
+    # diag(1, x - 0.3) at its crossing lies in it
+    axis = np.linspace(-1.0, 1.0, 9)
+    fam = {"k": 1, "axes": [list(axis)], "W_frame": ser.encode_matrix(np.array([line]).T),
+           "values": [ser.encode_matrix(np.diag([1.0, x - 0.3])) for x in axis]}
+    code, out, err = run(capsys, "intersect-total", write(tmp_path, "family.json", fam))
+    assert code == 3 and out == "" and "W must have codimension k-1 in C^n" in err
+
+
 def test_sf_cli_signs_with_per_node_derivatives(tmp_path, capsys):
     # diag(-1, .5, 2) + t diag(3, -2, 1): the second entry falls through zero
     # at t = 1/4 and the first rises through it at t = 1/3
@@ -376,7 +387,7 @@ print(json.dumps({"import": after_import, "codes": codes, "verbs": scipy_modules
 """
 
 
-def test_imports_and_numpy_only_verbs_load_no_scipy(tmp_path):
+def test_imports_and_every_verb_load_no_scipy(tmp_path):
     u2 = np.array([[0.3 + 0.4j, -np.sqrt(0.75)], [np.sqrt(0.75), 0.3 - 0.4j]])
     u = write(tmp_path, "u.json", ser.encode_matrix(u2))
     lag = write(tmp_path, "l.json", ser.encode_lagrangian(standard_lagrangians(2)[1]))
@@ -396,13 +407,22 @@ def test_imports_and_numpy_only_verbs_load_no_scipy(tmp_path):
                               ser.encode_matrix(np.array([[0, 1.0], [1.0, 0]])),
                               ser.encode_matrix(np.array([[0, 1j], [-1j, 0]]))],
                  "W_frame": ser.encode_matrix(np.array([[0.0], [1.0]]))})
+    grid = np.linspace(0.0, 1.0, 17)
+    lpath = write(tmp_path, "lpath.json", {"grid": list(grid), "values": [
+        ser.encode_lagrangian(switched_graph(np.array([[t - 0.5]]))) for t in grid]})
+    loop = write(tmp_path, "loop.json", {"grid": list(grid), "values": [
+        ser.encode_matrix(np.array([[np.exp(1j * (2 * np.pi * t + np.pi))]])) for t in grid]})
+    csv_out = str(tmp_path / "plot.csv")
     verbs = [["arnold", "--to-lagrangian", u], ["arnold", "--to-unitary", lag],
              ["sf", path, "--method", "both"], ["schubert", lag],
              ["reduce", "--unitary", u, "--w-indices", "1"],
              ["reduce", "--lagrangian", chart, "--w-frame", w], ["intersect", jet],
              ["intersect-total", family],
              ["universal", "--spectrum", u, "--window", "-7", "7"],
-             ["universal", "--reduce", u]]
+             ["universal", "--reduce", u],
+             ["maslov", lpath], ["maslov", lpath, "--plot", csv_out],
+             ["universal", "--flow", loop], ["universal", "--flow", loop, "--m", "16",
+                                              "--plot", csv_out]]
     src = str(Path(lagflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

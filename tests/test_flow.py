@@ -3,7 +3,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import lagflow.flow
 from lagflow.cli import main as cli_main
@@ -119,6 +118,18 @@ def test_double_crossing_between_nodes():
     flow, crossings = spectral_flow_crossing(path)
     assert flow == 0
     assert len(crossings) == 2
+
+
+def test_three_roots_in_one_sub_interval_are_an_unresolved_cluster():
+    # the roots c - 1e-3, c and c + 1e-3 (signs +, -, +) share the x8
+    # sub-interval [1/2, 33/64] around c; the root finder lands on the middle
+    # root, and its sign alone misses n-(A(0)) - n-(A(1)) = 1
+    c = 0.5078125
+    path = HermitianPath.from_function(
+        lambda t: np.array([[(t - c) - 1e-3 * np.tanh((t - c) / 1e-5)]]), 9)
+    assert spectral_flow_tracking(path)[0] == 1
+    with pytest.raises(PreconditionError, match="unresolved cluster"):
+        spectral_flow_crossing(path)
 
 
 def test_node_exactly_on_crossing():
@@ -389,15 +400,15 @@ def test_frames_farther_apart_than_the_guard_are_an_input_error():
 
 def test_sampled_paths_decompose_each_grid_step_once(monkeypatch, tmp_path, capsys):
     # the 0.5 guard decomposes the 16 grid steps; maslov_index and the
-    # eigenphase plot read those decompositions and make no Schur call
+    # eigenphase plot read those decompositions and decompose no step
     calls = []
-    original = scipy.linalg.schur
+    original = lagflow.flow._step_angles
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
+    def counting(ua, ub):
+        calls.append(ua.shape)
+        return original(ua, ub)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(lagflow.flow, "_step_angles", counting)
     v = random_unitary(4, np.random.default_rng(6))
     a = (v * np.array([-1.0, -0.5, 1.0, 2.0])) @ v.conj().T
     b = 1.5 * np.eye(4)
@@ -415,6 +426,79 @@ def test_sampled_paths_decompose_each_grid_step_once(monkeypatch, tmp_path, caps
     assert cli_main(["maslov", str(lpath), "--plot", str(tmp_path / "phases.csv")]) == 0
     assert json.loads(capsys.readouterr().out)["flow"] == 2
     assert len(calls) == 16
+
+
+# ---------------------------------------------------------------------------
+# the step kernel: eigenphases of R = Ua* Ub from eigh of a Cayley transform
+
+
+def _kernel_phases(kind, n):
+    """Known eigenphases of one kind: spread over (-pi, pi), repeated, or with
+    max|phi| just below or just above pi/2 (one pass, or two)."""
+    if kind == "spread":
+        return (np.arange(n) + 0.5) / n * 2.0 * np.pi - np.pi + 0.01
+    if kind == "repeated":
+        return np.resize([2.9, -1.0, 0.25], n)
+    edge = 0.5 * np.pi * (1.0 - 1e-9 if kind == "below" else 1.0 + 1e-9)
+    return np.resize([-edge, 0.3, edge, -1.2], n) if n > 1 else np.array([edge])
+
+
+def _step_of(phases, seed):
+    """(Ua, Ub, R) with R = Ua* Ub = W diag(e^{i phases}) W*, W and Ua Haar."""
+    rng = np.random.default_rng(seed)
+    r = unitary_with_phases(phases, rng)
+    ua = random_unitary(len(phases), rng)
+    return ua, ua @ r, r
+
+
+@pytest.mark.parametrize("kind", ["spread", "repeated", "below", "above"])
+@pytest.mark.parametrize("n", [1, 2, 6, 64, 65, 128])
+def test_step_kernel_recovers_known_phases(monkeypatch, n, kind):
+    eigvals_calls = []
+    original = np.linalg.eigvals
+
+    def counting(a):
+        eigvals_calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    phases = _kernel_phases(kind, n)
+    ua, ub, r = _step_of(phases, n)
+    phi, vecs = lagflow.flow._step_angles(ua, ub)
+    assert abs(np.sum(phi) - np.sum(phases)) <= 1e-13
+    assert np.max(np.abs(np.sort(phi) - np.sort(phases))) <= 1e-13
+    assert np.max(np.abs(vecs @ vecs.conj().T - np.eye(n))) <= 1e-13
+    assert np.max(np.abs((vecs * np.exp(1j * phi)) @ vecs.conj().T - r)) <= 1e-13
+    # the alpha = 0 pass alone while max|phi| <= pi/2, else a rotated one too
+    rotated = np.max(np.abs(phases)) > 0.5 * np.pi
+    assert len(eigvals_calls) == int(rotated)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n", [1, 2, 6, 64, 65, 128])
+def test_step_kernel_guard_decides_as_the_exact_phases(n, sign):
+    for offset, too_coarse in ((-1e-8, False), (1e-8, True)):
+        phases = _kernel_phases("spread", n) * 0.9
+        phases[-1] = sign * (np.pi - 1e-6 + offset)
+        ua, ub, _ = _step_of(phases, n)
+        if too_coarse:
+            with pytest.raises(PreconditionError, match="grid too coarse"):
+                lagflow.flow._step_angles(ua, ub)
+        else:
+            phi, _ = lagflow.flow._step_angles(ua, ub)
+            assert abs(np.sum(phi) - np.sum(phases)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 64])
+def test_step_kernel_rejects_an_exact_minus_one(n):
+    # 1 + R is exactly singular for the diagonal R, nearly so in a Haar basis
+    phases = _kernel_phases("spread", n) * 0.5
+    phases[0] = np.pi
+    diagonal = np.diag(np.exp(1j * phases))
+    diagonal[0, 0] = -1.0
+    for ua, ub in ((np.eye(n), diagonal), _step_of(phases, n)[:2]):
+        with pytest.raises(PreconditionError, match="grid too coarse"):
+            lagflow.flow._step_angles(ua, ub)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 65])
@@ -569,7 +653,7 @@ def test_flow_routes_leave_no_reference_cycles():
     gc.disable()
     try:
         for k, call in enumerate(calls):
-            call()  # warm-up: first-call caches of numpy and scipy
+            call()  # warm-up: first-call caches of numpy
             gc.collect()
             call()
             assert gc.collect() == 0, k
@@ -767,31 +851,32 @@ def test_func_maslov_decomposes_each_grid_step_once(monkeypatch):
 
 def test_func_maslov_checks_its_steps_once(monkeypatch):
     # the first count halves each of the 16 steps once, to check it: two
-    # Schur calls and one func call per step, and the locating adds its own;
-    # a later count reads the checked steps and makes only the locating's
-    # calls, which in the first call found two of the check's U(t) cached
+    # step decompositions and one func call per step, and the locating adds
+    # its own; a later count reads the checked steps and makes only the
+    # locating's calls, which in the first call found two of the check's
+    # U(t) cached
     v = random_unitary(4, np.random.default_rng(6))
     a = (v * np.array([-1.0, -0.5, 1.0, 2.0])) @ v.conj().T
     b = 1.5 * np.eye(4)
-    schur_calls, func_calls = [], []
-    original = scipy.linalg.schur
+    step_calls, func_calls = [], []
+    original = lagflow.flow._step_angles
 
-    def counting(*args, **kwargs):
-        schur_calls.append(args[0].shape)
-        return original(*args, **kwargs)
+    def counting(ua, ub):
+        step_calls.append(ua.shape)
+        return original(ua, ub)
 
     def func(t):
         func_calls.append(t)
         return switched_graph(a + t * b)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(lagflow.flow, "_step_angles", counting)
     path = LagrangianPath.from_function(func, 17)
-    assert (path.grid.size, len(schur_calls)) == (17, 16)
+    assert (path.grid.size, len(step_calls)) == (17, 16)
     counts = []
     for _ in range(2):
-        schur_calls.clear()
+        step_calls.clear()
         func_calls.clear()
         assert maslov_index(path)[0] == 2
-        counts.append((len(schur_calls), len(func_calls)))
+        counts.append((len(step_calls), len(func_calls)))
     assert counts[0] == (34, 39)
     assert counts[1] == (34 - 32, 39 - 16 + 2)

@@ -440,10 +440,11 @@ def test_a_k1_total_is_checked_against_the_axis_flow(monkeypatch):
     fam = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0] - 0.3, x[0] - 1.2]))
     assert total_intersection_number(fam)[0] == 1
     assert total_intersection_number(dataclasses.replace(fam, orientation=-1))[0] == -1
-    # W a line of C^2: the kernel e2 at x = 0.3 misses W, and n- is no oracle
+    # W a line of C^2 has codimension 1, where k = 1 needs 0: malformed
     line = MeshedFamily(1, axes, np.array([[1.0], [0.0]]),
                         func=lambda x: np.diag([1.0, x[0] - 0.3]))
-    assert total_intersection_number(line) == (0, [])
+    with pytest.raises(InputError, match="codimension k-1"):
+        total_intersection_number(line)
     # T has no value at the upper end: no oracle either
     holed = MeshedFamily(1, axes, np.eye(2), func=lambda x: (
         None if x[0] > 0.9 else np.diag([x[0] - 0.3, 1.0])))

@@ -44,3 +44,31 @@ def test_the_checker_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_reads(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Imports of scipy anywhere in the module but a module-level ``__getattr__``."""
+    tree = ast.parse(source)
+    hooks = {id(node) for top in tree.body
+             if isinstance(top, ast.FunctionDef) and top.name == "__getattr__"
+             for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in hooks or not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name and name.split(".")[0] == "scipy"]
+    return found
+
+
+def test_the_checker_finds_a_scipy_import_outside_the_hooks():
+    source = ("import scipy.linalg\n"
+              "def f():\n    from scipy.linalg import schur\n"
+              "def __getattr__(name):\n    from scipy.optimize import minimize\n")
+    assert scipy_imports(source) == ["scipy.linalg (line 1)", "scipy.linalg (line 3)"]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_outside_a_getattr_hook(module):
+    assert scipy_imports(module.read_text(encoding="utf-8")) == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
+import lagflow.flow
 from lagflow.errors import InputError, PreconditionError
 from lagflow.flow import LagrangianPath, maslov_index, spectral_flow_tracking
 from lagflow.grassmann import cayley_graph
@@ -175,13 +175,13 @@ def test_excursions_between_the_nodes_of_a_func_loop_net_nothing(nodes):
 
 def test_a_func_loop_checks_its_steps_once(monkeypatch):
     calls = []
-    original = scipy.linalg.schur
+    original = lagflow.flow._step_angles
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
+    def counting(ua, ub):
+        calls.append(ua.shape)
+        return original(ua, ub)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(lagflow.flow, "_step_angles", counting)
     loop = UnitaryLoop.from_function(winding(3), 5)
     assert universal_loop_flow(loop) == 3
     assert calls

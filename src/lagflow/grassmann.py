@@ -134,9 +134,10 @@ def reflection_of(lag: LagrangianFrame) -> np.ndarray:
 
 
 def _inv_sqrt_eye_plus_sq(s: np.ndarray) -> np.ndarray:
-    # (1 + S^2)^(-1/2) for a checked Hermitian S, via eigendecomposition
+    # (1 + S^2)^(-1/2) for a checked Hermitian S, or for each of a stack of them,
+    # via eigendecomposition
     vals, vecs = _eigh(s)
-    return (vecs * (1.0 / np.sqrt(1.0 + vals**2))) @ vecs.conj().T
+    return (vecs * (1.0 / np.sqrt(1.0 + vals**2))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _switched_graph(t: np.ndarray) -> tuple[LagrangianFrame, np.ndarray]:

@@ -293,6 +293,9 @@ def operator_jet_to_lagrangian(jet: FamilyJet) -> LagrangianJet:
 # crossing location over parameter meshes
 
 
+_W_SIZE = "W frame does not match the family dimension"
+
+
 @dataclass(frozen=True)
 class MeshedFamily:
     """Hermitian family over a rectangular (2k-1)-dimensional parameter mesh.
@@ -303,8 +306,9 @@ class MeshedFamily:
     interpolated multilinearly.  ``orientation`` is the sign of the
     parameter frame against the ambient orientation of the family's
     manifold; it multiplies every local intersection number.  W must have
-    codimension k-1 in C^n: sampled values are checked here, and a ``func``
-    family at the first value :func:`locate_crossings` reads.
+    codimension k-1 in C^n, with n its number of rows, and every value must
+    be n x n: sampled values are checked here, ``func`` values as they come
+    back.
     """
 
     k: int
@@ -326,12 +330,15 @@ class MeshedFamily:
         w = orthonormalize(self.w)
         if (self.func is None) == (self.values is None):
             raise InputError("exactly one of func/values must be given")
+        if w.shape[1] != w.shape[0] - (self.k - 1):
+            raise InputError("W must have codimension k-1 in C^n")
         if self.values is not None:
             vals = np.asarray(self.values, dtype=np.complex128)
             shape = tuple(a.size for a in axes)
             if vals.shape[: len(shape)] != shape or vals.ndim != len(shape) + 2:
                 raise InputError("sampled values do not match the mesh shape")
-            _check_w(w, self.k, vals.shape[-1])
+            if vals.shape[-1] != w.shape[0]:
+                raise InputError(_W_SIZE)
             nodes = [require_hermitian(v) for v in vals.reshape((-1,) + vals.shape[-2:])]
             object.__setattr__(self, "values", np.stack(nodes).reshape(vals.shape))
         object.__setattr__(self, "axes", axes)
@@ -347,7 +354,12 @@ class MeshedFamily:
     def value_at(self, x: np.ndarray) -> np.ndarray | None:
         if self.func is not None:
             val = self.func(np.asarray(x, dtype=float))
-            return None if val is None else symmetrize(val)
+            if val is None:
+                return None
+            val = symmetrize(val)
+            if val.shape[0] != self.w.shape[0]:
+                raise InputError(_W_SIZE)
+            return val
         idx = []
         weights = []
         for a, xi in zip(self.axes, x):
@@ -388,28 +400,27 @@ class MeshedFamily:
         return out
 
 
-def _check_w(w: np.ndarray, k: int, n: int):
-    if w.shape[0] != n:
-        raise InputError("W frame does not match the family dimension")
-    if w.shape[1] != n - (k - 1):
-        raise InputError("W must have codimension k-1 in C^n")
-
-
-def _detector(family: MeshedFamily, x: np.ndarray) -> float:
-    return _gap(family.value_at(x), family.w)
+def _gaps(values: list[np.ndarray | None], w: np.ndarray) -> np.ndarray:
+    """The detector of each value T, inf where T has none: sigma_min of
+    [Z | -(0; W)] for the switched graph Z = [T; 1]B of T, B = (1 + T^2)^(-1/2).
+    Its Gram matrix is [[1, -BW], [-(BW)*, 1]], so the square is
+    1 - sigma_max(BW); |BWc|^2 + |TBWc|^2 = |c|^2 turns that into
+    s / sqrt(1 + sqrt(1 - s^2)), s = sigma_min(TBW), which keeps its digits
+    near 0 where sqrt(1 - sigma_max(BW)) does not.  One stacked eigh and svd
+    serve all values; LAPACK treats each matrix of a stack alone, so every
+    entry is bit for bit the detector of its value alone."""
+    out = np.full(len(values), np.inf)
+    have = [i for i, t in enumerate(values) if t is not None]
+    if have:
+        t = np.stack([values[i] for i in have])
+        s = np.linalg.svd(t @ _inv_sqrt_eye_plus_sq(t) @ w, compute_uv=False)[:, -1]
+        # s rounds above 1 for large T
+        out[have] = s / np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - s * s, 0.0)))
+    return out
 
 
 def _gap(t: np.ndarray | None, w: np.ndarray) -> float:
-    """sigma_min of [Z | -(0; W)] for the switched graph Z = [T; 1]B of T,
-    B = (1 + T^2)^(-1/2), and inf where T has no value.  Its Gram matrix is
-    [[1, -BW], [-(BW)*, 1]], so the square is 1 - sigma_max(BW); |BWc|^2 +
-    |TBWc|^2 = |c|^2 turns that into s / sqrt(1 + sqrt(1 - s^2)), s =
-    sigma_min(TBW), which keeps its digits near 0 where sqrt(1 - sigma_max(BW))
-    does not."""
-    if t is None:
-        return np.inf
-    s = float(np.linalg.svd(t @ _inv_sqrt_eye_plus_sq(t) @ w, compute_uv=False)[-1])
-    return s / np.sqrt(1.0 + np.sqrt(max(1.0 - s * s, 0.0)))  # s rounds above 1 for large T
+    return float(_gaps([t], w)[0])
 
 
 def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
@@ -424,11 +435,9 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
     and two closer than the spacing raise "unresolved cluster".
     """
     shape = tuple(a.size for a in family.axes)
-    values = [family.value_at(_mesh_node(family, idx)) for idx in np.ndindex(shape)]
-    # a func family shows its dimension at its first value
-    _check_w(family.w, family.k, next((t.shape[0] for t in values if t is not None),
-                                      family.w.shape[0]))
-    grid = np.array([_gap(t, family.w) for t in values]).reshape(shape)
+    nodes = np.stack(np.meshgrid(*family.axes, indexing="ij"), axis=-1).reshape(-1, family.dims)
+    values = [family.value_at(x) for x in nodes]
+    grid = _gaps(values, family.w).reshape(shape)
     # local minima; a tie with a neighbour earlier in scan order leaves the
     # run to that neighbour
     starts = np.isfinite(grid)
@@ -439,12 +448,11 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
 
     spacing = family.spacing()
     merged: list[np.ndarray] = []
-    for idx in zip(*np.nonzero(starts)):
-        x = _newton(family, _mesh_node(family, idx))
-        detector = np.inf if x is None else _detector(family, x)
-        if detector < family.tol.rank_eps and all(
-                np.linalg.norm(x - m) > spacing / 8.0 for m in merged):
-            merged.append(x)
+    for i in np.flatnonzero(starts):
+        end = _newton(family, nodes[i], values[i])
+        if end is not None and _gap(end[1], family.w) < family.tol.rank_eps and all(
+                np.linalg.norm(end[0] - m) > spacing / 8.0 for m in merged):
+            merged.append(end[0])
     for a, b in itertools.combinations(merged, 2):
         if np.linalg.norm(a - b) < spacing:
             raise PreconditionError("unresolved cluster")
@@ -452,10 +460,6 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
     if any(np.any((x - lo < spacing / 2.0) | (hi - x < spacing / 2.0)) for x in merged):
         raise PreconditionError("boundary crossing")
     return merged
-
-
-def _mesh_node(family: MeshedFamily, idx: tuple[int, ...]) -> np.ndarray:
-    return np.array([family.axes[d][i] for d, i in enumerate(idx)])
 
 
 def _box(family: MeshedFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -468,8 +472,9 @@ _NEWTON_STEPS = 16
 _NEWTON_HALVINGS = 8
 
 
-def _newton(family: MeshedFamily, x: np.ndarray) -> np.ndarray | None:
-    """Gauss-Newton on T(x) W c = 0, |c| = 1, from a node x where T has a value.
+def _newton(family: MeshedFamily, x: np.ndarray, t: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Gauss-Newton on T(x) W c = 0, |c| = 1, from a node x where T has the value t.
 
     c starts as the right singular vector of T(x) W for its least singular
     value.  A step solves in least squares the real and imaginary parts of
@@ -477,41 +482,45 @@ def _newton(family: MeshedFamily, x: np.ndarray) -> np.ndarray | None:
     (2n + 1) and of full rank at a transversal crossing; J_x is the central
     difference of TWc with step spacing/2^10, one-sided where T has a value
     on one side only.  A step is halved while its end leaves the box widened
-    by spacing/2 or T has no value there; a run that cannot move ends in None.
+    by spacing/2 or T has no value there; a run that cannot move ends in None,
+    any other in its end x and T(x).
     """
     spacing, (lo, hi) = family.spacing(), _box(family)
+    lo, hi = lo - spacing / 2.0, hi + spacing / 2.0
     h = spacing / 2**10
-    t = family.value_at(x)
     c = np.linalg.svd(t @ family.w)[2][-1].conj()
-    d, m = x.size, c.size
+    n, d, m = t.shape[0], x.size, c.size
+    steps = h * np.eye(d)
+    # the complex rows above, and their real and imaginary parts stacked
+    rows = np.zeros((n + 1, d + 2 * m), dtype=np.complex128)
+    system, rhs = np.empty((2, n + 1, d + 2 * m)), np.zeros((2, n + 1))
     for _ in range(_NEWTON_STEPS):
         tw, wc = t @ family.w, family.w @ c
-        jac = np.empty((t.shape[0], d), dtype=np.complex128)
-        for i, e in enumerate(h * np.eye(d)):
+        for i, e in enumerate(steps):
             tp, tm = family.value_at(x + e), family.value_at(x - e)
             if tp is None and tm is None:
                 return None
             width = 2.0 * h if tp is not None and tm is not None else h
-            jac[:, i] = ((t if tp is None else tp) - (t if tm is None else tm)) @ wc / width
-        rows = np.vstack([np.hstack([jac, tw, 1j * tw]),
-                          np.concatenate([np.zeros(d), c.conj(), 1j * c.conj()])])
-        rhs = np.append(-(tw @ c), 0.0)
-        step = np.linalg.lstsq(np.vstack([rows.real, rows.imag]),
-                               np.concatenate([rhs.real, rhs.imag]), rcond=None)[0]
+            rows[:n, i] = ((t if tp is None else tp) - (t if tm is None else tm)) @ wc / width
+        rows[:n, d:d + m], rows[:n, d + m:] = tw, 1j * tw
+        rows[n, d:d + m], rows[n, d + m:] = c.conj(), 1j * c.conj()
+        system[0], system[1] = rows.real, rows.imag
+        residual = -(tw @ c)
+        rhs[0, :n], rhs[1, :n] = residual.real, residual.imag
+        step = np.linalg.lstsq(system.reshape(2 * n + 2, -1), rhs.reshape(-1), rcond=None)[0]
         dx, dc = step[:d], step[d:d + m] + 1j * step[d + m:]
         if np.linalg.norm(dx) <= 1e-15 * max(1.0, float(np.linalg.norm(x))):
             break
         for _ in range(_NEWTON_HALVINGS + 1):
             end = x + dx
-            inside = np.all((lo - spacing / 2.0 <= end) & (end <= hi + spacing / 2.0))
-            t_end = family.value_at(end) if inside else None
+            t_end = family.value_at(end) if (lo <= end).all() and (end <= hi).all() else None
             if t_end is not None:
                 break
             dx, dc = dx / 2.0, dc / 2.0
         else:
             return None
         x, t, c = end, t_end, (c + dc) / np.linalg.norm(c + dc)
-    return x
+    return x, t
 
 
 def crossing_jet(family: MeshedFamily, x: np.ndarray) -> FamilyJet:

@@ -86,7 +86,8 @@ def as_complex_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise InputError(f"expected a matrix, got array of ndim {m.ndim}")
-    if not (np.all(np.abs(m.real) < _MAX_PART) and np.all(np.abs(m.imag) < _MAX_PART)):
+    # one pass over the real and imaginary parts; a NaN fails the comparison
+    if not np.abs(m.ravel().view(np.float64)).max(initial=0.0) < _MAX_PART:
         raise InputError("matrix entries must be finite and below 2**1023")
     return m
 

@@ -20,8 +20,8 @@ from lagflow.intersect import (
     operator_jet_to_lagrangian,
     total_intersection_number,
 )
-from lagflow.intersect import _detector  # the mesh scan's private measure
-from lagflow.linalg import orthonormalize
+from lagflow.intersect import _gap, _gaps  # the mesh scan's private measure
+from lagflow.linalg import orthonormalize, symmetrize
 from lagflow.reduction import IsotropicSubspace
 
 from conftest import random_hermitian, random_unitary
@@ -333,9 +333,9 @@ def _frame_detector(family, x):
     return float(np.linalg.svd(block, compute_uv=False)[-1])
 
 
-def test_detector_equals_the_switched_graph_frame_formula():
-    # n <= 6 and 65, k <= 3, scales 1e-3 to 1e4; two cases in three put an
-    # eigenvalue 1e-12 to 1e-2 of T on a unit vector of W
+def _detector_corpus():
+    """(k, W, T) of 900 cases: n <= 6 and 65, k <= 3, scales 1e-3 to 1e4; two
+    cases in three put an eigenvalue 1e-12 to 1e-2 of T on a unit vector of W."""
     rng = np.random.default_rng(12)
     for case in range(900):
         n = 65 if case % 25 == 0 else case % 6 + 1
@@ -350,15 +350,48 @@ def test_detector_equals_the_switched_graph_frame_formula():
             t = scale * (q * lam) @ q.conj().T
         else:
             t = random_hermitian(n, rng, scale)
+        yield k, w, t
+
+
+def test_detector_equals_the_switched_graph_frame_formula():
+    for k, w, t in _detector_corpus():
         axes = tuple(np.linspace(-1.0, 1.0, 3) for _ in range(2 * k - 1))
         fam = MeshedFamily(k, axes, w, func=lambda x, t=t: t)
         x = np.zeros(2 * k - 1)
         ref = _frame_detector(fam, x)
-        assert abs(_detector(fam, x) - ref) <= (1e-15 if ref < 1e-2 else 1e-10)
+        assert abs(_gap(fam.value_at(x), fam.w) - ref) <= (1e-15 if ref < 1e-2 else 1e-10)
     # at |T| ~ 1e9 sigma_min(TBW) rounds to 1 + 2e-16, and 1 - s^2 below 0
     t = random_hermitian(3, np.random.default_rng(7), 1e9)
     fam = MeshedFamily(1, (np.linspace(-1.0, 1.0, 3),), np.eye(3), func=lambda x: t)
-    assert abs(_detector(fam, np.zeros(1)) - _frame_detector(fam, np.zeros(1))) <= 1e-8
+    x = np.zeros(1)
+    assert abs(_gap(fam.value_at(x), fam.w) - _frame_detector(fam, x)) <= 1e-8
+
+
+def _node_gap(t, w):
+    """The detector of one value, with 2-d eigh, products and svd."""
+    vals, vecs = np.linalg.eigh(t)
+    b = (vecs * (1.0 / np.sqrt(1.0 + vals**2))) @ vecs.conj().T
+    s = float(np.linalg.svd(t @ b @ w, compute_uv=False)[-1])
+    return s / np.sqrt(1.0 + np.sqrt(max(1.0 - s * s, 0.0)))
+
+
+def test_the_stacked_detector_equals_the_per_node_detector_bit_for_bit():
+    # each case's T with its own W beside the previous T of its size and no
+    # values; then each size's whole stack against the W of its first case
+    by_size, previous = {}, {}
+    for k, w, t in _detector_corpus():
+        t = symmetrize(t)
+        n = t.shape[0]
+        values = [None, t, previous.get(n), None]
+        want = [np.inf if v is None else _node_gap(v, w) for v in values]
+        assert _gaps(values, w).tobytes() == np.array(want).tobytes()
+        assert [_gap(v, w) for v in values] == want
+        previous[n] = t
+        by_size.setdefault(n, (w, []))[1].extend([t, None])
+    for w, values in by_size.values():
+        want = [np.inf if v is None else _node_gap(v, w) for v in values]
+        assert _gaps(values, w).tobytes() == np.array(want).tobytes()
+    assert _gaps([None, None], W2).tolist() == [np.inf, np.inf]
 
 
 def test_scipy_names_bind_on_first_lookup():
@@ -390,10 +423,11 @@ def test_newton_locates_a_k1_crossing_to_rounding_in_few_evaluations(monkeypatch
     fam = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0] - 0.13, 1.0]))
     points = locate_crossings(fam)
     assert len(points) == 1 and abs(points[0][0] - 0.13) < 1e-14
-    # 9 scan nodes; one run from 0.15: T there, then per step a central
-    # difference (2) and its end (1), the second step too short to take;
-    # the detector at the end: 16, with one to spare
-    assert len(calls) <= 17
+    # 9 scan nodes; one run from 0.15, which starts from the scan's T there:
+    # per step a central difference (2) and its end (1), the second step too
+    # short to take; the detector at the end reads the run's last T: 14, with
+    # one to spare
+    assert len(calls) <= 15
 
 
 def test_a_tie_between_neighbouring_nodes_starts_one_run(monkeypatch):
@@ -402,16 +436,17 @@ def test_a_tie_between_neighbouring_nodes_starts_one_run(monkeypatch):
     starts = []
     original = lagflow.intersect._newton
 
-    def counting(family, x0):
+    def counting(family, x0, t0):
         starts.append(x0)
-        return original(family, x0)
+        return original(family, x0, t0)
 
     monkeypatch.setattr(lagflow.intersect, "_newton", counting)
     # Ker T(x) = span e1 at x = 0, halfway between the nodes -0.1 and 0.1,
     # whose detector values are exactly equal
     axes = (np.array([-0.5, -0.3, -0.1, 0.1, 0.3, 0.5]),)
     fam = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0], 1.0]))
-    assert _detector(fam, np.array([-0.1])) == _detector(fam, np.array([0.1]))
+    below, above = fam.value_at(np.array([-0.1])), fam.value_at(np.array([0.1]))
+    assert _gap(below, fam.w) == _gap(above, fam.w)
     points = locate_crossings(fam)
     assert len(points) == 1 and abs(points[0][0]) < fam.spacing() / 2**6
     assert [list(x) for x in starts] == [[-0.1]]  # from the first node in scan order
@@ -441,10 +476,9 @@ def test_a_k1_total_is_checked_against_the_axis_flow(monkeypatch):
     assert total_intersection_number(fam)[0] == 1
     assert total_intersection_number(dataclasses.replace(fam, orientation=-1))[0] == -1
     # W a line of C^2 has codimension 1, where k = 1 needs 0: malformed
-    line = MeshedFamily(1, axes, np.array([[1.0], [0.0]]),
-                        func=lambda x: np.diag([1.0, x[0] - 0.3]))
     with pytest.raises(InputError, match="codimension k-1"):
-        total_intersection_number(line)
+        MeshedFamily(1, axes, np.array([[1.0], [0.0]]),
+                     func=lambda x: np.diag([1.0, x[0] - 0.3]))
     # T has no value at the upper end: no oracle either
     holed = MeshedFamily(1, axes, np.eye(2), func=lambda x: (
         None if x[0] > 0.9 else np.diag([x[0] - 0.3, 1.0])))
@@ -467,9 +501,9 @@ def test_runs_start_from_the_local_minima_of_the_scan(monkeypatch):
     starts = []
     original = lagflow.intersect._newton
 
-    def counting(family, x0):
+    def counting(family, x0, t0):
         starts.append(tuple(x0))
-        return original(family, x0)
+        return original(family, x0, t0)
 
     monkeypatch.setattr(lagflow.intersect, "_newton", counting)
     # a symmetric axis ties mirrored nodes exactly; T has no value on a strip
@@ -488,7 +522,7 @@ def test_runs_start_from_the_local_minima_of_the_scan(monkeypatch):
     # the reference rule, node by node: a finite local minimum whose equal
     # neighbours all come later in scan order
     shape = (7, 7, 7)
-    grid = {idx: _detector(fam, axis[list(idx)]) for idx in np.ndindex(shape)}
+    grid = {idx: _gap(fam.value_at(axis[list(idx)]), fam.w) for idx in np.ndindex(shape)}
     expected, ties = [], 0
     for idx, val in grid.items():
         nbs = [idx[:d] + (idx[d] + s,) + idx[d + 1:] for d in range(3) for s in (-1, 1)
@@ -499,3 +533,47 @@ def test_runs_start_from_the_local_minima_of_the_scan(monkeypatch):
             expected.append(tuple(axis[list(idx)]))
     assert ties and len(expected) > 1
     assert starts == expected
+
+
+def test_a_func_value_of_the_wrong_size_is_an_input_error():
+    # W = C^2 fixes n = 2; from x = 0 on, T is 3 x 3
+    axes = (np.linspace(-1.0, 1.0, 5),)
+    fam = MeshedFamily(1, axes, np.eye(2), func=lambda x: (
+        np.diag([x[0] - 0.3, 1.0]) if x[0] < 0 else np.diag([x[0] - 0.3, 1.0, 2.0])))
+    assert fam.value_at(np.array([-0.5])).shape == (2, 2)
+    with pytest.raises(InputError, match="W frame does not match the family dimension"):
+        locate_crossings(fam)
+    # sampled values are checked at construction
+    with pytest.raises(InputError, match="W frame does not match the family dimension"):
+        MeshedFamily(1, axes, np.eye(2), values=np.zeros((5, 3, 3)))
+
+
+def test_the_scan_and_newton_read_each_point_once(monkeypatch):
+    import lagflow.intersect
+
+    calls, starts = [], []
+    value_at, newton = MeshedFamily.value_at, lagflow.intersect._newton
+
+    def counting(self, x):
+        calls.append(tuple(x))
+        return value_at(self, x)
+
+    def run(family, x0, t0):
+        starts.append(tuple(x0))
+        return newton(family, x0, t0)
+
+    monkeypatch.setattr(MeshedFamily, "value_at", counting)
+    monkeypatch.setattr(lagflow.intersect, "_newton", run)
+    # Ker T meets C^2 at x = 0.13 only; near x = -pi/8, where cos(8x) + 1.2
+    # has its minimum 0.2, a second run starts and ends with nothing
+    axis = np.linspace(-0.6, 0.6, 13)
+    fam = MeshedFamily(1, (axis,), np.eye(2),
+                       func=lambda x: np.diag([np.cos(8.0 * x[0]) + 1.2, x[0] - 0.13]))
+    points = locate_crossings(fam)
+    assert len(points) == 1 and abs(points[0][0] - 0.13) < 1e-14
+    assert len(starts) == 2
+    # the scan reads every node once, in scan order; no run reads its start
+    # again, and no accepted end is read again
+    assert calls[: axis.size] == [(a,) for a in axis]
+    assert all(calls.count(x0) == 1 for x0 in starts)
+    assert all(calls.count(tuple(x)) == 1 for x in points)

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from lagflow.errors import InputError
 from lagflow.linalg import (
     Tolerance,
+    as_complex_matrix,
     hermitian_eig,
     numeric_kernel,
     numeric_rank,
@@ -143,3 +146,25 @@ def test_parts_past_2_pow_1023_are_rejected():
         switched_graph(big)
     with pytest.raises(InputError, match="finite"):
         spectral_flow_tracking(HermitianPath(np.array([0.0, 1.0]), (big, -big)))
+
+
+def test_the_finite_check_accepts_exactly_the_parts_below_2_pow_1023():
+    # the rule, part by part: |Re| < 2**1023 and |Im| < 2**1023, NaN rejected
+    below = np.nextafter(2.0**1023, 0.0)
+    cases = {np.nan: False, np.inf: False, -np.inf: False, 2.0**1023: False,
+             -(2.0**1023): False, below: True, -below: True}
+    base = np.arange(24.0).reshape(4, 6) * (1.0 - 0.5j)
+    layouts = {"contiguous": lambda a: a, "transposed": lambda a: a.T,
+               "strided": lambda a: a[::2, 1::3]}
+    for (value, accepted), part, (layout, view) in itertools.product(
+            cases.items(), ("real", "imag"), layouts.items()):
+        m = view(base.copy())
+        getattr(m, part)[-1, 0] = value
+        assert np.isfinite(getattr(m, {"real": "imag", "imag": "real"}[part])).all()
+        assert m.flags.c_contiguous == (layout == "contiguous")
+        if accepted:
+            assert as_complex_matrix(m).tobytes() == np.ascontiguousarray(m).tobytes()
+        else:
+            with pytest.raises(InputError, match="finite and below 2\\*\\*1023"):
+                as_complex_matrix(m)
+    assert as_complex_matrix(np.zeros((0, 3))).shape == (0, 3)

@@ -72,3 +72,42 @@ def test_the_checker_finds_a_scipy_import_outside_the_hooks():
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_scipy_outside_a_getattr_hook(module):
     assert scipy_imports(module.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions and classes no other statement reads.
+
+    ``sources`` maps module names to their source.  A name counts as read
+    when a top-level statement other than its definition, in any of the
+    modules, holds it as a name, an attribute or an imported name.
+    """
+    defined, reads = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.name)
+            reads.append((node, names))
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined.append((module, node))
+    return [f"{module}: {node.name} (line {node.lineno})" for module, node in defined
+            if not any(node.name in names for other, names in reads if other is not node)]
+
+
+def test_the_checker_finds_a_dead_private_function():
+    sources = {"a": ("def _used():\n    pass\ndef _dead():\n    _used()\n"
+                     "def _recursive():\n    _recursive()\nclass _Held:\n    pass\n"
+                     "def __getattr__(name):\n    pass\n"),
+               "b": "from a import _Held\nimport a\na._used()\n"}
+    assert dead_private_names(sources) == ["a: _dead (line 3)", "a: _recursive (line 5)"]
+
+
+def test_every_private_function_or_class_is_read_elsewhere_in_the_package():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import serialize
 from .errors import InputError, PreconditionError
-from .flow import maslov_index, spectral_flow_crossing, spectral_flow_tracking
+from .flow import _stacked_eigs, maslov_index, spectral_flow_crossing, spectral_flow_tracking
 from .grassmann import cayley_graph, lagrangian_to_unitary
 from .intersect import _transversal_sign, operator_determinant, total_intersection_number
 from .linalg import Tolerance, require_unitary
@@ -78,9 +78,10 @@ def _emit_flow(flow: int, crossings):
 
 def _write_branch_csv(path: str, grid: np.ndarray, per_step: int, label: str, width: int,
                       branches):
-    """CSV of t and the ``width`` values ``branches(t)``, per_step points per grid step."""
+    """CSV of each t and its ``width`` values, per_step points per grid step;
+    ``branches(ts)`` gives the values of each t of ts, in order."""
     ts = np.linspace(0.0, 1.0, per_step * (grid.size - 1) + 1)
-    rows = [[t] + list(branches(t)) for t in ts]
+    rows = [[t] + list(vals) for t, vals in zip(ts, branches(ts))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"{label}{i}" for i in range(width)])
@@ -113,7 +114,7 @@ def _cmd_sf(args) -> int:
                 f"{results['crossing'][0]} vs tracking {results['tracking'][0]}")
     if args.plot:
         _write_branch_csv(args.plot, path.grid, 8, "lambda", path.dim,
-                          lambda t: np.linalg.eigvalsh(path.value_at(t)))
+                          lambda ts: _stacked_eigs(path, ts))
     _emit_flow(*results.get("crossing", results.get("tracking")))
     return EXIT_OK
 
@@ -123,8 +124,8 @@ def _cmd_maslov(args) -> int:
     path = serialize.decode_lagrangian_path(_load_json(args.path))
     result = maslov_index(path, tol)
     if args.plot:
-        _write_branch_csv(args.plot, path.grid, 8, "theta", path.n,
-                          lambda t: np.sort(np.angle(np.linalg.eigvals(path._geodesic.at(t)))))
+        _write_branch_csv(args.plot, path.grid, 8, "theta", path.n, lambda ts: (
+            np.sort(np.angle(np.linalg.eigvals(path._geodesic.at(t)))) for t in ts))
     _emit_flow(*result)
     return EXIT_OK
 
@@ -200,7 +201,8 @@ def _cmd_universal(args) -> int:
                 ev = np.linalg.eigvalsh(discretize_operator(loop.value_at(t), args.m))
                 return np.sort(ev[np.argsort(np.abs(ev))[:branches]])
 
-            _write_branch_csv(args.plot, loop.grid, 2, "lambda", branches, low_ladder)
+            _write_branch_csv(args.plot, loop.grid, 2, "lambda", branches,
+                              lambda ts: map(low_ladder, ts))
         _emit({"flow": flow})
     else:
         u = serialize.decode_matrix(_load_json(args.reduce))

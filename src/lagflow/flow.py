@@ -37,8 +37,12 @@ event counts half the signature on each side.
 
 Both spectral-flow routes evaluate each parameter value once per call:
 the node scan, every branch's midpoints and root-finder steps and the
-touch refinement read the same sorted eigenvalues of A(t).  Only the
-kernel at a located crossing needs A(t) again, for its eigenvectors.
+touch refinement read the sorted eigenvalues of A(t) from one memo.  The
+values known in advance, the refined nodes and the midpoints the branches
+will probe, are filled one grid step of the path at a time, with one
+stacked eigvalsh of at most 8 matrices; the others are read one by one.
+Only the kernel at a located crossing needs A(t) again, for its
+eigenvectors.
 
 Crossings are only counted in the open interior (0, 1); paths whose
 endpoints are degenerate are rejected rather than half-counted, which
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,6 +87,7 @@ _MAX_DEPTH = 40
 _MAX_SPLITS = 14
 _NODE_SHIFT = 1e-7
 _FD_STEP = 1e-4
+_STACK = 8
 
 
 @dataclass(frozen=True)
@@ -113,10 +118,21 @@ def _check_grid(grid) -> np.ndarray:
 
 def _bracket(grid: np.ndarray, t: float) -> tuple[int, float]:
     """Interval i of the grid that holds t, and t's offset s in it (0 to 1)."""
-    i = int(np.searchsorted(grid, t, side="right") - 1)
+    i = int(grid.searchsorted(t, side="right")) - 1
     i = min(max(i, 0), grid.size - 2)
+    return i, _offset(grid, i, t)
+
+
+def _offset(grid: np.ndarray, i: int, t):
+    """(t - t_i) / (t_i+1 - t_i): the offset of t, or of an array of t, in grid step i."""
     a, b = grid[i], grid[i + 1]
-    return i, (t - a) / (b - a)
+    return (t - a) / (b - a)
+
+
+def _lerp(nodes: Sequence[np.ndarray], i: int, s):
+    """(1 - s) nodes[i] + s nodes[i+1]: the path interpolation, at one offset s
+    or at a (k, 1, 1) array of them."""
+    return (1.0 - s) * nodes[i] + s * nodes[i + 1]
 
 
 def _sides(grid: np.ndarray, t: float) -> list[int]:
@@ -177,19 +193,36 @@ class HermitianPath:
     def value_at(self, t: float) -> np.ndarray:
         t = min(max(float(t), 0.0), 1.0)
         if self.func is not None:
-            return symmetrize(self.func(t))
+            return self._checked(self.func(t))
         i, s = _bracket(self.grid, t)
-        return (1.0 - s) * self.values[i] + s * self.values[i + 1]
+        return _lerp(self.values, i, s)
+
+    def _stack(self, i: int, ts: Sequence[float]) -> np.ndarray:
+        """value_at of each t of grid step i, stacked: a ``func`` path calls
+        func once per t, in order, and a sampled one interpolates them all in
+        one array operation, with value_at's float operations."""
+        if self.func is not None:
+            return np.stack([self.value_at(t) for t in ts])
+        s = _offset(self.grid, i, np.array(ts, dtype=float))
+        return _lerp(self.values, i, s[:, None, None])
+
+    def _checked(self, value) -> np.ndarray:
+        """A ``func`` or ``dfunc`` value, symmetrized; an input error when its
+        size is not the path's."""
+        m = symmetrize(value)
+        if m.shape[0] != self.values[0].shape[0]:
+            raise InputError("all path values must share one dimension")
+        return m
 
     def derivative_at(self, t: float) -> np.ndarray:
         t = min(max(float(t), 0.0), 1.0)
         if self.dfunc is not None:
-            return symmetrize(self.dfunc(t))
+            return self._checked(self.dfunc(t))
         if self.func is not None and self.derivatives is None:
             return _richardson_derivative(self.value_at, t, self.grid)
         i, s = _bracket(self.grid, t)
         if self.derivatives is not None:
-            return (1.0 - s) * self.derivatives[i] + s * self.derivatives[i + 1]
+            return _lerp(self.derivatives, i, s)
         return self._slope(i)
 
     def _slope(self, i: int) -> np.ndarray:
@@ -235,22 +268,22 @@ def _refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
                            for a, b in zip(grid[:-1], grid[1:])] + [grid[-1:]])
 
 
-def _shift_interior_zeros(ts: np.ndarray, eig_at, eps: float
+def _shift_interior_zeros(ts: np.ndarray, eig_at, eig_rows, eps: float
                           ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Nudge interior nodes sitting on (near-)zero eigenvalues off the zero.
 
     Returns the nodes, the sorted eigenvalues at them (one row per node)
     and the touch candidates: nodes whose smallest eigenvalue magnitude
-    stays below eps even after nudging (the branch is flat there).
+    stays below eps even after nudging (the branch is flat there).  The
+    rows come from one eig_rows; only the nodes it finds near a zero are
+    read again, one by one, as they move.
     """
     ts = ts.copy()
-    spacing = float(np.min(np.diff(ts)))
-    delta = _NODE_SHIFT * spacing
-    evs = [eig_at(ts[0])]
+    delta = _NODE_SHIFT * float(np.min(np.diff(ts)))
+    evs = eig_rows(ts)
     stuck = []
-    for i in range(1, ts.size - 1):
-        vals = eig_at(ts[i])
-        orig = ts[i]
+    for i in np.flatnonzero(np.min(np.abs(evs[1:-1]), axis=1) <= eps) + 1:
+        orig, vals = ts[i], evs[i]
         for _ in range(3):
             if np.min(np.abs(vals)) > eps:
                 break
@@ -258,31 +291,56 @@ def _shift_interior_zeros(ts: np.ndarray, eig_at, eps: float
             vals = eig_at(ts[i])
         else:
             stuck.append(float(orig))
-        evs.append(vals)
-    evs.append(eig_at(ts[-1]))
-    return ts, np.array(evs), stuck
+        evs[i] = vals
+    return ts, evs, stuck
+
+
+def _stacked_eigs(path: HermitianPath, ts: Sequence[float]) -> Iterator[np.ndarray]:
+    """The sorted eigenvalues of A(t) for each t in [0, 1], in order and
+    read-only: one stacked eigvalsh per run of at most _STACK consecutive t
+    in one step of the path's grid, so no call holds more than _STACK
+    matrices whatever the path's size."""
+    steps = np.clip(path.grid.searchsorted(ts, side="right") - 1, 0, path.grid.size - 2)
+    start = 0
+    for k in range(1, len(ts) + 1):
+        if k == len(ts) or steps[k] != steps[start] or k - start == _STACK:
+            vals = np.linalg.eigvalsh(path._stack(steps[start], ts[start:k]))
+            vals.flags.writeable = False
+            yield from vals
+            start = k
 
 
 def _path_eigs(path: HermitianPath, tol: Tolerance):
-    """(eig_at, scale, node_eps): the sorted eigenvalues of A(t) as a function
-    of t, the largest node entry (at least 1) and the zero threshold at nodes.
-    Raises "degenerate endpoint" when A(0) or A(1) is singular.
+    """(eig_at, eig_rows, scale, node_eps): the sorted eigenvalues of A(t) as
+    a function of t, the same as one array of rows for a sequence of t, the
+    largest node entry (at least 1) and the zero threshold at nodes.  Raises
+    "degenerate endpoint" when A(0) or A(1) is singular.
 
-    eig_at evaluates each distinct t once for as long as the caller holds
-    it, and its arrays are read-only, since every caller shares them.
+    Both read one memo, which holds each distinct t evaluated once, for as
+    long as the caller holds them; its arrays are read-only, since every
+    caller shares them.  eig_at evaluates a t it lacks alone; eig_rows fills
+    those it lacks with :func:`_stacked_eigs`, a grid step at a time, so the
+    memory a fill takes is bounded by _STACK matrices, not by the count of t.
     """
+    memo: dict[float, np.ndarray] = {}
 
-    @cache
     def eig_at(t: float) -> np.ndarray:
-        vals = np.linalg.eigvalsh(path.value_at(t))
-        vals.flags.writeable = False
+        vals = memo.get(t)
+        if vals is None:
+            vals = memo[t] = np.linalg.eigvalsh(path.value_at(t))
+            vals.flags.writeable = False
         return vals
+
+    def eig_rows(ts: Sequence[float]) -> np.ndarray:
+        todo = [t for t in ts if t not in memo]
+        memo.update(zip(todo, _stacked_eigs(path, todo)))
+        return np.array([memo[t] for t in ts])
 
     for t in (0.0, 1.0):
         if np.min(np.abs(eig_at(t))) <= tol.crossing_eps:
             raise PreconditionError("degenerate endpoint")
     scale = max(1.0, max(float(np.abs(v).max(initial=0.0)) for v in path.values))
-    return eig_at, scale, max(tol.crossing_eps, 1e-12 * scale)
+    return eig_at, eig_rows, scale, max(tol.crossing_eps, 1e-12 * scale)
 
 
 def _root(g, lo: float, hi: float, glo: float, ghi: float, width: float
@@ -413,8 +471,12 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
     Signs that do not sum to n-(A(0)) - n-(A(1)) raise "unresolved cluster":
     the grid left crossings unseen between two nodes.
     """
-    eig_at, scale, node_eps = _path_eigs(path, tol)
-    ts, evs, stuck = _shift_interior_zeros(_refine_grid(path.grid, 8), eig_at, node_eps)
+    eig_at, eig_rows, scale, node_eps = _path_eigs(path, tol)
+    ts, evs, stuck = _shift_interior_zeros(_refine_grid(path.grid, 8), eig_at, eig_rows,
+                                           node_eps)
+    # the midpoints _branch_crossings probes first: those of the intervals
+    # where some branch keeps its sign
+    eig_rows(0.5 * (ts[:-1] + ts[1:])[np.any(evs[:-1] * evs[1:] >= 0.0, axis=1)])
     n = path.dim
     sub_spacing = float(np.min(np.diff(ts)))
 
@@ -462,8 +524,8 @@ def spectral_flow_tracking(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
     |n-(t_i) - n-(t_i+1)| crossings of that sign at its midpoint, and the
     flow is n-(A(0)) - n-(A(1)).
     """
-    eig_at, _, node_eps = _path_eigs(path, tol)
-    ts, evs, _ = _shift_interior_zeros(_refine_grid(path.grid, 4), eig_at, node_eps)
+    eig_at, eig_rows, _, node_eps = _path_eigs(path, tol)
+    ts, evs, _ = _shift_interior_zeros(_refine_grid(path.grid, 4), eig_at, eig_rows, node_eps)
     negative = np.sum(evs < 0.0, axis=1)
     detail: list[Crossing] = []
     for i, d in enumerate(negative[:-1] - negative[1:]):
@@ -508,7 +570,7 @@ class LagrangianPath:
         if any(v.n != n for v in vals):
             raise InputError("all frames must share one half-dimension")
         between = None if self.func is None else (
-            lambda t, func=self.func: lagrangian_to_unitary(func(t)))
+            lambda t, func=self.func: lagrangian_to_unitary(_frame_of(func, t, n)))
         geodesic = _Geodesic(g, [lagrangian_to_unitary(v) for v in vals], between)
         try:
             wide = any(np.max(np.abs(np.sin(0.5 * geodesic.step(i)[0]))) > 0.5 + 1e-9
@@ -540,11 +602,19 @@ class LagrangianPath:
     def frame_at(self, t: float) -> LagrangianFrame:
         t = min(max(float(t), 0.0), 1.0)
         if self.func is not None:
-            return self.func(t)
+            return _frame_of(self.func, t, self.n)
         i, s = _bracket(self.grid, t)
         if 0.0 < s < 1.0:
             return cayley_graph(self._geodesic.at(t))
         return self.values[i + (s >= 1.0)]
+
+
+def _frame_of(func, t: float, n: int) -> LagrangianFrame:
+    """func(t), a ``func`` path's frame; an input error when its half-dimension is not n."""
+    frame = func(t)
+    if frame.n != n:
+        raise InputError("all frames must share one half-dimension")
+    return frame
 
 
 def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

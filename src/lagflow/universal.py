@@ -115,7 +115,7 @@ class UnitaryLoop:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", vals)
         between = None if self.func is None else (
-            lambda t, func=self.func: require_unitary(func(t)))
+            lambda t, func=self.func: _loop_value(func, t, dim))
         object.__setattr__(self, "_geodesic", _Geodesic(g, vals, between))
 
     @classmethod
@@ -129,6 +129,14 @@ class UnitaryLoop:
 
     def value_at(self, t: float) -> np.ndarray:
         return self._geodesic.at(min(max(float(t), 0.0), 1.0))
+
+
+def _loop_value(func, t: float, dim: int) -> np.ndarray:
+    """func(t), a ``func`` loop's unitary; an input error when its size is not dim."""
+    u = require_unitary(func(t))
+    if u.shape[0] != dim:
+        raise InputError("all loop values must share one dimension")
+    return u
 
 
 def universal_loop_flow(loop: UnitaryLoop) -> int:

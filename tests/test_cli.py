@@ -93,6 +93,24 @@ def test_sf_plot_csv(tmp_path, capsys):
     assert len(lines) > 8
 
 
+
+def test_sf_plot_rows_are_the_eigenvalues_at_each_t(tmp_path, capsys):
+    # 33 points on a grid whose second step holds 30 of them
+    rng = np.random.default_rng(3)
+    grid = np.array([0.0, 0.02, 0.95, 0.97, 1.0])
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    values = [np.diag([t - 0.5, 1.0 + t, -2.0]) + 0.1 * t * (a + a.conj().T) for t in grid]
+    p = write(tmp_path, "path.json", {"grid": list(grid),
+                                      "values": [ser.encode_matrix(v) for v in values]})
+    csv_out = tmp_path / "branches.csv"
+    code, _, _ = run(capsys, "sf", p, "--plot", str(csv_out))
+    assert code == 0
+    path = ser.decode_hermitian_path(json.loads(Path(p).read_text()))
+    rows = csv_out.read_text().strip().splitlines()[1:]
+    ts = np.linspace(0.0, 1.0, 33)
+    assert rows == [",".join(format(x, ".17g") for x in [t, *np.linalg.eigvalsh(path.value_at(t))])
+                    for t in ts]
+
 def test_maslov_cli(tmp_path, capsys):
     grid = np.linspace(0, 1, 17)
     frames = [ser.encode_lagrangian(switched_graph(np.array([[t - 0.5]])))

@@ -362,6 +362,108 @@ def test_crossing_route_evaluates_each_parameter_once():
     assert {t: k for t, k in counts.items() if k != (2 if t in located else 1)} == {}
 
 
+
+def test_tracking_route_evaluates_each_parameter_once():
+    # the path of test_crossing_route_evaluates_each_parameter_once
+    rng = np.random.default_rng(8)
+    v = random_unitary(8, rng)
+    slopes = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    offsets = np.array([-2.0, -0.3, 0.7, 1.0, 1.5, 2.0, 2.5, 3.0])
+    calls = []
+
+    def func(t):
+        calls.append(t)
+        return (v * (offsets + t * slopes)) @ v.conj().T
+
+    path = HermitianPath.from_function(func, 9)
+    calls.clear()
+    flow, detail = spectral_flow_tracking(path)
+    assert flow == 0
+    assert [c.sign for c in detail] == [1, -1]
+    assert sorted(calls) == sorted(set(calls))
+    assert set(calls) == {float(t) for t in np.linspace(0.0, 1.0, 33)}
+
+
+def _stacking_corpus():
+    """(path, ts) of sampled and func paths, n = 1, 3, 6 and 65, on a uniform
+    and a non-uniform grid: t at the nodes, at the midpoints, at 0 and 1, and
+    one double inside each end."""
+    rng = np.random.default_rng(18)
+    for n in (1, 3, 6, 65):
+        a, b, c = (random_hermitian(n, rng) for _ in range(3))
+        func = lambda t, a=a, b=b, c=c: a + t * b + np.sin(3.0 * t) * c  # noqa: E731
+        for grid in (np.linspace(0.0, 1.0, 9), np.array([0.0, 0.013, 0.3, 0.71, 1.0])):
+            sampled = HermitianPath(grid, tuple(func(t) for t in grid))
+            fpath = HermitianPath(grid, sampled.values, None, func)
+            fine = np.linspace(0.0, 1.0, 33)
+            ts = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:]), fine,
+                                 [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]])
+            for path in (sampled, fpath):
+                yield path, np.sort(ts)
+
+
+def test_stacked_values_and_eigenvalues_equal_value_at_bit_for_bit():
+    for path, ts in _stacking_corpus():
+        steps = [lagflow.flow._bracket(path.grid, t)[0] for t in ts]
+        for i in sorted(set(steps)):
+            here = [t for t, j in zip(ts, steps) if j == i]
+            stack = path._stack(i, here)
+            for t, value in zip(here, stack):
+                assert value.tobytes() == path.value_at(t).tobytes()
+        rows = list(lagflow.flow._stacked_eigs(path, ts))
+        assert len(rows) == ts.size
+        for t, vals in zip(ts, rows):
+            assert vals.tobytes() == np.linalg.eigvalsh(path.value_at(t)).tobytes()
+
+
+def test_no_stacked_eigvalsh_holds_more_than_eight_matrices(monkeypatch):
+    sizes = []
+    original = np.linalg.eigvalsh
+
+    def spy(a):
+        sizes.append(a.shape[0] if a.ndim == 3 else 1)
+        return original(a)
+
+    monkeypatch.setattr(lagflow.flow.np.linalg, "eigvalsh", spy)
+    a, b = np.diag([-1.0, 0.5, 2.0]), np.diag([3.0, -2.0, 1.0])
+    grid = np.linspace(0.0, 1.0, 9)
+    sampled = HermitianPath(grid, tuple(a + t * b for t in grid))
+    loop = UnitaryLoop.from_function(
+        lambda t: np.array([[np.exp(1j * (2 * np.pi * t + np.pi))]]), 17)
+    for path in (sampled, affine_path(a, b), discretized_path(loop, 32)):
+        for route in (spectral_flow_crossing, spectral_flow_tracking):
+            sizes.clear()
+            route(path)
+            assert max(sizes) == (8 if route is spectral_flow_crossing else 4)
+
+
+def test_a_func_value_of_the_wrong_size_is_an_input_error():
+    # one more entry for 0.51 < t < 0.52, where node 33 of the x8 scan lies
+    def func(t):
+        return np.diag([t - 0.3, 1.0, 2.0] if 0.51 < t < 0.52 else [t - 0.3, 1.0])
+
+    path = HermitianPath.from_function(func, 9)
+    with pytest.raises(InputError, match="all path values must share one dimension"):
+        spectral_flow_crossing(path)
+    assert spectral_flow_tracking(path)[0] == 1  # its x4 scan never reads the window
+    square = HermitianPath.from_function(lambda t: np.diag([t - 0.3, 1.0]), 9,
+                                         dfunc=lambda t: np.eye(3))
+    with pytest.raises(InputError, match="all path values must share one dimension"):
+        square.derivative_at(0.5)
+
+
+def test_a_func_frame_of_the_wrong_size_is_an_input_error():
+    def u(t):
+        # an eigenphase passes pi at t = 0.515, inside the window of the extra entry
+        k = 3 if 0.51 < t < 0.52 else 2
+        return np.diag(np.exp(1j * (2 * np.pi * (t - 0.515) + np.pi + 0.5 * np.arange(k))))
+
+    path = LagrangianPath.from_function(lambda t: cayley_graph(u(t)), 17)
+    with pytest.raises(InputError, match="all frames must share one half-dimension"):
+        maslov_index(path)
+    with pytest.raises(InputError, match="all frames must share one half-dimension"):
+        path.frame_at(0.515)
+
 def test_sampled_maslov_decomposes_each_node_step_once(monkeypatch):
     # two eigenvalues of a + t b cross zero, at t = 1/3 and 2/3
     v = random_unitary(4, np.random.default_rng(6))

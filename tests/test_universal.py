@@ -242,3 +242,17 @@ def test_reduced_boundary_lagrangian_identity(rng):
         direct = reduced_boundary_frame(u)
         via_reduction = cayley_graph(universal_reduction(u))
         assert subspaces_equal(direct.frame, via_reduction.frame)
+
+
+def test_a_func_loop_value_of_the_wrong_size_is_an_input_error():
+    # one more entry for 0.51 < t < 0.52, which holds the midpoint 33/64 of
+    # a step the loop count checks
+    def u(t):
+        k = 3 if 0.51 < t < 0.52 else 2
+        return np.diag(np.exp(1j * (2 * np.pi * t + 0.5 + np.arange(k))))
+
+    loop = UnitaryLoop.from_function(u, 33)
+    with pytest.raises(InputError, match="all loop values must share one dimension"):
+        universal_loop_flow(loop)
+    with pytest.raises(InputError, match="all loop values must share one dimension"):
+        loop.value_at(0.515)

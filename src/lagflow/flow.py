@@ -149,18 +149,17 @@ def _sides(grid: np.ndarray, t: float) -> list[int]:
 class HermitianPath:
     """One-parameter family of Hermitian matrices on [0, 1].
 
-    Sampled values are interpolated linearly between nodes; when ``func``
-    is supplied it is used instead (the samples then only seed crossing
-    detection).  Analytic derivatives may be supplied as ``dfunc`` or per
-    node; otherwise a sampled path takes its interpolant's slope and a
-    ``func`` path a Richardson-extrapolated central difference.
+    Sampled values are interpolated linearly between nodes, and a sampled
+    path is signed by its interpolant's slope.  When ``func`` is supplied it
+    is used instead (the samples then only seed crossing detection), with
+    its derivative ``dfunc`` if given, else a Richardson-extrapolated central
+    difference; a ``dfunc`` needs a ``func``.  Both are keyword-only.
     """
 
     grid: np.ndarray
     values: tuple[np.ndarray, ...]
-    derivatives: tuple[np.ndarray, ...] | None = None
-    func: Callable[[float], np.ndarray] | None = field(default=None, compare=False)
-    dfunc: Callable[[float], np.ndarray] | None = field(default=None, compare=False)
+    func: Callable[[float], np.ndarray] | None = field(default=None, compare=False, kw_only=True)
+    dfunc: Callable[[float], np.ndarray] | None = field(default=None, compare=False, kw_only=True)
 
     def __post_init__(self):
         g = _check_grid(self.grid)
@@ -172,19 +171,15 @@ class HermitianPath:
             raise InputError("path dimension must be >= 1")
         if any(v.shape[0] != dim for v in vals):
             raise InputError("all path values must share one dimension")
-        derivs = self.derivatives
-        if derivs is not None:
-            derivs = tuple(symmetrize(d) for d in derivs)
-            if len(derivs) != g.size or any(d.shape[0] != dim for d in derivs):
-                raise InputError("derivative samples must match the grid and dimension")
+        if self.dfunc is not None and self.func is None:
+            raise InputError("dfunc needs func: a sampled path is signed by its interpolant")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "derivatives", derivs)
 
     @classmethod
     def from_function(cls, func, nodes: int = 9, dfunc=None) -> "HermitianPath":
         grid = np.linspace(0.0, 1.0, max(int(nodes), 2))
-        return cls(grid, tuple(func(t) for t in grid), None, func, dfunc)
+        return cls(grid, tuple(func(t) for t in grid), func=func, dfunc=dfunc)
 
     @property
     def dim(self) -> int:
@@ -218,20 +213,17 @@ class HermitianPath:
         t = min(max(float(t), 0.0), 1.0)
         if self.dfunc is not None:
             return self._checked(self.dfunc(t))
-        if self.func is not None and self.derivatives is None:
+        if self.func is not None:
             return _richardson_derivative(self.value_at, t, self.grid)
-        i, s = _bracket(self.grid, t)
-        if self.derivatives is not None:
-            return _lerp(self.derivatives, i, s)
-        return self._slope(i)
+        return self._slope(_bracket(self.grid, t)[0])
 
     def _slope(self, i: int) -> np.ndarray:
         return (self.values[i + 1] - self.values[i]) / (self.grid[i + 1] - self.grid[i])
 
     def _rates(self, t: float) -> list[np.ndarray]:
-        """The rates that sign an event at t: a sampled path without
-        derivatives takes the slope of each step of :func:`_sides`."""
-        if self.func is None and self.dfunc is None and self.derivatives is None:
+        """The rates that sign an event at t: a sampled path takes the slope
+        of each step of :func:`_sides`."""
+        if self.func is None:
             return [self._slope(i) for i in _sides(self.grid, t)]
         return [self.derivative_at(t)]
 
@@ -243,10 +235,7 @@ class HermitianPath:
         vals = tuple(self.value_at(t) for t in new_grid)
         func = None if self.func is None else lambda s, f=self.func: f(a + (b - a) * s)
         dfunc = None if self.dfunc is None else lambda s, f=self.dfunc: (b - a) * f(a + (b - a) * s)
-        derivs = None
-        if func is None and dfunc is None and self.derivatives is not None:
-            derivs = tuple((b - a) * self.derivative_at(t) for t in new_grid)
-        return HermitianPath((new_grid - a) / (b - a), vals, derivs, func, dfunc)
+        return HermitianPath((new_grid - a) / (b - a), vals, func=func, dfunc=dfunc)
 
 
 def _richardson_derivative(f, t: float, grid: np.ndarray) -> np.ndarray:
@@ -386,10 +375,12 @@ def _root(g, lo: float, hi: float, glo: float, ghi: float, width: float
 def _branch_crossings(branch, a, b, fa, fb, touch_eps, out, depth=0):
     """Collect zeros of a continuous scalar branch on [a, b].
 
-    Sign changes go to :func:`_root` (kind "cross"); dips that keep
-    deepening are resolved recursively so a branch crossing twice between
-    nodes is still found, and dips below touch_eps without a sign change
-    are reported as kind "touch" for the caller's kernel analysis.
+    Sign changes go to :func:`_root` (kind "cross").  Without one, the
+    midpoint is probed, and the halves are searched again while its value
+    falls below half the smaller end value, so a branch crossing twice
+    between nodes is still found.  A probed midpoint within touch_eps of
+    zero is reported as kind "touch" for the caller's kernel analysis; a
+    tangency that no probe lands on is not seen.
     """
     if depth > _MAX_DEPTH:
         raise PreconditionError("grid too coarse")
@@ -468,8 +459,10 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
     Returns (flow, crossings).  Preconditions: invertible endpoints; every
     crossing must carry a nondegenerate crossing form (for a simple
     crossing this is the classical |<dA v, v>| > crossing_eps condition).
-    Signs that do not sum to n-(A(0)) - n-(A(1)) raise "unresolved cluster":
-    the grid left crossings unseen between two nodes.
+    A tangency is seen only where a node or a probe of :func:`_branch_crossings`
+    lands on it; there it raises "degenerate crossing", elsewhere it adds
+    nothing.  Signs that do not sum to n-(A(0)) - n-(A(1)) raise "unresolved
+    cluster": the grid left crossings unseen between two nodes.
     """
     eig_at, eig_rows, scale, node_eps = _path_eigs(path, tol)
     ts, evs, stuck = _shift_interior_zeros(_refine_grid(path.grid, 8), eig_at, eig_rows,
@@ -502,11 +495,9 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
         if not (0.0 < t_star < 1.0):
             raise PreconditionError("degenerate endpoint")
         vals, vecs = np.linalg.eigh(path.value_at(t_star))
+        # never empty: it holds the eigenvalue of least modulus
         kmask = np.abs(vals) <= max(100.0 * np.min(np.abs(vals)), node_eps)
-        kernel = vecs[:, kmask]
-        if kernel.shape[1] == 0:
-            continue
-        sgn = _crossing_signature(kernel, path._rates(t_star), tol)
+        sgn = _crossing_signature(vecs[:, kmask], path._rates(t_star), tol)
         crossings.append(Crossing(t_star, sgn))
         flow += sgn
     if flow != np.sum(eig_at(0.0) < 0.0) - np.sum(eig_at(1.0) < 0.0):
@@ -610,8 +601,10 @@ class LagrangianPath:
 
 
 def _frame_of(func, t: float, n: int) -> LagrangianFrame:
-    """func(t), a ``func`` path's frame; an input error when its half-dimension is not n."""
+    """func(t), a ``func`` path's frame; an input error unless a frame of half-dimension n."""
     frame = func(t)
+    if not isinstance(frame, LagrangianFrame):
+        raise InputError("path values must be LagrangianFrame instances")
     if frame.n != n:
         raise InputError("all frames must share one half-dimension")
     return frame
@@ -627,16 +620,16 @@ def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray
     With R' = e^{-i alpha} R, the Cayley transform K = i (1 - R')(1 + R')^-1
     is Hermitian, and eigh(K) = (mu, V) gives phi = alpha + 2 arctan(mu).
     alpha = 0 is accurate while every |phi| <= pi/2, where cond(1 + R) <=
-    sqrt(2); a step past that, or with R' singular at -1, is solved again
-    with the pole -e^{i alpha} in the middle of the widest gap of R's
-    eigenphases.
+    sqrt(2); a step past that is solved again with the pole -e^{i alpha} in
+    the middle of the widest gap of R's eigenphases.  1 + R exactly singular
+    means an eigenphase of pi, so that step is too coarse at once.
     """
     r = ua.conj().T @ ub
     try:
         phi, vecs = _cayley_angles(r, 0.0)
     except np.linalg.LinAlgError:  # R has the eigenvalue -1
-        phi = None
-    if phi is None or np.max(np.abs(phi)) > 0.5 * np.pi:
+        raise PreconditionError("grid too coarse") from None
+    if np.max(np.abs(phi)) > 0.5 * np.pi:
         theta = np.sort(np.angle(np.linalg.eigvals(r)))
         gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
         j = int(np.argmax(gaps))

@@ -380,25 +380,6 @@ class MeshedFamily:
             out = wgt * entry if out is None else out + wgt * entry
         return out
 
-    def partials_at(self, x: np.ndarray) -> list[np.ndarray]:
-        """Central-difference partials with the mesh step along each axis."""
-        out = []
-        for i, a in enumerate(self.axes):
-            h = float(np.min(np.diff(a)))
-            xp = np.array(x, dtype=float)
-            xm = np.array(x, dtype=float)
-            xp[i] += h
-            xm[i] -= h
-            vp, vm = self.value_at(xp), self.value_at(xm)
-            if vp is not None and vm is not None:
-                out.append((vp - vm) / (2.0 * h))
-            elif vp is None and vm is None:
-                raise PreconditionError("boundary crossing")
-            else:  # a one-sided difference at the domain edge
-                v0 = self.value_at(x)
-                out.append((vp - v0) / h if vp is not None else (v0 - vm) / h)
-        return out
-
 
 def _gaps(values: list[np.ndarray | None], w: np.ndarray) -> np.ndarray:
     """The detector of each value T, inf where T has none: sigma_min of
@@ -470,6 +451,25 @@ def _box(family: MeshedFamily) -> tuple[np.ndarray, np.ndarray]:
 # oracle's family in tests/) creeps along the unit-ball edge for 15 steps
 _NEWTON_STEPS = 16
 _NEWTON_HALVINGS = 8
+_DIFF_STEP = 2**-10  # the difference step of Newton and of a jet, in mesh spacings
+
+
+def _differences(family: MeshedFamily, x: np.ndarray, t: np.ndarray, h: float
+                 ) -> list[tuple[np.ndarray, float]] | None:
+    """(T(x + h e_i) - T(x - h e_i), 2h) for each axis i, given t = T(x).
+
+    With a value on one side only, the difference with t, of width h; with
+    none on either side of some axis, None.  On a sampled family it gives the
+    slope of the multilinear interpolant in the cell that holds x.
+    """
+    out = []
+    for e in h * np.eye(len(x)):
+        tp, tm = family.value_at(x + e), family.value_at(x - e)
+        if tp is None and tm is None:
+            return None
+        width = 2.0 * h if tp is not None and tm is not None else h
+        out.append(((t if tp is None else tp) - (t if tm is None else tm), width))
+    return out
 
 
 def _newton(family: MeshedFamily, x: np.ndarray, t: np.ndarray
@@ -479,29 +479,26 @@ def _newton(family: MeshedFamily, x: np.ndarray, t: np.ndarray
     c starts as the right singular vector of T(x) W for its least singular
     value.  A step solves in least squares the real and imaginary parts of
     [J_x | TW | iTW] (dx, Re dc, Im dc) = -TWc and c* dc = 0, (2n + 2) x
-    (2n + 1) and of full rank at a transversal crossing; J_x is the central
-    difference of TWc with step spacing/2^10, one-sided where T has a value
-    on one side only.  A step is halved while its end leaves the box widened
-    by spacing/2 or T has no value there; a run that cannot move ends in None,
-    any other in its end x and T(x).
+    (2n + 1) and of full rank at a transversal crossing; J_x is
+    :func:`_differences` of T, applied to Wc.  A step is halved while its end
+    leaves the box widened by spacing/2 or T has no value there; a run that
+    cannot move ends in None, any other in its end x and T(x).
     """
     spacing, (lo, hi) = family.spacing(), _box(family)
     lo, hi = lo - spacing / 2.0, hi + spacing / 2.0
-    h = spacing / 2**10
+    h = spacing * _DIFF_STEP
     c = np.linalg.svd(t @ family.w)[2][-1].conj()
     n, d, m = t.shape[0], x.size, c.size
-    steps = h * np.eye(d)
     # the complex rows above, and their real and imaginary parts stacked
     rows = np.zeros((n + 1, d + 2 * m), dtype=np.complex128)
     system, rhs = np.empty((2, n + 1, d + 2 * m)), np.zeros((2, n + 1))
     for _ in range(_NEWTON_STEPS):
         tw, wc = t @ family.w, family.w @ c
-        for i, e in enumerate(steps):
-            tp, tm = family.value_at(x + e), family.value_at(x - e)
-            if tp is None and tm is None:
-                return None
-            width = 2.0 * h if tp is not None and tm is not None else h
-            rows[:n, i] = ((t if tp is None else tp) - (t if tm is None else tm)) @ wc / width
+        diffs = _differences(family, x, t, h)
+        if diffs is None:
+            return None
+        for i, (diff, width) in enumerate(diffs):
+            rows[:n, i] = diff @ wc / width
         rows[:n, d:d + m], rows[:n, d + m:] = tw, 1j * tw
         rows[n, d:d + m], rows[n, d + m:] = c.conj(), 1j * c.conj()
         system[0], system[1] = rows.real, rows.imag
@@ -524,14 +521,16 @@ def _newton(family: MeshedFamily, x: np.ndarray, t: np.ndarray
 
 
 def crossing_jet(family: MeshedFamily, x: np.ndarray) -> FamilyJet:
-    """Assemble the operator jet at a located crossing point."""
+    """The operator jet at a located crossing point: T(x), and partials by
+    Newton's :func:`_differences`."""
     t0 = family.value_at(x)
-    if t0 is None:
+    diffs = None if t0 is None else _differences(family, x, t0, family.spacing() * _DIFF_STEP)
+    if diffs is None:
         raise PreconditionError("boundary crossing")
     # rank tolerance: 1e3 x the detector, at least rank_eps, and below 1
     rank_eps = max(1e3 * max(_gap(t0, family.w), 1e-16), family.tol.rank_eps)
     kern_tol = Tolerance(min(rank_eps, np.nextafter(1.0, 0.0)), family.tol.crossing_eps)
-    return FamilyJet(family.k, t0, tuple(family.partials_at(x)), family.w, kern_tol)
+    return FamilyJet(family.k, t0, tuple(d / width for d, width in diffs), family.w, kern_tol)
 
 
 def total_intersection_number(family: MeshedFamily

@@ -83,7 +83,10 @@ def inner(u, v):
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a 2-d complex128 array with finite parts below 2**1023,
     so that sums such as M + M* stay finite behind the check."""
-    m = np.asarray(a, dtype=np.complex128)
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:  # not numbers, or ragged
+        raise InputError(f"expected a matrix, got {type(a).__name__}") from exc
     if m.ndim != 2:
         raise InputError(f"expected a matrix, got array of ndim {m.ndim}")
     # one pass over the real and imaginary parts; a NaN fails the comparison

@@ -143,11 +143,10 @@ def _decode_list(obj, key: str, decode, message: str) -> tuple:
 def decode_hermitian_path(obj) -> HermitianPath:
     grid = _decode_grid(obj)
     values = _decode_list(obj, "values", decode_matrix, "path object needs values")
-    derivs = None
-    if obj.get("derivatives") is not None:
-        derivs = _decode_list(obj, "derivatives", decode_matrix,
-                              "path derivatives must be a list of matrices")
-    return HermitianPath(grid, values, derivs)
+    if "derivatives" in obj:
+        raise InputError("path derivatives are not accepted: a sampled path is signed "
+                         "by its interpolant's slope")
+    return HermitianPath(grid, values)
 
 
 def decode_lagrangian_path(obj) -> LagrangianPath:

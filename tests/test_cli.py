@@ -257,22 +257,18 @@ def test_intersect_total_cli_rejects_a_w_of_the_wrong_codimension(tmp_path, caps
     assert code == 3 and out == "" and "W must have codimension k-1 in C^n" in err
 
 
-def test_sf_cli_signs_with_per_node_derivatives(tmp_path, capsys):
-    # diag(-1, .5, 2) + t diag(3, -2, 1): the second entry falls through zero
-    # at t = 1/4 and the first rises through it at t = 1/3
-    grid = np.linspace(0.0, 1.0, 9)
-    a, b = np.diag([-1.0, 0.5, 2.0]), np.diag([3.0, -2.0, 1.0])
-    path = write(tmp_path, "path.json",
-                 {"grid": list(grid), "values": [ser.encode_matrix(a + t * b) for t in grid],
-                  "derivatives": [ser.encode_matrix(b) for _ in grid]})
-    for method in ("crossing", "both"):
-        code, out, err = run(capsys, "sf", path, "--method", method)
-        assert code == 0 and err == ""
-        result = json.loads(out)
-        assert result["flow"] == 0
-        assert [c["sign"] for c in result["crossings"]] == [-1, 1]
-        times = [c["t"] for c in result["crossings"]]
-        assert abs(times[0] - 0.25) < 1e-12 and abs(times[1] - 1.0 / 3.0) < 1e-12
+def test_sf_cli_rejects_per_node_derivatives(tmp_path, capsys):
+    # values -1, 1, -1 on [0, 0.5, 1]: the interpolant crosses upwards at
+    # 1/4 and downwards at 3/4; derivatives -1, 0, 1 once signed them the
+    # other way round, so a file that carries them is refused
+    grid = [0.0, 0.5, 1.0]
+    obj = {"grid": grid, "values": [ser.encode_matrix(np.array([[v]])) for v in (-1.0, 1.0, -1.0)]}
+    code, out, err = run(capsys, "sf", write(tmp_path, "path.json", obj), "--method", "both")
+    assert code == 0 and err == ""
+    assert [(c["t"], c["sign"]) for c in json.loads(out)["crossings"]] == [(0.25, 1), (0.75, -1)]
+    obj["derivatives"] = [ser.encode_matrix(np.array([[d]])) for d in (-1.0, 0.0, 1.0)]
+    code, out, err = run(capsys, "sf", write(tmp_path, "path.json", obj), "--method", "both")
+    assert code == 3 and out == "" and "path derivatives are not accepted" in err
 
 
 def test_intersect_total_cli_rejects_a_non_hermitian_node(tmp_path, capsys):

@@ -185,21 +185,15 @@ def test_concatenation_additivity(rng):
         assert spectral_flow_crossing(left)[0] + spectral_flow_crossing(right)[0] == flow
 
 
-@pytest.mark.parametrize("kind", ["dfunc", "derivatives"])
-def test_concatenation_additivity_with_given_derivatives(kind):
+def test_concatenation_additivity_with_a_dfunc():
     # diag(-1, .5, 2) + t diag(3, -2, 1) crosses at t = 1/4 (-1) and 1/3 (+1);
     # cut between them, each half keeps one crossing, signed by the
     # derivative the restriction rescales
     a, b = np.diag([-1.0, 0.5, 2.0]), np.diag([3.0, -2.0, 1.0])
-    if kind == "dfunc":
-        path = HermitianPath.from_function(lambda t: a + t * b, 9, dfunc=lambda t: b)
-    else:
-        grid = np.linspace(0.0, 1.0, 9)
-        path = HermitianPath(grid, tuple(a + t * b for t in grid), tuple(b for _ in grid))
+    path = HermitianPath.from_function(lambda t: a + t * b, 9, dfunc=lambda t: b)
     assert spectral_flow_crossing(path)[0] == 0
     left, right = path.restricted(0.0, 0.3), path.restricted(0.3, 1.0)
-    assert (left.dfunc is None) == (kind != "dfunc")
-    assert (left.derivatives is None) == (kind != "derivatives")
+    assert left.dfunc is not None
     assert np.allclose(left.derivative_at(0.5), 0.3 * b)
     assert np.allclose(right.derivative_at(0.5), 0.7 * b)
     for half, sign, t in ((left, -1, 0.25 / 0.3), (right, 1, (1.0 / 3.0 - 0.3) / 0.7)):
@@ -394,7 +388,7 @@ def _stacking_corpus():
         func = lambda t, a=a, b=b, c=c: a + t * b + np.sin(3.0 * t) * c  # noqa: E731
         for grid in (np.linspace(0.0, 1.0, 9), np.array([0.0, 0.013, 0.3, 0.71, 1.0])):
             sampled = HermitianPath(grid, tuple(func(t) for t in grid))
-            fpath = HermitianPath(grid, sampled.values, None, func)
+            fpath = HermitianPath(grid, sampled.values, func=func)
             fine = np.linspace(0.0, 1.0, 33)
             ts = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:]), fine,
                                  [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]])
@@ -463,6 +457,41 @@ def test_a_func_frame_of_the_wrong_size_is_an_input_error():
         maslov_index(path)
     with pytest.raises(InputError, match="all frames must share one half-dimension"):
         path.frame_at(0.515)
+
+
+def _turning(t):
+    return np.diag(np.exp(1j * (2 * np.pi * t + 0.5 + np.arange(2))))
+
+
+def test_a_func_value_of_the_wrong_type_is_an_input_error():
+    # a frame in place of a matrix for 0.51 < t < 0.52
+    path = HermitianPath.from_function(
+        lambda t: cayley_graph(_turning(t)) if 0.51 < t < 0.52 else np.diag([t - 0.3, 1.0]), 9)
+    with pytest.raises(InputError, match="expected a matrix, got LagrangianFrame"):
+        path.value_at(0.515)
+
+
+def test_a_func_frame_of_the_wrong_type_is_an_input_error():
+    # the bare frame matrix in place of the frame for 0.51 < t < 0.52
+    def frame(t):
+        lag = cayley_graph(_turning(t))
+        return lag.frame if 0.51 < t < 0.52 else lag
+
+    path = LagrangianPath.from_function(frame, 17)
+    with pytest.raises(InputError, match="path values must be LagrangianFrame instances"):
+        path.frame_at(0.515)
+
+
+def test_a_dfunc_needs_a_func_and_both_are_keywords():
+    # a sampled path is signed by its interpolant's slope, never by another
+    # derivative, and a third positional argument is an error, not a derivative
+    grid = np.linspace(0.0, 1.0, 3)
+    values = tuple(np.array([[t - 0.3]]) for t in grid)
+    with pytest.raises(InputError, match="dfunc needs func"):
+        HermitianPath(grid, values, dfunc=lambda t: np.eye(1))
+    with pytest.raises(TypeError):
+        HermitianPath(grid, values, tuple(np.eye(1) for _ in grid))
+
 
 def test_sampled_maslov_decomposes_each_node_step_once(monkeypatch):
     # two eigenvalues of a + t b cross zero, at t = 1/3 and 2/3

@@ -309,6 +309,77 @@ def test_sampled_family_matches_functional(rng):
     assert intersection_number_operator(jet) in (-1, 1)
 
 
+def test_sampled_k1_jets_carry_the_signs_of_the_spectral_flow():
+    # 9 nodes (A + A*)/2 on [-1, 1], A complex standard normal and n = 2 or 3,
+    # against spectral_flow_crossing on the same samples with t = (x + 1)/2.
+    # Jets differenced one mesh spacing wide mis-signed draws 5, 602, 815, 927
+    # and 1335, and their totals raised "unresolved cluster"; the first 1,336
+    # draws hold all five
+    rng = np.random.default_rng(1)
+    axis, grid = np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 1.0, 9)
+    checked = []
+    for draw in range(1336):
+        n = int(rng.integers(2, 4))
+        values = [symmetrize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                  for _ in axis]
+        try:
+            flow, crossings = spectral_flow_crossing(HermitianPath(grid, tuple(values)))
+        except PreconditionError:
+            continue
+        # points that match these crossings would raise "unresolved cluster"
+        # (two within a spacing, 1/8 in t) or "boundary crossing" (one within
+        # half a spacing of an end), so no draw skipped here can match
+        ts = np.array([0.0] + [c.t for c in crossings] + [1.0])
+        if np.min(np.diff(ts)[1:-1], initial=1.0) < 0.125 - 1e-5 or (
+                crossings and min(ts[1], 1.0 - ts[-2]) < 0.0625 - 1e-5):
+            continue
+        family = MeshedFamily(1, (axis,), np.eye(n), values=np.stack(values))
+        try:
+            points = sorted(locate_crossings(family), key=lambda x: x[0])
+        except PreconditionError:
+            continue
+        if len(points) != len(crossings) or any(
+                abs((x[0] + 1.0) / 2.0 - c.t) > 1e-6 for x, c in zip(points, crossings)):
+            continue
+        signs = [intersection_number_operator(crossing_jet(family, x)) for x in points]
+        assert signs == [c.sign for c in crossings], draw
+        assert total_intersection_number(family)[0] == flow, draw
+        checked.append(draw)
+    assert {5, 602, 815, 927, 1335} <= set(checked)
+
+
+_PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def _su2_centre_chart(nodes, extent):
+    """T = i(1 + U)(1 - U)^-1 of U = q0 + i q.sigma on the q-chart q0 < 0 of SU(2),
+    x = (q1, q2, q3): it meets the level-2 variety once, at x = 0 (U = -I)."""
+
+    def func(x):
+        r2 = float(np.dot(x, x))
+        if r2 >= 1.0 - 1e-12:
+            return None
+        u = -np.sqrt(1.0 - r2) * np.eye(2) + 1j * sum(xi * s for xi, s in zip(x, _PAULI))
+        return 1j * (np.eye(2) + u) @ np.linalg.inv(np.eye(2) - u)
+
+    axis = np.linspace(-extent, extent, nodes)
+    return MeshedFamily(2, (axis, axis, axis), W2, func=func)
+
+
+def test_the_su2_jet_does_not_depend_on_the_mesh():
+    # dT = -sigma_j / 2 at U = -I, so |det| = 1/8; differenced one mesh
+    # spacing wide it read 0.1334 on 7 nodes and 0.1281 on 11
+    dets = []
+    for nodes, extent in ((7, 0.87), (11, 0.9)):
+        family = _su2_centre_chart(nodes, extent)
+        (x,) = locate_crossings(family)
+        dets.append(operator_determinant(crossing_jet(family, x))[0])
+    assert abs(dets[0] - dets[1]) < 1e-7
+    assert all(abs(abs(d) - 0.125) < 1e-7 for d in dets)
+
+
 def test_sampled_family_rejects_a_non_hermitian_node():
     # checked once per node at construction, not at every detector call
     from lagflow.linalg import Tolerance

@@ -244,6 +244,17 @@ def test_reduced_boundary_lagrangian_identity(rng):
         assert subspaces_equal(direct.frame, via_reduction.frame)
 
 
+def test_a_func_loop_value_of_the_wrong_type_is_an_input_error():
+    # a frame in place of a unitary for 0.51 < t < 0.52
+    def u(t):
+        return np.diag(np.exp(1j * (2 * np.pi * t + 0.5 + np.arange(2))))
+
+    loop = UnitaryLoop.from_function(
+        lambda t: cayley_graph(u(t)) if 0.51 < t < 0.52 else u(t), 33)
+    with pytest.raises(InputError, match="expected a matrix, got LagrangianFrame"):
+        loop.value_at(0.515)
+
+
 def test_a_func_loop_value_of_the_wrong_size_is_an_input_error():
     # one more entry for 0.51 < t < 0.52, which holds the midpoint 33/64 of
     # a step the loop count checks

@@ -39,10 +39,17 @@ Both spectral-flow routes evaluate each parameter value once per call:
 the node scan, every branch's midpoints and root-finder steps and the
 touch refinement read the sorted eigenvalues of A(t) from one memo.  The
 values known in advance, the refined nodes and the midpoints the branches
-will probe, are filled one grid step of the path at a time, with one
-stacked eigvalsh of at most 8 matrices; the others are read one by one.
-Only the kernel at a located crossing needs A(t) again, for its
-eigenvectors.
+will probe, are filled one grid step of the path at a time, at most 8
+values to a stack: a ``func`` path's stack is checked and symmetrized at
+once, and each stack takes one stacked eigvalsh; the others are read one
+by one.  The first level of the branch search (a sign change, a zero end,
+or a probed midpoint that changes sign, touches zero or falls below half
+the smaller end) is tested for every interval and branch at once, and only
+the pairs that pass are searched.  Only the kernel at a located crossing
+needs A(t) again, for its eigenvectors.  The Maslov index reads the
+eigenphases of its node unitaries with one stacked eigvals per 8 nodes,
+counts every step's passages at once, and walks only the steps that hold
+some.
 
 Crossings are only counted in the open interior (0, 1); paths whose
 endpoints are degenerate are rejected rather than half-counted, which
@@ -59,7 +66,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .grassmann import LagrangianFrame, cayley_graph, lagrangian_to_unitary
-from .linalg import DEFAULT_TOL, Tolerance, numeric_kernel, symmetrize
+from .linalg import DEFAULT_TOL, Tolerance, _finite_parts, numeric_kernel, symmetrize
 
 __all__ = [
     "HermitianPath",
@@ -193,13 +200,22 @@ class HermitianPath:
         return _lerp(self.values, i, s)
 
     def _stack(self, i: int, ts: Sequence[float]) -> np.ndarray:
-        """value_at of each t of grid step i, stacked: a ``func`` path calls
-        func once per t, in order, and a sampled one interpolates them all in
-        one array operation, with value_at's float operations."""
-        if self.func is not None:
-            return np.stack([self.value_at(t) for t in ts])
-        s = _offset(self.grid, i, np.array(ts, dtype=float))
-        return _lerp(self.values, i, s[:, None, None])
+        """value_at of each t of grid step i, stacked, with value_at's float
+        operations: a sampled path interpolates them all in one array
+        operation, and a ``func`` path calls func once per t, in order, then
+        checks and symmetrizes the stack at once.  A stack that fails the
+        check is checked value by value, for value_at's error."""
+        if self.func is None:
+            s = _offset(self.grid, i, np.array(ts, dtype=float))
+            return _lerp(self.values, i, s[:, None, None])
+        raw = [self.func(min(max(float(t), 0.0), 1.0)) for t in ts]
+        try:
+            m = np.array(raw, dtype=np.complex128)
+        except (TypeError, ValueError):  # not numbers, or ragged
+            m = None
+        if m is None or m.shape[1:] != (self.dim, self.dim) or not _finite_parts(m):
+            return np.stack([self._checked(v) for v in raw])
+        return 0.5 * (m + m.conj().transpose(0, 2, 1))
 
     def _checked(self, value) -> np.ndarray:
         """A ``func`` or ``dfunc`` value, symmetrized; an input error when its
@@ -253,8 +269,10 @@ def _richardson_derivative(f, t: float, grid: np.ndarray) -> np.ndarray:
 
 
 def _refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
-    return np.concatenate([np.linspace(a, b, factor + 1)[:-1]
-                           for a, b in zip(grid[:-1], grid[1:])] + [grid[-1:]])
+    """Each grid step cut into factor equal parts, in one array operation:
+    a + k (b - a) / factor, the floats of linspace(a, b, factor + 1)."""
+    a = grid[:-1, None]
+    return np.append((np.arange(factor) * ((grid[1:, None] - a) / factor) + a).ravel(), grid[-1])
 
 
 def _shift_interior_zeros(ts: np.ndarray, eig_at, eig_rows, eps: float
@@ -467,20 +485,24 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
     eig_at, eig_rows, scale, node_eps = _path_eigs(path, tol)
     ts, evs, stuck = _shift_interior_zeros(_refine_grid(path.grid, 8), eig_at, eig_rows,
                                            node_eps)
-    # the midpoints _branch_crossings probes first: those of the intervals
-    # where some branch keeps its sign
-    eig_rows(0.5 * (ts[:-1] + ts[1:])[np.any(evs[:-1] * evs[1:] >= 0.0, axis=1)])
-    n = path.dim
     sub_spacing = float(np.min(np.diff(ts)))
+    touch_eps = max(tol.crossing_eps * 1e-3, 1e-13 * scale)
+    # the tests of _branch_crossings' first level, for every (interval,
+    # branch) at once: it acts on no other pair.  It probes midpoints only
+    # where some branch keeps its sign; where every branch changes sign,
+    # fm = 0 leaves the sign change to decide
+    fa, fb = evs[:-1], evs[1:]
+    probed = np.any(fa * fb >= 0.0, axis=1)
+    fm = np.zeros_like(fa)
+    fm[probed] = eig_rows(0.5 * (ts[:-1] + ts[1:])[probed])
+    acts = ((fa * fb <= 0.0) | (fm * fa < 0.0) | (np.abs(fm) <= touch_eps)
+            | (np.abs(fm) < 0.5 * np.minimum(np.abs(fa), np.abs(fb))))
 
     events: list[tuple[float, str]] = [(t, "touch") for t in stuck]
-    touch_eps = max(tol.crossing_eps * 1e-3, 1e-13 * scale)
-    for j in range(n):
+    for j, i in zip(*np.nonzero(acts.T)):  # branch by branch, each over its intervals
         branch = lambda t, _j=j: float(eig_at(t)[_j])  # noqa: E731
-        for i in range(ts.size - 1):
-            _branch_crossings(branch, ts[i], ts[i + 1],
-                              float(evs[i, j]), float(evs[i + 1, j]),
-                              touch_eps, events)
+        _branch_crossings(branch, ts[i], ts[i + 1], float(fa[i, j]), float(fb[i, j]),
+                          touch_eps, events)
 
     min_abs = lambda t: float(np.min(np.abs(eig_at(t))))  # noqa: E731
     flow = 0
@@ -621,7 +643,8 @@ def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray
     is Hermitian, and eigh(K) = (mu, V) gives phi = alpha + 2 arctan(mu).
     alpha = 0 is accurate while every |phi| <= pi/2, where cond(1 + R) <=
     sqrt(2); a step past that is solved again with the pole -e^{i alpha} in
-    the middle of the widest gap of R's eigenphases.  1 + R exactly singular
+    the middle of the widest gap of the first pass's phases (near the pole
+    they are off by about 1e-9, far inside any gap).  1 + R exactly singular
     means an eigenphase of pi, so that step is too coarse at once.
     """
     r = ua.conj().T @ ub
@@ -630,7 +653,7 @@ def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray
     except np.linalg.LinAlgError:  # R has the eigenvalue -1
         raise PreconditionError("grid too coarse") from None
     if np.max(np.abs(phi)) > 0.5 * np.pi:
-        theta = np.sort(np.angle(np.linalg.eigvals(r)))
+        theta = np.sort(phi)
         gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
         j = int(np.argmax(gaps))
         phi, vecs = _cayley_angles(r, theta[j] + 0.5 * gaps[j] - np.pi)
@@ -759,6 +782,13 @@ def _whole(x: float) -> int:
     return int(k)
 
 
+def _node_phases(nodes: Sequence[np.ndarray]) -> np.ndarray:
+    """np.angle(np.linalg.eigvals(U)) of each node U, one row per node: one
+    stacked eigvals per run of at most _STACK nodes."""
+    return np.concatenate([np.angle(np.linalg.eigvals(np.stack(nodes[k:k + _STACK])))
+                           for k in range(0, len(nodes), _STACK)])
+
+
 def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
                  ) -> tuple[int, list[Crossing]]:
     """Maslov index: signed crossings with the train {dim(L ∩ H-) = 1}.
@@ -786,17 +816,29 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
     """
     n, geodesic = path.n, path._geodesic
     u_at = cache(geodesic.at)
-    phases = cache(lambda t: np.angle(np.linalg.eigvals(u_at(t))))
+    memo = dict(zip(geodesic.grid, _node_phases(geodesic.nodes)))
+
+    def phases(t):  # theta(U(t)), in (-pi, pi]
+        p = memo.get(t)
+        if p is None:
+            p = memo[t] = np.angle(np.linalg.eigvals(u_at(t)))
+        return p
+
     for t in (0.0, 1.0):  # |cos(theta/2)| are the singular values of the top block
         # X = (1 + U)(X + iY)/2 of an orthonormal frame [X; Y], as X + iY is unitary
         if (np.min(np.abs(np.abs(phases(t)) - np.pi)) <= 1e-12
                 or np.min(np.abs(np.cos(0.5 * phases(t)))) <= tol.rank_eps):
             raise PreconditionError("degenerate endpoint")
 
-    ts, _ = geodesic.counted(u_at)
+    ts, turns = geodesic.counted(u_at)
     theta = lambda t: float(np.sum(phases(t)))  # noqa: E731
     passages = lambda a, b: _whole(  # noqa: E731
         (geodesic.turn(a, b, u_at) + theta(a) - theta(b)) / (2.0 * np.pi))
+    # passages(a, b) of every counted step at once, a whole step turning by
+    # its turn; |count| <= 1e-6 is _whole's 0, so only the other steps are
+    # walked: those with passages, or with a count off a whole number
+    sums = np.array([theta(t) for t in ts])
+    counts = (np.array(turns) + sums[:-1] - sums[1:]) / (2.0 * np.pi)
 
     def near(t):  # arg(-lambda) for the eigenvalue lambda of U(t) nearest -1
         phase = phases(t)[np.argmax(np.abs(phases(t)))]
@@ -804,8 +846,8 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
 
     events: list[tuple[float, str]] = []
     total = 0
-    for a, b in zip(ts[:-1], ts[1:]):
-        c = passages(a, b)
+    for j in np.flatnonzero(np.abs(counts) > 1e-6):
+        a, b, c = ts[j], ts[j + 1], _whole(float(counts[j]))
         total += c
         pending = [(a, b, c, True)]
         while pending:  # pieces [lo, hi] holding k passages, located to 1e-14

@@ -89,10 +89,15 @@ def as_complex_matrix(a) -> np.ndarray:
         raise InputError(f"expected a matrix, got {type(a).__name__}") from exc
     if m.ndim != 2:
         raise InputError(f"expected a matrix, got array of ndim {m.ndim}")
-    # one pass over the real and imaginary parts; a NaN fails the comparison
-    if not np.abs(m.ravel().view(np.float64)).max(initial=0.0) < _MAX_PART:
+    if not _finite_parts(m):
         raise InputError("matrix entries must be finite and below 2**1023")
     return m
+
+
+def _finite_parts(m: np.ndarray) -> bool:
+    """Whether every real and imaginary part of a complex128 array is finite
+    and below 2**1023: one pass over them, and a NaN fails the comparison."""
+    return bool(np.abs(m.ravel().view(np.float64)).max(initial=0.0) < _MAX_PART)
 
 
 def symmetrize(m) -> np.ndarray:

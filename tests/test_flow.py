@@ -236,8 +236,15 @@ def test_maslov_constant_path():
 def test_maslov_degenerate_endpoint():
     lp = LagrangianPath.from_function(
         lambda t: switched_graph(np.array([[t]])), 9)
-    with pytest.raises(PreconditionError, match="degenerate endpoint"):
-        maslov_index(lp)
+    # U(t) = exp(i pi (1 + 32 t)) is -1 at every node, so its 17-node path
+    # passes the 0.5 guard; its steps are too coarse, and the endpoints are
+    # checked first
+    coarse = LagrangianPath.from_function(
+        lambda t: cayley_graph(np.array([[np.exp(1j * np.pi * (1.0 + 32.0 * t))]])), 17)
+    assert coarse.grid.size == 17
+    for path in (lp, coarse):
+        with pytest.raises(PreconditionError, match="degenerate endpoint"):
+            maslov_index(path)
 
 
 def test_maslov_equals_spectral_flow(rng):
@@ -431,6 +438,126 @@ def test_no_stacked_eigvalsh_holds_more_than_eight_matrices(monkeypatch):
             assert max(sizes) == (8 if route is spectral_flow_crossing else 4)
 
 
+def _linspace_refined(grid, factor):
+    return np.concatenate([np.linspace(a, b, factor + 1)[:-1]
+                           for a, b in zip(grid[:-1], grid[1:])] + [grid[-1:]])
+
+
+def _unscreened_crossing(path):
+    """spectral_flow_crossing as a loop that hands every (interval, branch)
+    to _branch_crossings, on a grid refined by linspace: the oracle of the
+    screened scan and of _refine_grid."""
+    f, tol = lagflow.flow, Tolerance()
+    eig_at, eig_rows, scale, node_eps = f._path_eigs(path, tol)
+    ts, evs, stuck = f._shift_interior_zeros(_linspace_refined(path.grid, 8), eig_at, eig_rows,
+                                             node_eps)
+    eig_rows(0.5 * (ts[:-1] + ts[1:])[np.any(evs[:-1] * evs[1:] >= 0.0, axis=1)])
+    events = [(t, "touch") for t in stuck]
+    touch_eps = max(tol.crossing_eps * 1e-3, 1e-13 * scale)
+    for j in range(path.dim):
+        branch = lambda t, _j=j: float(eig_at(t)[_j])  # noqa: E731
+        for i in range(ts.size - 1):
+            f._branch_crossings(branch, ts[i], ts[i + 1], float(evs[i, j]),
+                                float(evs[i + 1, j]), touch_eps, events)
+    min_abs = lambda t: float(np.min(np.abs(eig_at(t))))  # noqa: E731
+    flow, crossings = 0, []
+    for t_star, is_touch in f._merge_events(events, 1e-9):
+        if is_touch:
+            t_star = f._refine_to_minimum(min_abs, t_star, float(np.min(np.diff(ts))))
+            if min_abs(t_star) > node_eps:
+                continue
+        if not (0.0 < t_star < 1.0):
+            raise PreconditionError("degenerate endpoint")
+        vals, vecs = np.linalg.eigh(path.value_at(t_star))
+        kmask = np.abs(vals) <= max(100.0 * np.min(np.abs(vals)), node_eps)
+        sgn = f._crossing_signature(vecs[:, kmask], path._rates(t_star), tol)
+        crossings.append(f.Crossing(t_star, sgn))
+        flow += sgn
+    if flow != np.sum(eig_at(0.0) < 0.0) - np.sum(eig_at(1.0) < 0.0):
+        raise PreconditionError("unresolved cluster")
+    return flow, crossings
+
+
+def _screen_corpus():
+    """Functions and grids: the named cases, then seeded ones, n = 1 to 5,
+    on coarse, uniform and non-uniform grids."""
+    c = 0.5078125  # a midpoint that the x8 scan probes
+    yield lambda t: np.diag([(t - c) ** 2, 1.0]), 9  # tangency on that probe
+    yield lambda t: np.diag([(t - 0.3) ** 2, 1.0]), 9  # tangency between probes
+    yield lambda t: np.array([[(t - c) - 1e-3 * np.tanh((t - c) / 1e-5)]]), 9  # three roots
+    yield lambda t: np.diag([t - 0.5, 1.0]), 5  # a crossing on a node
+    yield lambda t: np.diag([t - 0.515625, 0.25 - t]), 9  # and on refined nodes
+    yield lambda t: np.array([[0.05 - np.sin(np.pi * t) ** 2]]), 3  # a dip between nodes
+    # between the refined nodes c -+ 1/128: a narrow dip through zero, and a
+    # V whose probe at c falls below half its ends, with a dip beside c
+    yield lambda t: np.array([[0.01 - np.exp(-((t - c) / 0.002) ** 2)]]), 9
+    yield lambda t: np.array([[0.001 + 10.0 * abs(t - c)
+                               - 0.05 * np.exp(-((t - c - 1 / 256) / 0.001) ** 2)]]), 9
+    # exactly zero on a refined node and 1e-8 around it, past its nudges: a zero end
+    yield lambda t: np.array([[np.sign(t - 0.53125) * max(0.0, abs(t - 0.53125) - 1e-8)]]), 9
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 3, 5):
+        for grid in (2, 3, 5, 9, np.array([0.0, 0.013, 0.3, 0.71, 1.0])):
+            a, b, d = (random_hermitian(n, rng) for _ in range(3))
+            yield lambda t, a=a, b=b, d=d: a + 3.0 * t * b + np.sin(5.0 * t) * d, grid
+
+
+def _outcome(route, path):
+    try:
+        flow, crossings = route(path)
+    except (InputError, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+    return flow, [(c.t.hex(), c.sign) for c in crossings]
+
+
+def test_the_screened_scan_answers_as_the_unscreened_loop():
+    kinds = set()
+    for func, grid in _screen_corpus():
+        if np.ndim(grid) == 0:
+            grid = np.linspace(0.0, 1.0, grid)
+        for factor in (4, 8):
+            fine = _linspace_refined(grid, factor)
+            assert lagflow.flow._refine_grid(grid, factor).tobytes() == fine.tobytes()
+        sampled = HermitianPath(grid, tuple(func(t) for t in grid))
+        for path in (sampled, HermitianPath(grid, sampled.values, func=func)):
+            expected = _outcome(_unscreened_crossing, path)
+            assert _outcome(spectral_flow_crossing, path) == expected
+            kinds.add(expected[1] if isinstance(expected[0], str) else "answer")
+    assert kinds == {"answer", "degenerate crossing", "grid too coarse", "unresolved cluster"}
+
+
+def test_maslov_stacks_at_most_eight_node_phases(monkeypatch):
+    sizes = []
+    original = np.linalg.eigvals
+
+    def spy(a):
+        sizes.append(a.shape[0] if a.ndim == 3 else 1)
+        return original(a)
+
+    monkeypatch.setattr(lagflow.flow.np.linalg, "eigvals", spy)
+    v = random_unitary(4, np.random.default_rng(6))
+    a = (v * np.array([-1.0, -0.5, 1.0, 2.0])) @ v.conj().T
+    lfunc = LagrangianPath.from_function(lambda t: switched_graph(a + 1.5 * t * np.eye(4)), 17)
+    for path in (lfunc, LagrangianPath(lfunc.grid, lfunc.values)):
+        sizes.clear()
+        assert maslov_index(path)[0] == 2
+        assert max(sizes) == 8 and sizes[:3] == [8, 8, 1]  # the 17 nodes
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 65])
+def test_maslov_node_phases_equal_eigvals_node_by_node_bit_for_bit(n):
+    a = random_hermitian(n, np.random.default_rng(n))
+    graphs = LagrangianPath.from_function(lambda t: switched_graph(a + 1.5 * t * np.eye(n)), 17)
+    sampled = LagrangianPath(graphs.grid, graphs.values)
+    nodes = sampled._geodesic.nodes
+    rows = lagflow.flow._node_phases(nodes)
+    assert rows.shape == (len(nodes), n)
+    for u, row in zip(nodes, rows):
+        assert row.tobytes() == np.angle(np.linalg.eigvals(u)).tobytes()
+    lam = np.linalg.eigvalsh(a)
+    assert maslov_index(sampled)[0] == int(np.sum((lam < 0.0) & (lam > -1.5)))
+
+
 def test_a_func_value_of_the_wrong_size_is_an_input_error():
     # one more entry for 0.51 < t < 0.52, where node 33 of the x8 scan lies
     def func(t):
@@ -444,6 +571,37 @@ def test_a_func_value_of_the_wrong_size_is_an_input_error():
                                          dfunc=lambda t: np.eye(3))
     with pytest.raises(InputError, match="all path values must share one dimension"):
         square.derivative_at(0.5)
+
+
+_BAD_VALUES = {
+    "wrong size": lambda t: np.diag([t - 0.3, 1.0, 2.0]),
+    "ragged": lambda t: [[t - 0.3, 0.0], [1.0]],
+    "nan": lambda t: np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "inf": lambda t: np.array([[t - 0.3, 0.0], [0.0, -np.inf]]),
+    "non-square": lambda t: np.ones((2, 3)),
+    "vector": lambda t: np.array([t - 0.3, 1.0]),
+    "3-d": lambda t: np.diag([t - 0.3, 1.0])[None],
+    "frame": lambda t: cayley_graph(_turning(t)),
+    "text": lambda t: "diag(t - 0.3, 1)",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_VALUES))
+def test_a_bad_func_value_inside_a_stack_is_value_ats_input_error(kind):
+    # t = 17/32 is a node of both scans, the third of its x8 stack and the
+    # second of its x4 stack; every other value is good
+    bad = 17.0 / 32.0
+
+    def func(t):
+        return _BAD_VALUES[kind](t) if t == bad else np.diag([t - 0.3, 1.0])
+
+    path = HermitianPath.from_function(func, 9)
+    with pytest.raises(InputError) as expected:
+        path.value_at(bad)
+    for route in (spectral_flow_crossing, spectral_flow_tracking):
+        with pytest.raises(InputError) as raised:
+            route(path)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_a_func_frame_of_the_wrong_size_is_an_input_error():
@@ -585,14 +743,19 @@ def _step_of(phases, seed):
 @pytest.mark.parametrize("kind", ["spread", "repeated", "below", "above"])
 @pytest.mark.parametrize("n", [1, 2, 6, 64, 65, 128])
 def test_step_kernel_recovers_known_phases(monkeypatch, n, kind):
-    eigvals_calls = []
-    original = np.linalg.eigvals
+    eigvals_calls, passes = [], []
+    original, original_pass = np.linalg.eigvals, lagflow.flow._cayley_angles
 
     def counting(a):
         eigvals_calls.append(a.shape)
         return original(a)
 
+    def counting_pass(r, alpha):
+        passes.append(alpha)
+        return original_pass(r, alpha)
+
     monkeypatch.setattr(np.linalg, "eigvals", counting)
+    monkeypatch.setattr(lagflow.flow, "_cayley_angles", counting_pass)
     phases = _kernel_phases(kind, n)
     ua, ub, r = _step_of(phases, n)
     phi, vecs = lagflow.flow._step_angles(ua, ub)
@@ -600,9 +763,11 @@ def test_step_kernel_recovers_known_phases(monkeypatch, n, kind):
     assert np.max(np.abs(np.sort(phi) - np.sort(phases))) <= 1e-13
     assert np.max(np.abs(vecs @ vecs.conj().T - np.eye(n))) <= 1e-13
     assert np.max(np.abs((vecs * np.exp(1j * phi)) @ vecs.conj().T - r)) <= 1e-13
-    # the alpha = 0 pass alone while max|phi| <= pi/2, else a rotated one too
+    # the alpha = 0 pass alone while max|phi| <= pi/2, else a rotated one
+    # too, its pole placed from the first pass's phases with no eigvals call
     rotated = np.max(np.abs(phases)) > 0.5 * np.pi
-    assert len(eigvals_calls) == int(rotated)
+    assert len(passes) == 1 + int(rotated) and passes[0] == 0.0
+    assert eigvals_calls == []
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import serialize
 from .errors import InputError, PreconditionError
-from .flow import _stacked_eigs, maslov_index, spectral_flow_crossing, spectral_flow_tracking
+from .flow import (_STACK, _node_phases, _stacked_eigs, maslov_index, spectral_flow_crossing,
+                   spectral_flow_tracking)
 from .grassmann import cayley_graph, lagrangian_to_unitary
 from .intersect import _transversal_sign, operator_determinant, total_intersection_number
 from .linalg import Tolerance, require_unitary
@@ -125,7 +126,8 @@ def _cmd_maslov(args) -> int:
     result = maslov_index(path, tol)
     if args.plot:
         _write_branch_csv(args.plot, path.grid, 8, "theta", path.n, lambda ts: (
-            np.sort(np.angle(np.linalg.eigvals(path._geodesic.at(t)))) for t in ts))
+            np.sort(theta) for k in range(0, len(ts), _STACK)
+            for theta in _node_phases([path._geodesic.at(t) for t in ts[k:k + _STACK]])))
     _emit_flow(*result)
     return EXIT_OK
 

@@ -12,6 +12,14 @@ Two independent spectral-flow algorithms are provided:
   midpoint.  It uses no derivatives, and its total is the endpoint inertia
   difference n-(A(0)) - n-(A(1)).
 
+Both routes that locate crossings share :func:`_root`: ITP (Oliveira &
+Takahashi, ACM TOMS 47, 2021) with Chandrupatla's inverse-quadratic step
+(Adv. Eng. Softw. 28, 1997) through the bracket's ends and the end last
+dropped as its estimate where his test admits it, and the truncated regula
+falsi otherwise.  ITP's projection around the midpoint keeps the bound of
+bisection's count plus one; on a smooth branch a root takes about 5
+evaluations.
+
 The Maslov index of a path of lagrangians counts crossings with the train
 {dim(L ∩ H-) = 1}: passages of the eigenphases of the Arnold unitary U(t)
 through pi (Arnold, Funct. Anal. Appl. 1, 1967).  It is read off det U,
@@ -354,39 +362,52 @@ def _root(g, lo: float, hi: float, glo: float, ghi: float, width: float
           ) -> tuple[float, float, float]:
     """A sign change of g on [lo, hi], given glo = g(lo) and ghi = g(hi) of
     opposite signs: ITP (Oliveira & Takahashi, ACM TOMS 47, 2021) with
-    kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1.
+    kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1, its estimate taken
+    by Chandrupatla's rule (Adv. Eng. Softw. 28, 1997).
 
-    Each step evaluates g once: at the regula falsi point, moved by
-    kappa1 (hi - lo)^2 towards the midpoint and then into the radius around
-    the midpoint that keeps bisection's step count plus one.  The bracket
-    shrinks superlinearly on a smooth g, and never takes more than
-    ceil(log2((hi - lo) / width)) + 1 evaluations to reach width (up to
-    the rounding of its ends).  Returns (t, lo, hi): the final bracket, and
-    t, an exact zero or the end of the final bracket with the smaller |g|,
-    so always a point where g is known.
+    Each step evaluates g once.  The estimate is the inverse-quadratic
+    interpolant's zero through the last point a, the other end b and the
+    end c that a replaced, where Chandrupatla's test admits it
+    (Phi^2 < xi and (1 - Phi)^2 < 1 - xi, with xi = (a - b) / (c - b) and
+    Phi = (g(a) - g(b)) / (g(c) - g(b))), kept width / 2 inside the
+    bracket; otherwise, and on the first step, the regula falsi point moved
+    by kappa1 (hi - lo)^2 towards the midpoint.  The estimate is then
+    projected into the radius around the midpoint that keeps bisection's
+    step count plus one.  The bracket shrinks superlinearly on a smooth g,
+    and never takes more than ceil(log2((hi - lo) / width)) + 1
+    evaluations to reach width (up to the rounding of its ends).  Returns
+    (t, lo, hi): the final bracket, and t, an exact zero or the end of the
+    final bracket with the smaller |g|, so always a point where g is known.
     """
     k1 = 0.2 / (hi - lo)
     steps = max(int(np.ceil(np.log2((hi - lo) / width))), 0) + 1
+    c = gc = None  # the end the last step replaced, beyond the last point
     for j in range(steps):
         if hi - lo <= width:
             break
         mid = 0.5 * (lo + hi)
         radius = 0.5 * width * 2.0 ** (steps - j) - 0.5 * (hi - lo)
         falsi = lo + (hi - lo) * glo / (glo - ghi)
-        sigma = np.sign(mid - falsi)
         delta = k1 * (hi - lo) ** 2
-        x = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+        x = falsi + np.sign(mid - falsi) * delta if delta <= abs(mid - falsi) else mid
+        if c is not None:
+            (a, ga), (b, gb) = ((lo, glo), (hi, ghi)) if c < lo else ((hi, ghi), (lo, glo))
+            xi, phi = (a - b) / (c - b), (ga - gb) / (gc - gb)
+            if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+                s = (ga / (gb - ga) * gc / (gb - gc)
+                     + (c - a) / (b - a) * ga / (gc - ga) * gb / (gc - gb))
+                x = min(max(a + s * (b - a), lo + 0.5 * width), hi - 0.5 * width)
         if abs(x - mid) > radius:
-            x = mid - sigma * radius
+            x = mid - np.sign(mid - x) * radius
         if not lo < x < hi:
             x = mid
         gx = g(x)
         if gx == 0.0:
             return x, lo, hi
         if (gx < 0.0) == (glo < 0.0):
-            lo, glo = x, gx
+            c, gc, lo, glo = lo, glo, x, gx
         else:
-            hi, ghi = x, gx
+            c, gc, hi, ghi = hi, ghi, x, gx
     return (lo if abs(glo) <= abs(ghi) else hi), lo, hi
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -119,6 +121,40 @@ def test_maslov_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "maslov", p)
     assert code == 0
     assert json.loads(out)["flow"] == 1
+
+
+def test_maslov_plot_stacks_its_eigenphases(tmp_path, capsys, monkeypatch):
+    # 129 plotted points of a 17-node path: one eigvals call per 8 of them,
+    # and the CSV of one call per point, byte for byte
+    v = random_unitary(4, np.random.default_rng(6))
+    a = (v * np.array([-1.0, -0.5, 1.0, 2.0])) @ v.conj().T
+    grid = np.linspace(0.0, 1.0, 17)
+    p = write(tmp_path, "lpath.json", {"grid": list(grid), "values": [
+        ser.encode_lagrangian(switched_graph(a + 1.5 * t * np.eye(4))) for t in grid]})
+    path = ser.decode_lagrangian_path(json.loads(Path(p).read_text()))
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["t", "theta0", "theta1", "theta2", "theta3"])
+    for t in np.linspace(0.0, 1.0, 129):
+        theta = np.sort(np.angle(np.linalg.eigvals(path._geodesic.at(t))))
+        writer.writerow([format(x, ".17g") for x in [t, *theta]])
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    counts = []
+    for extra in ([], ["--plot", str(tmp_path / "phases.csv")]):
+        calls.clear()
+        code, out, _ = run(capsys, "maslov", p, *extra)
+        assert (code, json.loads(out)["flow"]) == (0, 2)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 17  # ceil(129 / 8)
+    assert max(shape[0] for shape in calls if len(shape) == 3) <= 8
+    assert (tmp_path / "phases.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_reduce_su2(tmp_path, capsys):

@@ -43,21 +43,26 @@ linear slope, and -i U* dU/dt = V diag(phi) V* / (b - a) on a geodesic step
 takes a Richardson difference.  At a node, where the interpolant kinks, an
 event counts half the signature on each side.
 
+LAPACK is called on stacks, and a stack is bounded by an entry budget, not
+by the grid: :func:`_chunks` cuts a run into max(1, _STACK_ENTRIES // n^2)
+n x n matrices a call: 910 at n = 6, 8 at n = 64 and one at n >= 129.
 Both spectral-flow routes evaluate each parameter value once per call:
 the node scan, every branch's midpoints and root-finder steps and the
 touch refinement read the sorted eigenvalues of A(t) from one memo.  The
 values known in advance, the refined nodes and the midpoints the branches
-will probe, are filled one grid step of the path at a time, at most 8
-values to a stack: a ``func`` path's stack is checked and symmetrized at
-once, and each stack takes one stacked eigvalsh; the others are read one
-by one.  The first level of the branch search (a sign change, a zero end,
-or a probed midpoint that changes sign, touches zero or falls below half
-the smaller end) is tested for every interval and branch at once, and only
-the pairs that pass are searched.  Only the kernel at a located crossing
-needs A(t) again, for its eigenvectors.  The Maslov index reads the
-eigenphases of its node unitaries with one stacked eigvals per 8 nodes,
-counts every step's passages at once, and walks only the steps that hold
-some.
+will probe, are filled in such stacks across grid steps: a sampled path
+interpolates a stack in one array expression, a ``func`` path's stack is
+checked and symmetrized at once, and each stack takes one stacked
+eigvalsh; the others are read one by one.  The first level of the branch
+search (a sign change, a zero end, or a probed midpoint that changes sign,
+touches zero or falls below half the smaller end) is tested for every
+interval and branch at once, and only the pairs that pass are searched.
+Only the kernel at a located crossing needs A(t) again, for its
+eigenvectors.  The geodesic steps of a path or loop are decomposed in
+stacks too (:func:`_steps_angles`): all grid steps at once, and each
+halving level of a ``func`` path's check.  The Maslov index reads the
+eigenphases of its node unitaries with stacked eigvals, counts every
+step's passages at once, and walks only the steps that hold some.
 
 Crossings are only counted in the open interior (0, 1); paths whose
 endpoints are degenerate are rejected rather than half-counted, which
@@ -102,7 +107,7 @@ _MAX_DEPTH = 40
 _MAX_SPLITS = 14
 _NODE_SHIFT = 1e-7
 _FD_STEP = 1e-4
-_STACK = 8
+_STACK_ENTRIES = 8 * 64 * 64
 
 
 @dataclass(frozen=True)
@@ -138,16 +143,26 @@ def _bracket(grid: np.ndarray, t: float) -> tuple[int, float]:
     return i, _offset(grid, i, t)
 
 
-def _offset(grid: np.ndarray, i: int, t):
-    """(t - t_i) / (t_i+1 - t_i): the offset of t, or of an array of t, in grid step i."""
+def _offset(grid: np.ndarray, i, t):
+    """(t - t_i) / (t_i+1 - t_i): the offset of t in grid step i, or of an
+    array of t, each in its own step of an array i."""
     a, b = grid[i], grid[i + 1]
     return (t - a) / (b - a)
 
 
-def _lerp(nodes: Sequence[np.ndarray], i: int, s):
+def _lerp(nodes: Sequence[np.ndarray], i, s):
     """(1 - s) nodes[i] + s nodes[i+1]: the path interpolation, at one offset s
-    or at a (k, 1, 1) array of them."""
+    in step i, or at a (k, 1, 1) array of them in the steps of an array i of
+    a stacked ``nodes``."""
     return (1.0 - s) * nodes[i] + s * nodes[i + 1]
+
+
+def _chunks(count: int, n: int) -> list[slice]:
+    """Runs of range(count) that one stacked LAPACK call takes:
+    max(1, _STACK_ENTRIES // n^2) n x n matrices each, so a call holds at
+    most _STACK_ENTRIES entries, or one matrix, whatever the count."""
+    size = max(1, _STACK_ENTRIES // (n * n))
+    return [slice(k, k + size) for k in range(0, count, size)]
 
 
 def _sides(grid: np.ndarray, t: float) -> list[int]:
@@ -175,6 +190,7 @@ class HermitianPath:
     values: tuple[np.ndarray, ...]
     func: Callable[[float], np.ndarray] | None = field(default=None, compare=False, kw_only=True)
     dfunc: Callable[[float], np.ndarray] | None = field(default=None, compare=False, kw_only=True)
+    _nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = _check_grid(self.grid)
@@ -188,8 +204,10 @@ class HermitianPath:
             raise InputError("all path values must share one dimension")
         if self.dfunc is not None and self.func is None:
             raise InputError("dfunc needs func: a sampled path is signed by its interpolant")
+        nodes = np.stack(vals)  # the values are its rows
         object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(nodes))
+        object.__setattr__(self, "_nodes", nodes)
 
     @classmethod
     def from_function(cls, func, nodes: int = 9, dfunc=None) -> "HermitianPath":
@@ -207,15 +225,16 @@ class HermitianPath:
         i, s = _bracket(self.grid, t)
         return _lerp(self.values, i, s)
 
-    def _stack(self, i: int, ts: Sequence[float]) -> np.ndarray:
-        """value_at of each t of grid step i, stacked, with value_at's float
-        operations: a sampled path interpolates them all in one array
-        operation, and a ``func`` path calls func once per t, in order, then
-        checks and symmetrizes the stack at once.  A stack that fails the
-        check is checked value by value, for value_at's error."""
+    def _stack(self, ts: Sequence[float]) -> np.ndarray:
+        """value_at of each t, stacked, with value_at's float operations: a
+        sampled path interpolates each t in its own grid step, all in one
+        array expression, and a ``func`` path calls func once per t, in
+        order, then checks and symmetrizes the stack at once.  A stack that
+        fails the check is checked value by value, for value_at's error."""
         if self.func is None:
-            s = _offset(self.grid, i, np.array(ts, dtype=float))
-            return _lerp(self.values, i, s[:, None, None])
+            ts = np.clip(np.array(ts, dtype=float), 0.0, 1.0)
+            i = np.clip(self.grid.searchsorted(ts, side="right") - 1, 0, self.grid.size - 2)
+            return _lerp(self._nodes, i, _offset(self.grid, i, ts)[:, None, None])
         raw = [self.func(min(max(float(t), 0.0), 1.0)) for t in ts]
         try:
             m = np.array(raw, dtype=np.complex128)
@@ -256,7 +275,7 @@ class HermitianPath:
         if not (0.0 <= a < b <= 1.0):
             raise InputError("invalid restriction interval")
         new_grid = np.array([a] + [t for t in self.grid if a < t < b] + [b])
-        vals = tuple(self.value_at(t) for t in new_grid)
+        vals = tuple(self._stack(new_grid))
         func = None if self.func is None else lambda s, f=self.func: f(a + (b - a) * s)
         dfunc = None if self.dfunc is None else lambda s, f=self.dfunc: (b - a) * f(a + (b - a) * s)
         return HermitianPath((new_grid - a) / (b - a), vals, func=func, dfunc=dfunc)
@@ -312,17 +331,13 @@ def _shift_interior_zeros(ts: np.ndarray, eig_at, eig_rows, eps: float
 
 def _stacked_eigs(path: HermitianPath, ts: Sequence[float]) -> Iterator[np.ndarray]:
     """The sorted eigenvalues of A(t) for each t in [0, 1], in order and
-    read-only: one stacked eigvalsh per run of at most _STACK consecutive t
-    in one step of the path's grid, so no call holds more than _STACK
-    matrices whatever the path's size."""
-    steps = np.clip(path.grid.searchsorted(ts, side="right") - 1, 0, path.grid.size - 2)
-    start = 0
-    for k in range(1, len(ts) + 1):
-        if k == len(ts) or steps[k] != steps[start] or k - start == _STACK:
-            vals = np.linalg.eigvalsh(path._stack(steps[start], ts[start:k]))
-            vals.flags.writeable = False
-            yield from vals
-            start = k
+    read-only: one stacked eigvalsh per :func:`_chunks` run of consecutive
+    t, across grid steps, so no call holds more than _STACK_ENTRIES entries
+    (or one matrix) whatever the path's size."""
+    for run in _chunks(len(ts), path.dim):
+        vals = np.linalg.eigvalsh(path._stack(ts[run]))
+        vals.flags.writeable = False
+        yield from vals
 
 
 def _path_eigs(path: HermitianPath, tol: Tolerance):
@@ -334,8 +349,8 @@ def _path_eigs(path: HermitianPath, tol: Tolerance):
     Both read one memo, which holds each distinct t evaluated once, for as
     long as the caller holds them; its arrays are read-only, since every
     caller shares them.  eig_at evaluates a t it lacks alone; eig_rows fills
-    those it lacks with :func:`_stacked_eigs`, a grid step at a time, so the
-    memory a fill takes is bounded by _STACK matrices, not by the count of t.
+    those it lacks with :func:`_stacked_eigs`, so the memory a fill takes is
+    bounded by _STACK_ENTRIES entries (or one matrix), not by the count of t.
     """
     memo: dict[float, np.ndarray] = {}
 
@@ -354,7 +369,7 @@ def _path_eigs(path: HermitianPath, tol: Tolerance):
     for t in (0.0, 1.0):
         if np.min(np.abs(eig_at(t))) <= tol.crossing_eps:
             raise PreconditionError("degenerate endpoint")
-    scale = max(1.0, max(float(np.abs(v).max(initial=0.0)) for v in path.values))
+    scale = max(1.0, float(np.abs(path._nodes).max()))
     return eig_at, eig_rows, scale, max(tol.crossing_eps, 1e-12 * scale)
 
 
@@ -606,12 +621,10 @@ class LagrangianPath:
         between = None if self.func is None else (
             lambda t, func=self.func: lagrangian_to_unitary(_frame_of(func, t, n)))
         geodesic = _Geodesic(g, [lagrangian_to_unitary(v) for v in vals], between)
-        try:
-            wide = any(np.max(np.abs(np.sin(0.5 * geodesic.step(i)[0]))) > 0.5 + 1e-9
-                       for i in range(g.size - 1))
-        except PreconditionError:  # past the step guard, so wider still
-            wide = True
-        if wide:
+        steps = geodesic.steps()
+        # a step past the principal log's reach is wider still
+        if (any(step is None for step in steps)
+                or np.max(np.abs(np.sin(0.5 * np.array([phi for phi, _ in steps])))) > 0.5 + 1e-9):
             raise _WideStep("consecutive frames exceed subspace distance 0.5")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", vals)
@@ -668,9 +681,14 @@ def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray
     they are off by about 1e-9, far inside any gap).  1 + R exactly singular
     means an eigenphase of pi, so that step is too coarse at once.
     """
-    r = ua.conj().T @ ub
+    return _principal(ua.conj().T @ ub)
+
+
+def _principal(r: np.ndarray, first=None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_step_angles` of the step R, from ``first``, its alpha = 0 pass,
+    when given."""
     try:
-        phi, vecs = _cayley_angles(r, 0.0)
+        phi, vecs = _cayley_angles(r, 0.0) if first is None else first
     except np.linalg.LinAlgError:  # R has the eigenvalue -1
         raise PreconditionError("grid too coarse") from None
     if np.max(np.abs(phi)) > 0.5 * np.pi:
@@ -684,13 +702,36 @@ def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return phi, vecs
 
 
+def _steps_angles(uas: Sequence[np.ndarray], ubs: Sequence[np.ndarray]
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray] | None]:
+    """:func:`_step_angles` of each step Ua -> Ub, in order, None where it
+    raises "grid too coarse".  The alpha = 0 pass runs on :func:`_chunks`
+    stacks (stacked @, solve and eigh, which treat each matrix alone); only a
+    step with some |phi| > pi/2 takes a second pass, and a stack whose solve
+    meets an exactly singular 1 + R is solved again step by step.  Steps
+    come a stack at a time, so a caller that keeps only phi holds one
+    stack's V."""
+    for run in _chunks(len(uas), uas[0].shape[0]):
+        rs = np.stack(uas[run]).conj().transpose(0, 2, 1) @ np.stack(ubs[run])
+        try:
+            firsts = list(zip(*_cayley_angles(rs, 0.0)))
+        except np.linalg.LinAlgError:
+            firsts = [None] * len(rs)
+        for r, first in zip(rs, firsts):
+            try:
+                yield _principal(r, first)
+            except PreconditionError:
+                yield None
+
+
 def _cayley_angles(r: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(alpha + 2 arctan(mu), V) for eigh(K) = (mu, V) of the Cayley transform
-    K of e^{-i alpha} R, not wrapped; LinAlgError when -1 is its eigenvalue."""
-    eye = np.eye(r.shape[0])
+    K of e^{-i alpha} R, or of each R of a stack, not wrapped; LinAlgError
+    when -1 is an eigenvalue."""
+    eye = np.eye(r.shape[-1])
     rot = np.exp(-1j * alpha) * r
     k = 1j * np.linalg.solve(eye + rot, eye - rot)
-    mu, vecs = np.linalg.eigh(0.5 * (k + k.conj().T))
+    mu, vecs = np.linalg.eigh(0.5 * (k + np.swapaxes(k.conj(), -1, -2)))
     return alpha + 2.0 * np.arctan(mu), vecs
 
 
@@ -699,24 +740,34 @@ class _Geodesic:
     nodes ``between(t)`` for a ``func`` path, else the unitary geodesics; the
     one place that tells the two apart.
 
-    Grid step i, of length h, is decomposed when first read: (phi, V) of
-    :func:`_step_angles` for U_i* U_i+1.  At s = (t - t_i) / h on it, the
-    geodesic is U(t) = U_i V diag(e^{i s phi}) V*, arg det U has turned by
-    s sum(phi), and -i U* dU/dt = V diag(phi) V* / h.  The owner keeps the
-    nodes unchanged; concurrent readers may decompose a step, or count, twice.
+    All grid steps are decomposed together when the first is read: (phi, V)
+    of :func:`_steps_angles` for each U_i* U_i+1, None for a step that is
+    too coarse; a ``func`` path keeps (phi, None), as its U(t) and rates
+    come from ``between``.  At s = (t - t_i) / h on step i, of length h, the geodesic
+    is U(t) = U_i V diag(e^{i s phi}) V*, arg det U has turned by s sum(phi),
+    and -i U* dU/dt = V diag(phi) V* / h.  The owner keeps the nodes
+    unchanged; concurrent readers may decompose the steps, or count, twice.
     """
 
     def __init__(self, grid: np.ndarray, nodes: Sequence[np.ndarray], between=None):
         self.grid = grid
         self.nodes = tuple(nodes)
         self.between = between
-        self._steps = [None] * (grid.size - 1)
+        self._steps = None
         self._counted = None
 
-    def step(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        step = self._steps[i]
+    def steps(self) -> list[tuple[np.ndarray, np.ndarray | None] | None]:
+        steps = self._steps
+        if steps is None:
+            steps = self._steps = [
+                step if step is None or self.between is None else (step[0], None)
+                for step in _steps_angles(self.nodes[:-1], self.nodes[1:])]
+        return steps
+
+    def step(self, i: int) -> tuple[np.ndarray, np.ndarray | None]:
+        step = self.steps()[i]
         if step is None:
-            step = self._steps[i] = _step_angles(self.nodes[i], self.nodes[i + 1])
+            raise PreconditionError("grid too coarse")
         return step
 
     def at(self, t: float) -> np.ndarray:
@@ -761,31 +812,31 @@ class _Geodesic:
 
 def _checked_steps(geodesic: _Geodesic, u_at) -> list[tuple[float, float, np.ndarray]]:
     """(a, b, phi) of a ``func`` path's counted steps: grid steps halved while
-    some |phi| > pi/2, and checked: one more halving must leave every turn."""
+    some |phi| > pi/2, and checked: one more halving must leave every turn.
+    Each halving level, and the check's halves, are decomposed together."""
 
-    def angles(a, b, i=None):  # None past the principal log's reach, so wide
-        try:
-            return (_step_angles(u_at(a), u_at(b)) if i is None else geodesic.step(i))[0]
-        except PreconditionError:
-            return None
-
-    def halves(a, b):
-        m = 0.5 * (a + b)
-        return [(a, m, angles(a, m)), (m, b, angles(m, b))]
+    def halved(steps):  # (a, b, phi) of both halves of each step, phi None past reach
+        pairs = [pair for a, b, _ in steps for m in [0.5 * (a + b)] for pair in ((a, m), (m, b))]
+        ends = [(u_at(a), u_at(b)) for a, b in pairs]
+        found = _steps_angles([ua for ua, _ in ends], [ub for _, ub in ends])
+        return [(a, b, None if step is None else step[0]) for (a, b), step in zip(pairs, found)]
 
     g = geodesic.grid
-    steps = [(g[i], g[i + 1], angles(g[i], g[i + 1], i)) for i in range(g.size - 1)]
+    steps = [(g[i], g[i + 1], None if step is None else step[0])
+             for i, step in enumerate(geodesic.steps())]
     for _ in range(_MAX_SPLITS):
         wide = [phi is None or np.max(np.abs(phi)) > 0.5 * np.pi for _, _, phi in steps]
         if not any(wide):
             break
-        steps = [piece for (a, b, phi), w in zip(steps, wide)
-                 for piece in (halves(a, b) if w else [(a, b, phi)])]
+        halves = iter(halved([step for step, w in zip(steps, wide) if w]))
+        steps = [piece for step, w in zip(steps, wide)
+                 for piece in ((next(halves), next(halves)) if w else (step,))]
     else:
         raise PreconditionError("grid too coarse")
-    for a, b, phi in steps:
-        m = 0.5 * (a + b)
-        if _whole((_turn(u_at, a, m) + _turn(u_at, m, b) - float(np.sum(phi))) / (2.0 * np.pi)):
+    halves = halved(steps)
+    for (_, _, phi), (_, _, left), (_, _, right) in zip(steps, halves[::2], halves[1::2]):
+        if left is None or right is None or _whole(
+                (float(np.sum(left)) + float(np.sum(right)) - float(np.sum(phi))) / (2.0 * np.pi)):
             raise PreconditionError("grid too coarse")
     return steps
 
@@ -804,10 +855,10 @@ def _whole(x: float) -> int:
 
 
 def _node_phases(nodes: Sequence[np.ndarray]) -> np.ndarray:
-    """np.angle(np.linalg.eigvals(U)) of each node U, one row per node: one
-    stacked eigvals per run of at most _STACK nodes."""
-    return np.concatenate([np.angle(np.linalg.eigvals(np.stack(nodes[k:k + _STACK])))
-                           for k in range(0, len(nodes), _STACK)])
+    """np.angle(np.linalg.eigvals(U)) of each U, one row per U: one stacked
+    eigvals per :func:`_chunks` run."""
+    return np.concatenate([np.angle(np.linalg.eigvals(np.stack(nodes[run])))
+                           for run in _chunks(len(nodes), nodes[0].shape[0])])
 
 
 def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL

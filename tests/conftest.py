@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import lagflow.flow
+
 
 def random_unitary(n, rng):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -30,6 +32,25 @@ def evenly_winding(n, endpoint):
     """
     theta = np.linspace(-np.pi, np.pi, n, endpoint=endpoint) + 0.013
     return lambda t: np.diag(np.exp(1j * (theta + 2 * np.pi * t)))
+
+
+def count_steps(monkeypatch):
+    """The list of (Ua, Ub) of every geodesic step decomposed from now on,
+    whether in a stack of the kernel or alone."""
+    pairs = []
+    stacked, single = lagflow.flow._steps_angles, lagflow.flow._step_angles
+
+    def spy_stacked(uas, ubs):
+        pairs.extend(zip(uas, ubs))
+        return stacked(uas, ubs)
+
+    def spy_single(ua, ub):
+        pairs.append((ua, ub))
+        return single(ua, ub)
+
+    monkeypatch.setattr(lagflow.flow, "_steps_angles", spy_stacked)
+    monkeypatch.setattr(lagflow.flow, "_step_angles", spy_single)
+    return pairs
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lagflow
+import lagflow.flow
 import lagflow.serialize as ser
 from lagflow.cli import main
 from lagflow.grassmann import cayley_graph, chart_point, standard_lagrangians, switched_graph
@@ -124,8 +125,9 @@ def test_maslov_cli(tmp_path, capsys):
 
 
 def test_maslov_plot_stacks_its_eigenphases(tmp_path, capsys, monkeypatch):
-    # 129 plotted points of a 17-node path: one eigvals call per 8 of them,
-    # and the CSV of one call per point, byte for byte
+    # 129 plotted points of a 17-node path at n = 4: one eigvals call for
+    # all of them, within the entry budget, and the CSV of one call per
+    # point, byte for byte
     v = random_unitary(4, np.random.default_rng(6))
     a = (v * np.array([-1.0, -0.5, 1.0, 2.0])) @ v.conj().T
     grid = np.linspace(0.0, 1.0, 17)
@@ -152,8 +154,8 @@ def test_maslov_plot_stacks_its_eigenphases(tmp_path, capsys, monkeypatch):
         code, out, _ = run(capsys, "maslov", p, *extra)
         assert (code, json.loads(out)["flow"]) == (0, 2)
         counts.append(len(calls))
-    assert counts[1] - counts[0] == 17  # ceil(129 / 8)
-    assert max(shape[0] for shape in calls if len(shape) == 3) <= 8
+    assert counts[1] - counts[0] == 1
+    assert max(np.prod(shape) for shape in calls) <= lagflow.flow._STACK_ENTRIES
     assert (tmp_path / "phases.csv").read_bytes() == expected.getvalue().encode()
 
 

@@ -24,7 +24,8 @@ from lagflow.linalg import Tolerance
 from lagflow.serialize import encode_lagrangian
 from lagflow.universal import UnitaryLoop, discretized_path, universal_loop_flow
 
-from conftest import evenly_winding, random_hermitian, random_unitary, unitary_with_phases
+from conftest import (count_steps, evenly_winding, random_hermitian, random_unitary,
+                      unitary_with_phases)
 
 
 def affine_path(a, b, nodes=9):
@@ -405,11 +406,9 @@ def _stacking_corpus():
 
 def test_stacked_values_and_eigenvalues_equal_value_at_bit_for_bit():
     for path, ts in _stacking_corpus():
-        steps = [lagflow.flow._bracket(path.grid, t)[0] for t in ts]
-        for i in sorted(set(steps)):
-            here = [t for t, j in zip(ts, steps) if j == i]
-            stack = path._stack(i, here)
-            for t, value in zip(here, stack):
+        # one stack across every grid step, and each t alone
+        for stack in (path._stack(ts), np.concatenate([path._stack([t]) for t in ts])):
+            for t, value in zip(ts, stack):
                 assert value.tobytes() == path.value_at(t).tobytes()
         rows = list(lagflow.flow._stacked_eigs(path, ts))
         assert len(rows) == ts.size
@@ -417,25 +416,51 @@ def test_stacked_values_and_eigenvalues_equal_value_at_bit_for_bit():
             assert vals.tobytes() == np.linalg.eigvalsh(path.value_at(t)).tobytes()
 
 
-def test_no_stacked_eigvalsh_holds_more_than_eight_matrices(monkeypatch):
+def test_a_restricted_path_reads_the_values_of_value_at(rng):
+    for path, _ in _stacking_corpus():
+        a, b = sorted(rng.uniform(0.0, 1.0, 2))
+        part = path.restricted(a, b)
+        inner = [t for t in path.grid if a < t < b]
+        assert part.grid.size == len(inner) + 2
+        for t, value in zip([a] + inner + [b], part.values):
+            assert value.tobytes() == path.value_at(t).tobytes()
+
+
+def _stacked_sizes(monkeypatch, names):
+    """(entries, matrices) of each call of the numpy.linalg functions named,
+    made while the spy is installed."""
     sizes = []
-    original = np.linalg.eigvalsh
 
-    def spy(a):
-        sizes.append(a.shape[0] if a.ndim == 3 else 1)
-        return original(a)
+    def spy(original):
+        def call(a, *args):
+            a = np.asarray(a)
+            sizes.append((a.size, a.shape[0] if a.ndim == 3 else 1))
+            return original(a, *args)
+        return call
 
-    monkeypatch.setattr(lagflow.flow.np.linalg, "eigvalsh", spy)
+    for name in names:
+        monkeypatch.setattr(lagflow.flow.np.linalg, name, spy(getattr(np.linalg, name)))
+    return sizes
+
+
+def test_stacked_eigvalsh_calls_fill_the_entry_budget(monkeypatch):
+    # at n = 3 the x8 scan's 64 probed midpoints take one call, as do its 63
+    # and the x4 scan's 31 interior nodes; at n = 32 (a discretization at
+    # m = 32) 32 matrices fill the budget
+    budget = lagflow.flow._STACK_ENTRIES
+    sizes = _stacked_sizes(monkeypatch, ["eigvalsh"])
     a, b = np.diag([-1.0, 0.5, 2.0]), np.diag([3.0, -2.0, 1.0])
     grid = np.linspace(0.0, 1.0, 9)
     sampled = HermitianPath(grid, tuple(a + t * b for t in grid))
     loop = UnitaryLoop.from_function(
         lambda t: np.array([[np.exp(1j * (2 * np.pi * t + np.pi))]]), 17)
-    for path in (sampled, affine_path(a, b), discretized_path(loop, 32)):
-        for route in (spectral_flow_crossing, spectral_flow_tracking):
+    for path, counts in ((sampled, (64, 31)), (affine_path(a, b), (64, 31)),
+                         (discretized_path(loop, 32), (32, 32))):
+        for route, count in zip((spectral_flow_crossing, spectral_flow_tracking), counts):
             sizes.clear()
             route(path)
-            assert max(sizes) == (8 if route is spectral_flow_crossing else 4)
+            assert max(k for _, k in sizes) == count
+            assert all(entries <= budget or k == 1 for entries, k in sizes)
 
 
 def _linspace_refined(grid, factor):
@@ -526,22 +551,22 @@ def test_the_screened_scan_answers_as_the_unscreened_loop():
     assert kinds == {"answer", "degenerate crossing", "grid too coarse", "unresolved cluster"}
 
 
-def test_maslov_stacks_at_most_eight_node_phases(monkeypatch):
-    sizes = []
-    original = np.linalg.eigvals
-
-    def spy(a):
-        sizes.append(a.shape[0] if a.ndim == 3 else 1)
-        return original(a)
-
-    monkeypatch.setattr(lagflow.flow.np.linalg, "eigvals", spy)
+def test_maslov_stacks_its_phases_within_the_budget(monkeypatch):
+    sizes = _stacked_sizes(monkeypatch, ["eigvals"])
     v = random_unitary(4, np.random.default_rng(6))
     a = (v * np.array([-1.0, -0.5, 1.0, 2.0])) @ v.conj().T
     lfunc = LagrangianPath.from_function(lambda t: switched_graph(a + 1.5 * t * np.eye(4)), 17)
-    for path in (lfunc, LagrangianPath(lfunc.grid, lfunc.values)):
+    sampled = LagrangianPath(lfunc.grid, lfunc.values)
+    # the 17 nodes in one call; the others are the locating's, one t each.
+    # The 0.5 guard keeps every |phi| <= pi/3, so no grid step of a func
+    # path is halved, and the counted steps end on nodes only
+    for path in (lfunc, sampled):
         sizes.clear()
         assert maslov_index(path)[0] == 2
-        assert max(sizes) == 8 and sizes[:3] == [8, 8, 1]  # the 17 nodes
+        assert sizes[0] == (17 * 16, 17)
+        assert all(k == 1 for _, k in sizes[1:])
+    counted_ends = lfunc._geodesic.counted(None)[0]  # kept from the count above
+    assert counted_ends.tobytes() == lfunc.grid.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 65])
@@ -659,14 +684,7 @@ def test_sampled_maslov_decomposes_each_node_step_once(monkeypatch):
     sampled = LagrangianPath.from_function(lambda t: switched_graph(a + t * b), 17)
     path = LagrangianPath(sampled.grid, sampled.values)  # geodesics between nodes
     nodes = [lagrangian_to_unitary(f) for f in path.values]
-    pairs = []
-    original = lagflow.flow._step_angles
-
-    def counting(ua, ub):
-        pairs.append((ua, ub))
-        return original(ua, ub)
-
-    monkeypatch.setattr(lagflow.flow, "_step_angles", counting)
+    pairs = count_steps(monkeypatch)
     flow, crossings = maslov_index(path)
     assert flow == 2
     assert len(crossings) == 2  # located inside steps, on the geodesics
@@ -690,14 +708,7 @@ def test_frames_farther_apart_than_the_guard_are_an_input_error():
 def test_sampled_paths_decompose_each_grid_step_once(monkeypatch, tmp_path, capsys):
     # the 0.5 guard decomposes the 16 grid steps; maslov_index and the
     # eigenphase plot read those decompositions and decompose no step
-    calls = []
-    original = lagflow.flow._step_angles
-
-    def counting(ua, ub):
-        calls.append(ua.shape)
-        return original(ua, ub)
-
-    monkeypatch.setattr(lagflow.flow, "_step_angles", counting)
+    calls = count_steps(monkeypatch)
     v = random_unitary(4, np.random.default_rng(6))
     a = (v * np.array([-1.0, -0.5, 1.0, 2.0])) @ v.conj().T
     b = 1.5 * np.eye(4)
@@ -807,6 +818,92 @@ def test_subspace_distance_is_the_largest_half_angle_sine(n):
         phi, _ = lagflow.flow._step_angles(ua, ub)
         gap = np.linalg.norm(cayley_graph(ua).projection() - cayley_graph(ub).projection(), 2)
         assert abs(np.max(np.abs(np.sin(0.5 * phi))) - gap) < 1e-13
+
+
+def _kernel_corpus(n):
+    """A chain of unitaries U_0, U_1, ... whose steps U_k* U_k+1 cover the
+    kernel's cases: small and spread phases, max|phi| just below and just
+    above pi/2 (one pass, or two), phases just inside and just past the
+    pi - 1e-6 guard, and an exactly singular 1 + R (from U = 1 to a
+    diagonal with the eigenvalue -1), between Haar steps."""
+    rng = np.random.default_rng(100 + n)
+    spread = _kernel_phases("spread", n)
+    inside, past = spread * 0.9, spread * 0.9
+    inside[-1], past[-1] = np.pi - 1e-6 - 1e-8, np.pi - 1e-6 + 1e-8
+    minus_one = np.exp(0.5j * spread)
+    minus_one[0] = -1.0
+    rs = [unitary_with_phases(rng.uniform(-0.3, 0.3, n), rng),
+          unitary_with_phases(spread * 0.4, rng),
+          unitary_with_phases(_kernel_phases("below", n), rng),
+          unitary_with_phases(_kernel_phases("above", n), rng),
+          unitary_with_phases(inside, rng),
+          unitary_with_phases(past, rng),
+          unitary_with_phases(_kernel_phases("repeated", n), rng)]
+    nodes = [random_unitary(n, rng)]
+    for r in rs:
+        nodes.append(nodes[-1] @ r)
+    nodes += [np.eye(n, dtype=complex), np.diag(minus_one)]
+    for _ in range(3):
+        nodes.append(nodes[-1] @ unitary_with_phases(rng.uniform(-1.0, 1.0, n), rng))
+    return nodes
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 64, 65])
+def test_stacked_step_kernel_equals_the_single_step_kernel_bit_for_bit(n):
+    nodes = _kernel_corpus(n)
+    singular = len(nodes) - 5  # the step from 1 to the diagonal with -1
+    found = list(lagflow.flow._steps_angles(nodes[:-1], nodes[1:]))
+    assert len(found) == len(nodes) - 1
+    rotated = 0
+    for k, (ua, ub, step) in enumerate(zip(nodes[:-1], nodes[1:], found)):
+        try:
+            phi, vecs = lagflow.flow._step_angles(ua, ub)
+        except PreconditionError:
+            assert step is None
+            continue
+        assert step is not None
+        assert step[0].tobytes() == phi.tobytes() and step[1].tobytes() == vecs.tobytes()
+        rotated += int(np.max(np.abs(phi)) > 0.5 * np.pi)
+    assert rotated >= 2  # the steps just above pi/2 and inside the guard
+    # the past-the-guard and singular steps fail; every other step decomposes
+    assert [k for k, step in enumerate(found) if step is None] == [5, singular]
+    geodesic = lagflow.flow._Geodesic(np.linspace(0.0, 1.0, len(nodes)), nodes)
+    for k in (5, singular):
+        with pytest.raises(PreconditionError, match="grid too coarse"):
+            geodesic.step(k)
+    assert geodesic.step(singular + 1)[0].tobytes() == found[singular + 1][0].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 6, 64, 128])
+def test_no_stacked_lapack_call_exceeds_the_entry_budget(monkeypatch, n):
+    budget = lagflow.flow._STACK_ENTRIES
+    per_call = max(1, budget // (n * n))
+    sizes = _stacked_sizes(monkeypatch, ["eigvalsh", "eigvals", "solve", "eigh"])
+    rng = np.random.default_rng(n)
+    v = random_unitary(n, rng)
+    d = np.concatenate([[-0.75], np.linspace(0.5, 2.0, n - 1)])  # crosses 0 at t = 1/2
+    a = (v * d) @ v.conj().T
+    hfunc = HermitianPath.from_function(lambda t: a + 1.5 * t * np.eye(n), 9)
+    for path in (hfunc, HermitianPath(hfunc.grid, hfunc.values)):
+        assert spectral_flow_crossing(path)[0] == spectral_flow_tracking(path)[0] == 1
+    lpath = LagrangianPath.from_function(lambda t: switched_graph(a + 1.5 * t * np.eye(n)), 17)
+    assert maslov_index(LagrangianPath(lpath.grid, lpath.values))[0] == 1
+    theta = np.linspace(-2.5, 2.5, n) + 0.013
+    loop = UnitaryLoop.from_function(
+        lambda t: (v * np.exp(1j * (theta + 2.0 * np.pi * t * (np.arange(n) == 0)))) @ v.conj().T,
+        9)
+    assert universal_loop_flow(loop) == 1
+    assert all(entries <= budget or k == 1 for entries, k in sizes)
+    # runs longer than one call's share are cut at the budget
+    sizes.clear()
+    count = per_call + 1
+    ts = np.linspace(0.0, 1.0, count)
+    assert len(list(lagflow.flow._stacked_eigs(hfunc, ts))) == count
+    steps = [lpath._geodesic.nodes[k % 2] for k in range(count + 1)]
+    assert len(list(lagflow.flow._steps_angles(steps[:-1], steps[1:]))) == count
+    assert lagflow.flow._node_phases(steps[:count]).shape == (count, n)
+    assert max(k for _, k in sizes) == per_call
+    assert all(entries <= budget or k == 1 for entries, k in sizes)
 
 
 def test_sampled_path_is_signed_with_its_interpolant_slope():
@@ -1164,19 +1261,12 @@ def test_func_maslov_decomposes_each_grid_step_once(monkeypatch):
     v = random_unitary(4, np.random.default_rng(6))
     a = (v * np.array([-1.0, -0.5, 1.0, 2.0])) @ v.conj().T
     b = 1.5 * np.eye(4)
-    calls, pairs = [], []
+    calls, pairs = [], count_steps(monkeypatch)
 
     def func(t):
         calls.append(t)
         return switched_graph(a + t * b)
 
-    original = lagflow.flow._step_angles
-
-    def counting(ua, ub):
-        pairs.append((ua, ub))
-        return original(ua, ub)
-
-    monkeypatch.setattr(lagflow.flow, "_step_angles", counting)
     path = LagrangianPath.from_function(func, 17)
     assert path.grid.size == 17 and len(pairs) == 16
     calls.clear()
@@ -1198,18 +1288,12 @@ def test_func_maslov_checks_its_steps_once(monkeypatch):
     v = random_unitary(4, np.random.default_rng(6))
     a = (v * np.array([-1.0, -0.5, 1.0, 2.0])) @ v.conj().T
     b = 1.5 * np.eye(4)
-    step_calls, func_calls = [], []
-    original = lagflow.flow._step_angles
-
-    def counting(ua, ub):
-        step_calls.append(ua.shape)
-        return original(ua, ub)
+    step_calls, func_calls = count_steps(monkeypatch), []
 
     def func(t):
         func_calls.append(t)
         return switched_graph(a + t * b)
 
-    monkeypatch.setattr(lagflow.flow, "_step_angles", counting)
     path = LagrangianPath.from_function(func, 17)
     assert (path.grid.size, len(step_calls)) == (17, 16)
     counts = []

@@ -16,7 +16,7 @@ from lagflow.universal import (
     universal_reduction,
 )
 
-from conftest import evenly_winding, random_unitary
+from conftest import count_steps, evenly_winding, random_unitary
 
 
 def test_exact_spectrum_identity():
@@ -174,14 +174,7 @@ def test_excursions_between_the_nodes_of_a_func_loop_net_nothing(nodes):
 
 
 def test_a_func_loop_checks_its_steps_once(monkeypatch):
-    calls = []
-    original = lagflow.flow._step_angles
-
-    def counting(ua, ub):
-        calls.append(ua.shape)
-        return original(ua, ub)
-
-    monkeypatch.setattr(lagflow.flow, "_step_angles", counting)
+    calls = count_steps(monkeypatch)
     loop = UnitaryLoop.from_function(winding(3), 5)
     assert universal_loop_flow(loop) == 3
     assert calls

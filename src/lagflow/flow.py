@@ -2,11 +2,12 @@
 
 Two independent spectral-flow algorithms are provided:
 
-* :func:`spectral_flow_crossing` locates each zero crossing of the sorted
+* :func:`spectral_flow_crossing` locates each sign change of the sorted
   eigenvalue branches with the bracketed root finder :func:`_root` and adds
   the signature of the crossing form  v |-> <dA/dt v, v>  on the numerical
   kernel (for a simple crossing this is sign<dA v, v>, the classical local
-  flow),
+  flow).  A branch that touches zero and keeps its sign is no event: a
+  tangency adds nothing to the flow (Robbin & Salamon, Topology 32, 1993),
 * :func:`spectral_flow_tracking` counts negative eigenvalues n-(t) on the
   x4 refined grid; each interval adds n-(t_i) - n-(t_i+1) crossings at its
   midpoint.  It uses no derivatives, and its total is the endpoint inertia
@@ -47,16 +48,16 @@ LAPACK is called on stacks, and a stack is bounded by an entry budget, not
 by the grid: :func:`_chunks` cuts a run into max(1, _STACK_ENTRIES // n^2)
 n x n matrices a call: 910 at n = 6, 8 at n = 64 and one at n >= 129.
 Both spectral-flow routes evaluate each parameter value once per call:
-the node scan, every branch's midpoints and root-finder steps and the
-touch refinement read the sorted eigenvalues of A(t) from one memo.  The
+the node scan and every branch's midpoints and root-finder steps read
+the sorted eigenvalues of A(t) from one memo.  The
 values known in advance, the refined nodes and the midpoints the branches
 will probe, are filled in such stacks across grid steps: a sampled path
 interpolates a stack in one array expression, a ``func`` path's stack is
 checked and symmetrized at once, and each stack takes one stacked
 eigvalsh; the others are read one by one.  The first level of the branch
-search (a sign change, a zero end, or a probed midpoint that changes sign,
-touches zero or falls below half the smaller end) is tested for every
-interval and branch at once, and only the pairs that pass are searched.
+search (a sign change, a zero end, or a probed midpoint that changes sign
+or falls below half the smaller end) is tested for every interval and
+branch at once, and only the pairs that pass are searched.
 Only the kernel at a located crossing needs A(t) again, for its
 eigenvectors.  The geodesic steps of a path or loop are decomposed in
 stacks too (:func:`_steps_angles`): all grid steps at once, and each
@@ -303,30 +304,25 @@ def _refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
 
 
 def _shift_interior_zeros(ts: np.ndarray, eig_at, eig_rows, eps: float
-                          ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Nudge interior nodes sitting on (near-)zero eigenvalues off the zero.
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Nudge interior nodes sitting on (near-)zero eigenvalues off the zero,
+    at most three times each; a node still near zero after that stays where
+    the last nudge left it.
 
-    Returns the nodes, the sorted eigenvalues at them (one row per node)
-    and the touch candidates: nodes whose smallest eigenvalue magnitude
-    stays below eps even after nudging (the branch is flat there).  The
-    rows come from one eig_rows; only the nodes it finds near a zero are
+    Returns the nodes and the sorted eigenvalues at them (one row per node).
+    The rows come from one eig_rows; only the nodes it finds near a zero are
     read again, one by one, as they move.
     """
     ts = ts.copy()
     delta = _NODE_SHIFT * float(np.min(np.diff(ts)))
     evs = eig_rows(ts)
-    stuck = []
     for i in np.flatnonzero(np.min(np.abs(evs[1:-1]), axis=1) <= eps) + 1:
-        orig, vals = ts[i], evs[i]
         for _ in range(3):
-            if np.min(np.abs(vals)) > eps:
+            if np.min(np.abs(evs[i])) > eps:
                 break
             ts[i] = min(ts[i] + delta, ts[i + 1] - delta)
-            vals = eig_at(ts[i])
-        else:
-            stuck.append(float(orig))
-        evs[i] = vals
-    return ts, evs, stuck
+            evs[i] = eig_at(ts[i])
+    return ts, evs
 
 
 def _stacked_eigs(path: HermitianPath, ts: Sequence[float]) -> Iterator[np.ndarray]:
@@ -427,21 +423,22 @@ def _root(g, lo: float, hi: float, glo: float, ghi: float, width: float
 
 
 def _branch_crossings(branch, a, b, fa, fb, touch_eps, out, depth=0):
-    """Collect zeros of a continuous scalar branch on [a, b].
+    """Collect the times of the sign changes of a continuous scalar branch
+    on [a, b].
 
-    Sign changes go to :func:`_root` (kind "cross").  Without one, the
-    midpoint is probed, and the halves are searched again while its value
-    falls below half the smaller end value, so a branch crossing twice
-    between nodes is still found.  A probed midpoint within touch_eps of
-    zero is reported as kind "touch" for the caller's kernel analysis; a
-    tangency that no probe lands on is not seen.
+    A sign change goes to :func:`_root`.  Without one, the midpoint is
+    probed, and the halves are searched again while its value falls below
+    half the smaller end value, so a branch crossing twice between nodes is
+    still found.  A probed midpoint within touch_eps of zero that keeps the
+    ends' sign is a tangency: the search of [a, b] ends there, with nothing
+    added.
     """
     if depth > _MAX_DEPTH:
         raise PreconditionError("grid too coarse")
     if fa == 0.0 or fb == 0.0:
         raise PreconditionError("grid too coarse")
     if fa * fb < 0.0:
-        out.append((_root(branch, a, b, fa, fb, 1e-15)[0], "cross"))
+        out.append(_root(branch, a, b, fa, fb, 1e-15)[0])
         return
     mid = 0.5 * (a + b)
     fm = branch(mid)
@@ -450,46 +447,22 @@ def _branch_crossings(branch, a, b, fa, fb, touch_eps, out, depth=0):
         _branch_crossings(branch, mid, b, fm, fb, touch_eps, out, depth + 1)
         return
     if abs(fm) <= touch_eps:
-        out.append((mid, "touch"))
         return
     if abs(fm) < 0.5 * min(abs(fa), abs(fb)):
         _branch_crossings(branch, a, mid, fa, fm, touch_eps, out, depth + 1)
         _branch_crossings(branch, mid, b, fm, fb, touch_eps, out, depth + 1)
 
 
-def _refine_to_minimum(fun, t0: float, halfwidth: float) -> float:
-    """Golden-section refinement of a local minimum of |fun| near t0."""
-    gr = 0.5 * (np.sqrt(5.0) - 1.0)
-    lo = max(t0 - halfwidth, 0.0)
-    hi = min(t0 + halfwidth, 1.0)
-    c = hi - gr * (hi - lo)
-    d = lo + gr * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    for _ in range(90):
-        if hi - lo < 1e-14:
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - gr * (hi - lo)
-            fc = fun(c)
+def _merge_events(times: Sequence[float], radius: float) -> list[float]:
+    """Event times, sorted, each run within radius of its predecessor merged
+    into its mean."""
+    groups: list[list[float]] = []
+    for t in sorted(times):
+        if groups and t - groups[-1][-1] <= radius:
+            groups[-1].append(t)
         else:
-            lo, c, fc = c, d, fd
-            d = lo + gr * (hi - lo)
-            fd = fun(d)
-    return 0.5 * (lo + hi)
-
-
-def _merge_events(events: Sequence[tuple[float, str]], radius: float
-                  ) -> list[tuple[float, bool]]:
-    """Merge (time, kind) events; a group is a touch when no member crossed."""
-    merged: list[tuple[list[float], bool]] = []
-    for t, kind in sorted(events):
-        if merged and t - merged[-1][0][-1] <= radius:
-            merged[-1][0].append(t)
-            merged[-1] = (merged[-1][0], merged[-1][1] or kind == "cross")
-        else:
-            merged.append(([t], kind == "cross"))
-    return [(float(np.mean(group)), not crossed) for group, crossed in merged]
+            groups.append([t])
+    return [float(np.mean(group)) for group in groups]
 
 
 def _crossing_signature(kernel: np.ndarray, rates: Sequence[np.ndarray],
@@ -510,18 +483,17 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
                            ) -> tuple[int, list[Crossing]]:
     """Spectral flow by crossing-form evaluation at located crossings.
 
-    Returns (flow, crossings).  Preconditions: invertible endpoints; every
-    crossing must carry a nondegenerate crossing form (for a simple
-    crossing this is the classical |<dA v, v>| > crossing_eps condition).
-    A tangency is seen only where a node or a probe of :func:`_branch_crossings`
-    lands on it; there it raises "degenerate crossing", elsewhere it adds
-    nothing.  Signs that do not sum to n-(A(0)) - n-(A(1)) raise "unresolved
-    cluster": the grid left crossings unseen between two nodes.
+    Returns (flow, crossings).  The events are the sign changes of the
+    sorted eigenvalue branches; a branch that touches zero and keeps its
+    sign adds nothing and is not listed, wherever it lies.  Preconditions:
+    invertible endpoints; every crossing must carry a nondegenerate
+    crossing form (for a simple crossing this is the classical
+    |<dA v, v>| > crossing_eps condition).  Signs that do not sum to
+    n-(A(0)) - n-(A(1)) raise "unresolved cluster": the grid left crossings
+    unseen between two nodes.
     """
     eig_at, eig_rows, scale, node_eps = _path_eigs(path, tol)
-    ts, evs, stuck = _shift_interior_zeros(_refine_grid(path.grid, 8), eig_at, eig_rows,
-                                           node_eps)
-    sub_spacing = float(np.min(np.diff(ts)))
+    ts, evs = _shift_interior_zeros(_refine_grid(path.grid, 8), eig_at, eig_rows, node_eps)
     touch_eps = max(tol.crossing_eps * 1e-3, 1e-13 * scale)
     # the tests of _branch_crossings' first level, for every (interval,
     # branch) at once: it acts on no other pair.  It probes midpoints only
@@ -531,25 +503,18 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
     probed = np.any(fa * fb >= 0.0, axis=1)
     fm = np.zeros_like(fa)
     fm[probed] = eig_rows(0.5 * (ts[:-1] + ts[1:])[probed])
-    acts = ((fa * fb <= 0.0) | (fm * fa < 0.0) | (np.abs(fm) <= touch_eps)
+    acts = ((fa * fb <= 0.0) | (fm * fa < 0.0)
             | (np.abs(fm) < 0.5 * np.minimum(np.abs(fa), np.abs(fb))))
 
-    events: list[tuple[float, str]] = [(t, "touch") for t in stuck]
+    events: list[float] = []
     for j, i in zip(*np.nonzero(acts.T)):  # branch by branch, each over its intervals
         branch = lambda t, _j=j: float(eig_at(t)[_j])  # noqa: E731
         _branch_crossings(branch, ts[i], ts[i + 1], float(fa[i, j]), float(fb[i, j]),
                           touch_eps, events)
 
-    min_abs = lambda t: float(np.min(np.abs(eig_at(t))))  # noqa: E731
     flow = 0
     crossings: list[Crossing] = []
-    for t_star, is_touch in _merge_events(events, 1e-9):
-        if is_touch:
-            # center tangential candidates on the actual minimum so the
-            # crossing form is evaluated at the touch point
-            t_star = _refine_to_minimum(min_abs, t_star, sub_spacing)
-            if min_abs(t_star) > node_eps:
-                continue
+    for t_star in _merge_events(events, 1e-9):
         if not (0.0 < t_star < 1.0):
             raise PreconditionError("degenerate endpoint")
         vals, vecs = np.linalg.eigh(path.value_at(t_star))
@@ -574,7 +539,7 @@ def spectral_flow_tracking(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
     flow is n-(A(0)) - n-(A(1)).
     """
     eig_at, eig_rows, _, node_eps = _path_eigs(path, tol)
-    ts, evs, _ = _shift_interior_zeros(_refine_grid(path.grid, 4), eig_at, eig_rows, node_eps)
+    ts, evs = _shift_interior_zeros(_refine_grid(path.grid, 4), eig_at, eig_rows, node_eps)
     negative = np.sum(evs < 0.0, axis=1)
     detail: list[Crossing] = []
     for i, d in enumerate(negative[:-1] - negative[1:]):
@@ -880,8 +845,11 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
     0 with no passage), and every other piece by halving on the count.
     Each crossing found is signed by the form 1/2 <-i U* dU/dt w, w> on
     Ker(1 + U), which is <-J dP/dt v, v> on L ∩ H- (module docstring).
-    Signs that do not sum to the index raise "degenerate crossing"; a +1
-    and a -1 inside one step cancel in c and are not listed.  The count is
+    Signs that do not sum to the index raise "degenerate crossing".  A +1
+    and a -1 inside one step cancel in c and are not listed, and neither is
+    an event that signs 0.  Such is a touch of -1 at a node, which the count
+    sees as a passage on the step before it and one back on the step after:
+    a tangency, no event, as in :func:`spectral_flow_crossing`.  The count is
     exact for the geodesic interpolant of a sampled path; for a ``func``
     path see :func:`_checked_steps`, and a path that winds a full turn between
     two samples is beyond any sampler.  Endpoints must be transversal to H-.
@@ -916,7 +884,7 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
         phase = phases(t)[np.argmax(np.abs(phases(t)))]
         return float(phase - np.pi if phase > 0.0 else phase + np.pi)
 
-    events: list[tuple[float, str]] = []
+    events: list[float] = []
     total = 0
     for j in np.flatnonzero(np.abs(counts) > 1e-6):
         a, b, c = ts[j], ts[j + 1], _whole(float(counts[j]))
@@ -927,13 +895,13 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
             if not k:
                 continue
             if hi - lo < 1e-14:
-                events.append((0.5 * (lo + hi), "cross"))
+                events.append(0.5 * (lo + hi))
                 continue
             glo, ghi = near(lo), near(hi)
             if seek and glo * ghi < 0.0 and np.sign(ghi) == k:
                 t, left, right = _root(near, lo, hi, glo, ghi, 1e-14)
                 if passages(left, right) == k:
-                    events.append((t, "cross"))
+                    events.append(t)
                     continue
                 seek = False  # a jump of near, not the passage: halve from here on
             mid = 0.5 * (lo + hi)
@@ -942,13 +910,15 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
 
     kern_tol = Tolerance(max(tol.rank_eps, 1e-7), tol.crossing_eps)
     crossings: list[Crossing] = []
-    for t_star, _ in _merge_events(events, 1e-9):
+    for t_star in _merge_events(events, 1e-9):
         u = u_at(t_star)
         kernel = numeric_kernel(0.5 * (np.eye(n) + u), kern_tol)
         if kernel.shape[1] == 0:
             raise PreconditionError("degenerate crossing")
         rates = [0.5 * rate for rate in geodesic.rates(t_star, u_at)]
-        crossings.append(Crossing(t_star, _crossing_signature(kernel, rates, tol)))
+        sign = _crossing_signature(kernel, rates, tol)
+        if sign:
+            crossings.append(Crossing(t_star, sign))
     if sum(c.sign for c in crossings) != total:
         raise PreconditionError("degenerate crossing")
     return total, crossings

@@ -83,6 +83,14 @@ def test_sf_counts_a_branch_turning_back_at_a_node_as_zero(tmp_path, capsys, val
         assert json.loads(out)["flow"] == 0
 
 
+def test_sf_lists_no_event_for_a_touch_at_a_node(tmp_path, capsys):
+    # the branch reaches zero at the node 0.5 and turns back: a tangency
+    path_obj = {"grid": [0.0, 0.5, 1.0],
+                "values": [ser.encode_matrix(np.array([[v]])) for v in (-1.0, 0.0, -0.001)]}
+    p = write(tmp_path, "path.json", path_obj)
+    assert run(capsys, "sf", p, "--method", "both") == (0, '{"crossings":[],"flow":0}\n', "")
+
+
 def test_sf_plot_csv(tmp_path, capsys):
     path_obj = {"grid": [0.0, 1.0],
                 "values": [ser.encode_matrix(np.diag([-0.5, 1.0])),

@@ -97,10 +97,22 @@ def test_degenerate_endpoint():
 
 
 def test_degenerate_crossing_rejected():
-    # exact tangency: the eigenvalue touches zero with vanishing crossing form
+    # an odd-order zero changes sign with a vanishing crossing form, on a
+    # node or off one
+    for c in (0.5, 0.3):
+        path = HermitianPath.from_function(lambda t: np.array([[(t - c) ** 3]]), 9)
+        with pytest.raises(PreconditionError, match="degenerate crossing"):
+            spectral_flow_crossing(path)
+    # an exact tangency keeps its sign: no event
     path = HermitianPath.from_function(lambda t: np.array([[(t - 0.5) ** 2]]), 9)
-    with pytest.raises(PreconditionError, match="degenerate crossing|grid too coarse"):
-        spectral_flow_crossing(path)
+    assert spectral_flow_crossing(path) == (0, [])
+
+
+@pytest.mark.parametrize("c", [0.3, 0.5078125, 0.5])
+def test_a_tangency_is_no_event_wherever_it_lies(c):
+    # between the probes, on a midpoint the x8 scan probes, and on a node
+    path = HermitianPath.from_function(lambda t: np.diag([(t - c) ** 2, 1.0]), 9)
+    assert spectral_flow_crossing(path) == (0, [])
 
 
 def test_near_tangency_resolves_to_zero():
@@ -474,23 +486,18 @@ def _unscreened_crossing(path):
     screened scan and of _refine_grid."""
     f, tol = lagflow.flow, Tolerance()
     eig_at, eig_rows, scale, node_eps = f._path_eigs(path, tol)
-    ts, evs, stuck = f._shift_interior_zeros(_linspace_refined(path.grid, 8), eig_at, eig_rows,
-                                             node_eps)
+    ts, evs = f._shift_interior_zeros(_linspace_refined(path.grid, 8), eig_at, eig_rows,
+                                      node_eps)
     eig_rows(0.5 * (ts[:-1] + ts[1:])[np.any(evs[:-1] * evs[1:] >= 0.0, axis=1)])
-    events = [(t, "touch") for t in stuck]
+    events = []
     touch_eps = max(tol.crossing_eps * 1e-3, 1e-13 * scale)
     for j in range(path.dim):
         branch = lambda t, _j=j: float(eig_at(t)[_j])  # noqa: E731
         for i in range(ts.size - 1):
             f._branch_crossings(branch, ts[i], ts[i + 1], float(evs[i, j]),
                                 float(evs[i + 1, j]), touch_eps, events)
-    min_abs = lambda t: float(np.min(np.abs(eig_at(t))))  # noqa: E731
     flow, crossings = 0, []
-    for t_star, is_touch in f._merge_events(events, 1e-9):
-        if is_touch:
-            t_star = f._refine_to_minimum(min_abs, t_star, float(np.min(np.diff(ts))))
-            if min_abs(t_star) > node_eps:
-                continue
+    for t_star in f._merge_events(events, 1e-9):
         if not (0.0 < t_star < 1.0):
             raise PreconditionError("degenerate endpoint")
         vals, vecs = np.linalg.eigh(path.value_at(t_star))
@@ -509,6 +516,7 @@ def _screen_corpus():
     c = 0.5078125  # a midpoint that the x8 scan probes
     yield lambda t: np.diag([(t - c) ** 2, 1.0]), 9  # tangency on that probe
     yield lambda t: np.diag([(t - 0.3) ** 2, 1.0]), 9  # tangency between probes
+    yield lambda t: np.diag([(t - 0.3) ** 3, 1.0]), 9  # an odd-order zero: degenerate
     yield lambda t: np.array([[(t - c) - 1e-3 * np.tanh((t - c) / 1e-5)]]), 9  # three roots
     yield lambda t: np.diag([t - 0.5, 1.0]), 5  # a crossing on a node
     yield lambda t: np.diag([t - 0.515625, 0.25 - t]), 9  # and on refined nodes
@@ -934,15 +942,18 @@ def test_sampled_maslov_is_signed_with_the_geodesic_speed():
                                           ((-1.0, 0.0, 1.0), 1), ((-1.0, 0.0, 10.0), 1)])
 def test_an_event_on_a_node_counts_half_of_each_side(values, flow):
     # at 0.5 the interpolant has two slopes: the branch touches zero and
-    # turns back (flow 0), or passes through (flow 1), with or without a kink
+    # turns back (flow 0, no event), or passes through (flow 1), with or
+    # without a kink
     path = HermitianPath(np.array([0.0, 0.5, 1.0]), tuple(np.array([[v]]) for v in values))
     assert spectral_flow_tracking(path)[0] == flow
     total, crossings = spectral_flow_crossing(path)
-    assert (total, [c.sign for c in crossings]) == (flow, [flow])
-    assert crossings[0].t == pytest.approx(0.5, abs=1e-12)
+    signs = [flow] if flow else []
+    assert (total, [c.sign for c in crossings]) == (flow, signs)
+    assert all(c.t == pytest.approx(0.5, abs=1e-12) for c in crossings)
 
     graphs = LagrangianPath.from_function(lambda t: switched_graph(path.value_at(t)), 33)
-    assert maslov_index(LagrangianPath(graphs.grid, graphs.values))[0] == flow
+    total, crossings = maslov_index(LagrangianPath(graphs.grid, graphs.values))
+    assert (total, [c.sign for c in crossings]) == (flow, signs)
 
 
 @pytest.mark.parametrize("peak", [1e-8, 1e-10])

@@ -111,3 +111,36 @@ def test_the_checker_finds_a_dead_private_function():
 def test_every_private_function_or_class_is_read_elsewhere_in_the_package():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of a function or lambda that its body never reads.
+
+    A parameter counts as read when its body, nested functions included,
+    loads it as a name; its own defaults and annotations do not count.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [p.arg for p in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [p.arg for p in (args.vararg, args.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        found += [f"{name}: {p} (line {node.lineno})" for p in params if p not in read]
+    return found
+
+
+def test_the_checker_finds_an_unused_parameter():
+    source = ("def f(a, b, *, c: int = 0, **kw):\n    b = a\n    return lambda t, _j=c: t\n"
+              "def g(x, y=None):\n    def h(z=y):\n        return x + z\n    return h\n")
+    # c and y are read by the defaults of a nested lambda and function
+    assert unused_parameters(source) == ["f: b (line 1)", "f: kw (line 1)", "lambda: _j (line 3)"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_function_takes_a_parameter_it_never_reads(module):
+    assert unused_parameters(module.read_text(encoding="utf-8")) == []

@@ -22,7 +22,7 @@ bisection's count plus one; on a smooth branch a root takes about 5
 evaluations.
 
 The Maslov index of a path of lagrangians counts crossings with the train
-{dim(L ∩ H-) = 1}: passages of the eigenphases of the Arnold unitary U(t)
+{dim(L ∩ H-) >= 1}: passages of the eigenphases of the Arnold unitary U(t)
 through pi (Arnold, Funct. Anal. Appl. 1, 1967).  It is read off det U,
 with no eigenphase matched or lifted: a geodesic step between samples
 turns arg det U by a known angle, and that turn less the change of the
@@ -32,17 +32,16 @@ summed principal eigenphases is 2 pi times the step's net passages
 on arg(-lambda), lambda the eigenvalue of U nearest -1, and its final
 bracket is counted again; the count alone decides, and pieces that hold
 more passages, or whose root the recount rejects, are halved on it.
-Crossings are signed by the form <-J dP/dt v, v> on L ∩ H-.  In the
-Cayley frame Z = [1 + U; -i(1 - U)] / 2 that space is Z Ker(1 + U), and
-for v = Z w the form is 1/2 <-i U* dU/dt w, w>, so no frame projection is
-differenced.  On switched graphs of a Hermitian path the two notions agree
-crossing by crossing.
+Each crossing is signed by the net passages it was located with, which is
+Phillips' local number, and the signature of the crossing form
+<-J dP/dt v, v> on L ∩ H- wherever that form is nondegenerate (Robbin &
+Salamon, Topology 32, 1993).  On switched graphs of a Hermitian path the
+two routes agree crossing by crossing.
 
-Sampled paths are signed with their interpolant's exact derivative: the
-linear slope, and -i U* dU/dt = V diag(phi) V* / (b - a) on a geodesic step
-[a, b], each step decomposed once per path; a ``func`` path without one
-takes a Richardson difference.  At a node, where the interpolant kinks, an
-event counts half the signature on each side.
+A sampled Hermitian path is signed with its interpolant's exact slope; a
+``func`` path without a ``dfunc`` takes a Richardson difference.  At a
+node, where the interpolant kinks, an event counts half the signature on
+each side.
 
 LAPACK is called on stacks, and a stack is bounded by an entry budget, not
 by the grid: :func:`_chunks` cuts a run into max(1, _STACK_ENTRIES // n^2)
@@ -80,7 +79,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .grassmann import LagrangianFrame, cayley_graph, lagrangian_to_unitary
-from .linalg import DEFAULT_TOL, Tolerance, _finite_parts, numeric_kernel, symmetrize
+from .linalg import DEFAULT_TOL, Tolerance, _finite_parts, symmetrize
 
 __all__ = [
     "HermitianPath",
@@ -423,8 +422,8 @@ def _root(g, lo: float, hi: float, glo: float, ghi: float, width: float
 
 
 def _branch_crossings(branch, a, b, fa, fb, touch_eps, out, depth=0):
-    """Collect the times of the sign changes of a continuous scalar branch
-    on [a, b].
+    """Collect the sign changes of a continuous scalar branch on [a, b], as
+    events (t, k): k = +1 where it rises through zero, -1 where it falls.
 
     A sign change goes to :func:`_root`.  Without one, the midpoint is
     probed, and the halves are searched again while its value falls below
@@ -438,7 +437,7 @@ def _branch_crossings(branch, a, b, fa, fb, touch_eps, out, depth=0):
     if fa == 0.0 or fb == 0.0:
         raise PreconditionError("grid too coarse")
     if fa * fb < 0.0:
-        out.append(_root(branch, a, b, fa, fb, 1e-15)[0])
+        out.append((_root(branch, a, b, fa, fb, 1e-15)[0], 1 if fa < 0.0 else -1))
         return
     mid = 0.5 * (a + b)
     fm = branch(mid)
@@ -453,16 +452,18 @@ def _branch_crossings(branch, a, b, fa, fb, touch_eps, out, depth=0):
         _branch_crossings(branch, mid, b, fm, fb, touch_eps, out, depth + 1)
 
 
-def _merge_events(times: Sequence[float], radius: float) -> list[float]:
-    """Event times, sorted, each run within radius of its predecessor merged
-    into its mean."""
-    groups: list[list[float]] = []
-    for t in sorted(times):
-        if groups and t - groups[-1][-1] <= radius:
-            groups[-1].append(t)
+def _merge_events(events: Sequence[tuple[float, int]], radius: float
+                  ) -> list[tuple[float, int]]:
+    """Events (t, k), sorted by t, each run within radius of its predecessor
+    merged into its mean t and the sum of its k."""
+    groups: list[list[tuple[float, int]]] = []
+    for event in sorted(events):
+        if groups and event[0] - groups[-1][-1][0] <= radius:
+            groups[-1].append(event)
         else:
-            groups.append([t])
-    return [float(np.mean(group)) for group in groups]
+            groups.append([event])
+    return [(float(np.mean([t for t, _ in group])), sum(k for _, k in group))
+            for group in groups]
 
 
 def _crossing_signature(kernel: np.ndarray, rates: Sequence[np.ndarray],
@@ -506,7 +507,7 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
     acts = ((fa * fb <= 0.0) | (fm * fa < 0.0)
             | (np.abs(fm) < 0.5 * np.minimum(np.abs(fa), np.abs(fb))))
 
-    events: list[float] = []
+    events: list[tuple[float, int]] = []
     for j, i in zip(*np.nonzero(acts.T)):  # branch by branch, each over its intervals
         branch = lambda t, _j=j: float(eig_at(t)[_j])  # noqa: E731
         _branch_crossings(branch, ts[i], ts[i + 1], float(fa[i, j]), float(fb[i, j]),
@@ -514,7 +515,7 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
 
     flow = 0
     crossings: list[Crossing] = []
-    for t_star in _merge_events(events, 1e-9):
+    for t_star, _ in _merge_events(events, 1e-9):
         if not (0.0 < t_star < 1.0):
             raise PreconditionError("degenerate endpoint")
         vals, vecs = np.linalg.eigh(path.value_at(t_star))
@@ -707,10 +708,10 @@ class _Geodesic:
 
     All grid steps are decomposed together when the first is read: (phi, V)
     of :func:`_steps_angles` for each U_i* U_i+1, None for a step that is
-    too coarse; a ``func`` path keeps (phi, None), as its U(t) and rates
-    come from ``between``.  At s = (t - t_i) / h on step i, of length h, the geodesic
-    is U(t) = U_i V diag(e^{i s phi}) V*, arg det U has turned by s sum(phi),
-    and -i U* dU/dt = V diag(phi) V* / h.  The owner keeps the nodes
+    too coarse; a ``func`` path keeps (phi, None), as its U(t) comes from
+    ``between``.  At s = (t - t_i) / h on step i, of length h, the geodesic
+    is U(t) = U_i V diag(e^{i s phi}) V*, and arg det U has turned by
+    s sum(phi).  The owner keeps the nodes
     unchanged; concurrent readers may decompose the steps, or count, twice.
     """
 
@@ -766,14 +767,6 @@ class _Geodesic:
             return (b - a) / (ts[j + 1] - ts[j]) * turns[j]
         return _turn(u_at, a, b)
 
-    def rates(self, t: float, u_at) -> list[np.ndarray]:
-        """-i U* dU/dt at an event t: V diag(phi) V* / h on each geodesic step
-        of :func:`_sides`, one Richardson difference of u_at on a ``func`` path."""
-        if self.between is not None:
-            return [-1j * (u_at(t).conj().T @ _richardson_derivative(u_at, t, self.grid))]
-        return [(vecs * phi) @ vecs.conj().T / (self.grid[i + 1] - self.grid[i])
-                for i in _sides(self.grid, t) for phi, vecs in [self.step(i)]]
-
 
 def _checked_steps(geodesic: _Geodesic, u_at) -> list[tuple[float, float, np.ndarray]]:
     """(a, b, phi) of a ``func`` path's counted steps: grid steps halved while
@@ -828,7 +821,7 @@ def _node_phases(nodes: Sequence[np.ndarray]) -> np.ndarray:
 
 def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
                  ) -> tuple[int, list[Crossing]]:
-    """Maslov index: signed crossings with the train {dim(L ∩ H-) = 1}.
+    """Maslov index: signed crossings with the train {dim(L ∩ H-) >= 1}.
 
     The index is the net number of passages of the eigenphases of U(t)
     through pi, read off det U (Arnold 1967; Cappell, Lee & Miller 1994;
@@ -843,18 +836,18 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
     :func:`_root`, kept when the final bracket counts c again (the nearest
     eigenvalue can change between the ends, and arg(-lambda) jump across
     0 with no passage), and every other piece by halving on the count.
-    Each crossing found is signed by the form 1/2 <-i U* dU/dt w, w> on
-    Ker(1 + U), which is <-J dP/dt v, v> on L ∩ H- (module docstring).
-    Signs that do not sum to the index raise "degenerate crossing".  A +1
-    and a -1 inside one step cancel in c and are not listed, and neither is
-    an event that signs 0.  Such is a touch of -1 at a node, which the count
-    sees as a passage on the step before it and one back on the step after:
-    a tangency, no event, as in :func:`spectral_flow_crossing`.  The count is
+    Each crossing is listed with the passages it was located with, events
+    within 1e-9 merged into their mean t and summed, so the signs sum to
+    the index (module docstring).  A +1 and a -1 inside one step cancel in
+    c and are not listed, and neither is an event whose passages sum to 0.
+    Such is a touch of -1, on a node or within a step, which the count sees
+    as a passage and one back: a tangency, no event, as in
+    :func:`spectral_flow_crossing`.  The count is
     exact for the geodesic interpolant of a sampled path; for a ``func``
     path see :func:`_checked_steps`, and a path that winds a full turn between
     two samples is beyond any sampler.  Endpoints must be transversal to H-.
     """
-    n, geodesic = path.n, path._geodesic
+    geodesic = path._geodesic
     u_at = cache(geodesic.at)
     memo = dict(zip(geodesic.grid, _node_phases(geodesic.nodes)))
 
@@ -884,7 +877,7 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
         phase = phases(t)[np.argmax(np.abs(phases(t)))]
         return float(phase - np.pi if phase > 0.0 else phase + np.pi)
 
-    events: list[float] = []
+    events: list[tuple[float, int]] = []
     total = 0
     for j in np.flatnonzero(np.abs(counts) > 1e-6):
         a, b, c = ts[j], ts[j + 1], _whole(float(counts[j]))
@@ -895,30 +888,17 @@ def maslov_index(path: LagrangianPath, tol: Tolerance = DEFAULT_TOL
             if not k:
                 continue
             if hi - lo < 1e-14:
-                events.append(0.5 * (lo + hi))
+                events.append((0.5 * (lo + hi), k))
                 continue
             glo, ghi = near(lo), near(hi)
             if seek and glo * ghi < 0.0 and np.sign(ghi) == k:
                 t, left, right = _root(near, lo, hi, glo, ghi, 1e-14)
                 if passages(left, right) == k:
-                    events.append(t)
+                    events.append((t, k))
                     continue
                 seek = False  # a jump of near, not the passage: halve from here on
             mid = 0.5 * (lo + hi)
             left = passages(lo, mid)
             pending += [(mid, hi, k - left, seek), (lo, mid, left, seek)]
 
-    kern_tol = Tolerance(max(tol.rank_eps, 1e-7), tol.crossing_eps)
-    crossings: list[Crossing] = []
-    for t_star in _merge_events(events, 1e-9):
-        u = u_at(t_star)
-        kernel = numeric_kernel(0.5 * (np.eye(n) + u), kern_tol)
-        if kernel.shape[1] == 0:
-            raise PreconditionError("degenerate crossing")
-        rates = [0.5 * rate for rate in geodesic.rates(t_star, u_at)]
-        sign = _crossing_signature(kernel, rates, tol)
-        if sign:
-            crossings.append(Crossing(t_star, sign))
-    if sum(c.sign for c in crossings) != total:
-        raise PreconditionError("degenerate crossing")
-    return total, crossings
+    return total, [Crossing(t, k) for t, k in _merge_events(events, 1e-9) if k]

@@ -20,6 +20,11 @@ from lagflow.grassmann import (
     lagrangian_to_unitary,
     switched_graph,
 )
+from lagflow.intersect import (
+    FamilyJet,
+    intersection_number_lagrangian,
+    operator_jet_to_lagrangian,
+)
 from lagflow.linalg import Tolerance
 from lagflow.serialize import encode_lagrangian
 from lagflow.universal import UnitaryLoop, discretized_path, universal_loop_flow
@@ -497,7 +502,7 @@ def _unscreened_crossing(path):
             f._branch_crossings(branch, ts[i], ts[i + 1], float(evs[i, j]),
                                 float(evs[i + 1, j]), touch_eps, events)
     flow, crossings = 0, []
-    for t_star in f._merge_events(events, 1e-9):
+    for t_star, _ in f._merge_events(events, 1e-9):
         if not (0.0 < t_star < 1.0):
             raise PreconditionError("degenerate endpoint")
         vals, vecs = np.linalg.eigh(path.value_at(t_star))
@@ -972,13 +977,55 @@ def test_a_crossing_next_to_a_node_is_signed_on_its_own_step(peak):
     assert (total, [c.sign for c in crossings]) == (0, [1, -1])
 
 
-def test_a_kinked_touch_of_a_func_path_is_a_named_precondition():
-    # a func path has no one-sided rates, so the touch cannot be signed
+def test_a_kinked_touch_of_a_func_path_is_no_event():
+    # the count sees a passage into the node and one back out of it: they
+    # sum to 0
     path = HermitianPath(np.array([0.0, 0.5, 1.0]),
                          tuple(np.array([[v]]) for v in (1.0, 0.0, 0.001)))
     graphs = LagrangianPath.from_function(lambda t: switched_graph(path.value_at(t)), 33)
-    with pytest.raises(PreconditionError, match="degenerate crossing"):
-        maslov_index(graphs)
+    assert maslov_index(graphs) == (0, [])
+
+
+@pytest.mark.parametrize("c", [0.3, 0.5078125, 0.5])
+def test_a_smooth_touch_of_a_func_path_is_no_event_wherever_it_lies(c):
+    # between nodes, on a midpoint the x8 scan probes, and on the node 0.5:
+    # a passage into the touch and one back sum to 0
+    path = HermitianPath.from_function(lambda t: np.diag([(t - c) ** 2, 1.0]), 9)
+    graphs = LagrangianPath.from_function(lambda t: switched_graph(path.value_at(t)), 33)
+    for lpath in (graphs, LagrangianPath(graphs.grid, graphs.values)):
+        assert maslov_index(lpath) == (0, [])
+
+
+@pytest.mark.parametrize("c", [0.3, 0.5])
+def test_an_odd_order_passage_is_signed_by_its_count(c):
+    # (t - c)^3 rises through zero with a vanishing crossing form: the
+    # crossing route rejects it (test_degenerate_crossing_rejected), and
+    # Maslov counts the one passage
+    path = HermitianPath.from_function(lambda t: np.array([[(t - c) ** 3]]), 9)
+    graphs = LagrangianPath.from_function(lambda t: switched_graph(path.value_at(t)), 33)
+    for lpath in (graphs, LagrangianPath(graphs.grid, graphs.values)):
+        total, crossings = maslov_index(lpath)
+        assert (total, [x.sign for x in crossings]) == (1, [1])
+        assert crossings[0].t == pytest.approx(c, abs=1.0 / 32)  # in the step that holds c
+
+
+def test_each_listed_maslov_sign_is_the_crossing_form_of_its_operator():
+    # the k = 1 jet of A at a crossing signs it by the crossing form of
+    # A' on Ker A.  func paths only: a sampled path's crossings are those
+    # of its geodesic interpolant, where A(t) is not singular
+    rng = np.random.default_rng(5)
+    seen = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        a, b = random_hermitian(n, rng), random_hermitian(n, rng)
+        path = HermitianPath.from_function(lambda t, a=a, b=b: a + 3.0 * t * b, 9)
+        graphs = LagrangianPath.from_function(
+            lambda t, p=path: switched_graph(p.value_at(t)), 17)
+        for crossing in maslov_index(graphs)[1]:
+            jet = FamilyJet(1, path.value_at(crossing.t), (3.0 * b,), np.eye(n))
+            assert intersection_number_lagrangian(operator_jet_to_lagrangian(jet)) == crossing.sign
+            seen += 1
+    assert seen > 100
 
 
 def test_paths_keep_read_only_copies_of_the_callers_arrays():
@@ -1313,5 +1360,5 @@ def test_func_maslov_checks_its_steps_once(monkeypatch):
         func_calls.clear()
         assert maslov_index(path)[0] == 2
         counts.append((len(step_calls), len(func_calls)))
-    assert counts[0] == (34, 30)
-    assert counts[1] == (34 - 32, 30 - 16 + 2)
+    assert counts[0] == (34, 22)
+    assert counts[1] == (34 - 32, 22 - 16 + 2)

@@ -1,6 +1,7 @@
 """Checks on the source of the package itself, with the standard library's ``ast``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -144,3 +145,51 @@ def test_the_checker_finds_an_unused_parameter():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_function_takes_a_parameter_it_never_reads(module):
     assert unused_parameters(module.read_text(encoding="utf-8")) == []
+
+
+def unresolved_references(sources: dict[str, str]) -> list[str]:
+    """``:func:``, ``:meth:``, ``:class:`` and ``:mod:`` targets in docstrings
+    that name nothing defined in the package.
+
+    ``sources`` maps module names to their source.  A target resolves when
+    it is a module (``m`` or ``lagflow.m``), or a function, class or method
+    by its name or its qualified name (``C.m``), bare or after its module.
+    Functions nested in functions are not targets.
+    """
+    defined, docstrings = set(), []
+    for module, source in sources.items():
+        defined |= {module, f"lagflow.{module}"}
+        pending = [(ast.parse(source), "")]
+        while pending:
+            node, prefix = pending.pop()
+            docstrings.append((module, node))
+            for sub in node.body if isinstance(node, (ast.Module, ast.ClassDef)) else []:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    qual = prefix + sub.name
+                    defined |= {sub.name, qual, f"{module}.{qual}", f"lagflow.{module}.{qual}"}
+                    pending.append((sub, qual + "."))
+    found = []
+    for module, node in docstrings:
+        for role, target in re.findall(r":(func|meth|class|mod):`([^`]+)`",
+                                       ast.get_docstring(node) or ""):
+            if target not in defined:
+                found.append(f"{module}: :{role}:`{target}`")
+    return found
+
+
+def test_the_checker_finds_a_reference_to_nothing():
+    sources = {"a": ('"""See :mod:`b`, :mod:`lagflow.a` and :func:`gone`."""\n'
+                     "class C:\n"
+                     '    """:meth:`m`, :meth:`C.m`, :meth:`C.gone`, :func:`b.f`."""\n'
+                     "    def m(self):\n"
+                     '        """:class:`a.C`, :func:`inner`."""\n'
+                     "        def inner():\n            pass\n"),
+               "b": 'def f():\n    """:func:`lagflow.a.C.m`."""\n'}
+    assert unresolved_references(sources) == [
+        "a: :func:`gone`", "a: :meth:`C.gone`", "a: :func:`inner`"]
+
+
+def test_every_docstring_reference_names_something_in_the_package():
+    sources = {("lagflow" if p.stem == "__init__" else p.stem): p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    assert unresolved_references(sources) == []

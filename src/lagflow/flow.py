@@ -45,7 +45,8 @@ each side.
 
 LAPACK is called on stacks, and a stack is bounded by an entry budget, not
 by the grid: :func:`_chunks` cuts a run into max(1, _STACK_ENTRIES // n^2)
-n x n matrices a call: 910 at n = 6, 8 at n = 64 and one at n >= 129.
+n x n matrices a call: 910 at n = 6, 8 at n = 64 and one at n >= 129.  The
+CLI's plots and the mesh detector of :mod:`intersect` stack by it too.
 Both spectral-flow routes evaluate each parameter value once per call:
 the node scan and every branch's midpoints and root-finder steps read
 the sorted eigenvalues of A(t) from one memo.  The
@@ -153,7 +154,8 @@ def _offset(grid: np.ndarray, i, t):
 def _lerp(nodes: Sequence[np.ndarray], i, s):
     """(1 - s) nodes[i] + s nodes[i+1]: the path interpolation, at one offset s
     in step i, or at a (k, 1, 1) array of them in the steps of an array i of
-    a stacked ``nodes``."""
+    a stacked ``nodes``.  A sampled :class:`intersect.MeshedFamily` applies
+    it to its cell once per axis, with i = 0 on the cell's leading axis."""
     return (1.0 - s) * nodes[i] + s * nodes[i + 1]
 
 
@@ -760,12 +762,13 @@ class _Geodesic:
 
     def turn(self, a: float, b: float, u_at) -> float:
         """The turn of arg det U over [a, b] in a counted step: its share of the
-        step's, but on part of a ``func`` step that of the geodesic U(a)-U(b)."""
+        step's on a sampled path, that of the geodesic U(a)-U(b) on a ``func``
+        path (whole steps are counted from :meth:`counted`'s turns)."""
+        if self.between is not None:
+            return _turn(u_at, a, b)
         ts, turns = self.counted(u_at)
         j, _ = _bracket(ts, 0.5 * (a + b))
-        if self.between is None or (a, b) == (ts[j], ts[j + 1]):
-            return (b - a) / (ts[j + 1] - ts[j]) * turns[j]
-        return _turn(u_at, a, b)
+        return (b - a) / (ts[j + 1] - ts[j]) * turns[j]
 
 
 def _checked_steps(geodesic: _Geodesic, u_at) -> list[tuple[float, float, np.ndarray]]:

@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, PreconditionError
+from .flow import _bracket, _chunks, _lerp
 from .grassmann import J_matrix, LagrangianFrame, _inv_sqrt_eye_plus_sq, _switched_graph
 from .linalg import (
     DEFAULT_TOL,
@@ -303,7 +304,9 @@ class MeshedFamily:
     Either ``func`` maps a parameter point to a Hermitian matrix (returning
     None outside the valid domain; each value is symmetrized as it comes
     back), or ``values`` holds Hermitian node samples, checked here and
-    interpolated multilinearly.  ``orientation`` is the sign of the
+    interpolated multilinearly: the 2^d nodes of a point's cell are
+    interpolated along one axis at a time by the path kernel
+    :func:`flow._lerp`.  ``orientation`` is the sign of the
     parameter frame against the ambient orientation of the family's
     manifold; it multiplies every local intersection number.  W must have
     codimension k-1 in C^n, with n its number of rows, and every value must
@@ -360,24 +363,12 @@ class MeshedFamily:
             if val.shape[0] != self.w.shape[0]:
                 raise InputError(_W_SIZE)
             return val
-        idx = []
-        weights = []
-        for a, xi in zip(self.axes, x):
-            if xi < a[0] - 1e-12 or xi > a[-1] + 1e-12:
-                return None
-            i = int(np.clip(np.searchsorted(a, xi, side="right") - 1, 0, a.size - 2))
-            s = (xi - a[i]) / (a[i + 1] - a[i])
-            idx.append(i)
-            weights.append(np.clip(s, 0.0, 1.0))
-        out = None
-        for corner in itertools.product((0, 1), repeat=self.dims):
-            wgt = 1.0
-            for c, s in zip(corner, weights):
-                wgt *= s if c else (1.0 - s)
-            if wgt == 0.0:
-                continue
-            entry = self.values[tuple(i + c for i, c in zip(idx, corner))]
-            out = wgt * entry if out is None else out + wgt * entry
+        if any(xi < a[0] - 1e-12 or xi > a[-1] + 1e-12 for a, xi in zip(self.axes, x)):
+            return None
+        cell = [_bracket(a, min(max(xi, a[0]), a[-1])) for a, xi in zip(self.axes, x)]
+        out = self.values[tuple(slice(i, i + 2) for i, _ in cell)]
+        for _, s in cell:
+            out = _lerp(out, 0, s)
         return out
 
 
@@ -387,16 +378,17 @@ def _gaps(values: list[np.ndarray | None], w: np.ndarray) -> np.ndarray:
     Its Gram matrix is [[1, -BW], [-(BW)*, 1]], so the square is
     1 - sigma_max(BW); |BWc|^2 + |TBWc|^2 = |c|^2 turns that into
     s / sqrt(1 + sqrt(1 - s^2)), s = sigma_min(TBW), which keeps its digits
-    near 0 where sqrt(1 - sigma_max(BW)) does not.  One stacked eigh and svd
-    serve all values; LAPACK treats each matrix of a stack alone, so every
-    entry is bit for bit the detector of its value alone."""
+    near 0 where sqrt(1 - sigma_max(BW)) does not.  The values are read in
+    stacks of :func:`flow._chunks` runs, one stacked eigh and svd each;
+    LAPACK treats each matrix of a stack alone, so every entry is bit for
+    bit the detector of its value alone."""
     out = np.full(len(values), np.inf)
     have = [i for i, t in enumerate(values) if t is not None]
-    if have:
-        t = np.stack([values[i] for i in have])
+    for run in _chunks(len(have), w.shape[0]):
+        t = np.stack([values[i] for i in have[run]])
         s = np.linalg.svd(t @ _inv_sqrt_eye_plus_sq(t) @ w, compute_uv=False)[:, -1]
         # s rounds above 1 for large T
-        out[have] = s / np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - s * s, 0.0)))
+        out[have[run]] = s / np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - s * s, 0.0)))
     return out
 
 

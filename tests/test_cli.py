@@ -15,6 +15,7 @@ import lagflow.serialize as ser
 from lagflow.cli import main
 from lagflow.grassmann import cayley_graph, chart_point, standard_lagrangians, switched_graph
 from lagflow.linalg import subspaces_equal
+from lagflow.universal import discretize_operator
 
 from conftest import random_unitary
 
@@ -357,6 +358,50 @@ def test_universal_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "universal", "--reduce", up)
     assert code == 0
     assert np.abs(ser.decode_matrix(json.loads(out)) + np.eye(1)).max() < 1e-12
+
+
+def test_universal_flow_plot_rows_are_the_low_ladder_at_each_t(tmp_path, capsys):
+    # 2 (nodes - 1) + 1 points; each row the 8 eigenvalues of least modulus
+    # of the m = 16 discretization at U(t), in ascending order
+    grid = np.linspace(0.0, 1.0, 9)
+    obj = {"grid": list(grid), "values": [ser.encode_matrix(
+        np.array([[np.exp(1j * (2 * np.pi * t + np.pi))]])) for t in grid]}
+    lp = write(tmp_path, "loop.json", obj)
+    csv_out = tmp_path / "ladder.csv"
+    plain = run(capsys, "universal", "--flow", lp, "--m", "16")
+    assert run(capsys, "universal", "--flow", lp, "--m", "16", "--plot", str(csv_out)) == plain
+    assert plain[0] == 0 and json.loads(plain[1]) == {"flow": 1}
+    loop = ser.decode_unitary_loop(obj)
+    header, *rows = list(csv.reader(io.StringIO(csv_out.read_text())))
+    assert header == ["t"] + [f"lambda{i}" for i in range(8)]
+    ts = np.linspace(0.0, 1.0, 2 * (grid.size - 1) + 1)
+    assert len(rows) == ts.size
+    for t, row in zip(ts, rows):
+        ev = np.linalg.eigvalsh(discretize_operator(loop.value_at(t), 16))
+        assert [float(x) for x in row] == [t] + sorted(sorted(ev, key=abs)[:8])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sf", "{path}", "--method", "sideways"], "invalid choice"),
+    (["reduce", "--unitary", "{u}"], "--unitary requires --w-indices"),
+    (["reduce", "--lagrangian", "{lag}"], "--lagrangian requires --w-frame"),
+    (["reduce", "--lagrangian", "{lag}", "--w-frame", "{w3}"],
+     "W frame shape matches neither 2n x p nor n x p"),
+    (["universal", "--spectrum", "{u}"], "--spectrum requires --window A B"),
+], ids=["usage", "unitary-without-w", "lagrangian-without-w", "w-frame-rows",
+        "spectrum-without-window"])
+def test_input_errors_exit_3_with_the_message_on_stderr(tmp_path, capsys, argv, message):
+    files = {"path": write(tmp_path, "path.json", {"grid": [0.0, 1.0], "values": [
+                 ser.encode_matrix(np.array([[v]])) for v in (-0.5, 0.5)]}),
+             "u": write(tmp_path, "u.json", ser.encode_matrix(np.eye(2))),
+             "lag": write(tmp_path, "l.json", ser.encode_lagrangian(standard_lagrangians(2)[0])),
+             "w3": write(tmp_path, "w.json", ser.encode_matrix(np.ones((3, 1))))}
+    try:
+        code = main([arg.format(**files) for arg in argv])
+    except SystemExit as exc:  # argparse reports a usage error by exiting
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "") and message in captured.err
 
 
 def test_exit_codes(tmp_path, capsys):

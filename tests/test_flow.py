@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lagflow.flow
+import lagflow.intersect
 from lagflow.cli import main as cli_main
 from lagflow.errors import InputError, PreconditionError
 from lagflow.flow import (
@@ -449,10 +450,10 @@ def _stacked_sizes(monkeypatch, names):
     sizes = []
 
     def spy(original):
-        def call(a, *args):
+        def call(a, *args, **kwargs):
             a = np.asarray(a)
             sizes.append((a.size, a.shape[0] if a.ndim == 3 else 1))
-            return original(a, *args)
+            return original(a, *args, **kwargs)
         return call
 
     for name in names:
@@ -891,7 +892,7 @@ def test_stacked_step_kernel_equals_the_single_step_kernel_bit_for_bit(n):
 def test_no_stacked_lapack_call_exceeds_the_entry_budget(monkeypatch, n):
     budget = lagflow.flow._STACK_ENTRIES
     per_call = max(1, budget // (n * n))
-    sizes = _stacked_sizes(monkeypatch, ["eigvalsh", "eigvals", "solve", "eigh"])
+    sizes = _stacked_sizes(monkeypatch, ["eigvalsh", "eigvals", "solve", "eigh", "svd"])
     rng = np.random.default_rng(n)
     v = random_unitary(n, rng)
     d = np.concatenate([[-0.75], np.linspace(0.5, 2.0, n - 1)])  # crosses 0 at t = 1/2
@@ -915,6 +916,10 @@ def test_no_stacked_lapack_call_exceeds_the_entry_budget(monkeypatch, n):
     steps = [lpath._geodesic.nodes[k % 2] for k in range(count + 1)]
     assert len(list(lagflow.flow._steps_angles(steps[:-1], steps[1:]))) == count
     assert lagflow.flow._node_phases(steps[:count]).shape == (count, n)
+    # the mesh detector: one eigh and one svd per run, the last value in a run alone
+    values = [a + (k / count) * np.eye(n) for k in range(count)]
+    gaps = lagflow.intersect._gaps(values, np.eye(n))
+    assert gaps[-1] == lagflow.intersect._gaps(values[-1:], np.eye(n))[0]
     assert max(k for _, k in sizes) == per_call
     assert all(entries <= budget or k == 1 for entries, k in sizes)
 

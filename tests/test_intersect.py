@@ -348,6 +348,82 @@ def test_sampled_k1_jets_carry_the_signs_of_the_spectral_flow():
     assert {5, 602, 815, 927, 1335} <= set(checked)
 
 
+def _corner_sum(family, x):
+    """Multilinear interpolation of a sampled family as the sum over the 2^d
+    corners of its cell, each node weighted by the product of its offsets."""
+    cell, weights = [], []
+    for a, xi in zip(family.axes, x):
+        i = int(np.clip(np.searchsorted(a, xi, side="right") - 1, 0, a.size - 2))
+        cell.append(i)
+        weights.append(np.clip((xi - a[i]) / (a[i + 1] - a[i]), 0.0, 1.0))
+    out = np.zeros(family.values.shape[-2:], dtype=complex)
+    for corner in itertools.product((0, 1), repeat=family.dims):
+        weight = np.prod([s if c else 1.0 - s for c, s in zip(corner, weights)])
+        out = out + weight * family.values[tuple(i + c for i, c in zip(cell, corner))]
+    return out
+
+
+def test_a_sampled_family_interpolates_as_a_path_one_axis_at_a_time():
+    rng = np.random.default_rng(4)
+    # k = 1 on a path's grid: the path's value, bit for bit
+    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 7)), [1.0]])
+    path = HermitianPath(grid, tuple(random_hermitian(3, rng) for _ in grid))
+    family = MeshedFamily(1, (grid,), np.eye(3), values=np.stack(path.values))
+    ts = np.concatenate([grid, rng.uniform(0.0, 1.0, 200), [1e-13, 1.0 - 1e-13]])
+    for t in ts:
+        assert family.value_at(np.array([t])).tobytes() == path.value_at(t).tobytes(), t
+    # k = 2: the corner sum, exactly at the nodes and to rounding between them
+    axes = (np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 4), np.linspace(-1.0, 0.5, 6))
+    shape = tuple(a.size for a in axes)
+    values = np.stack([random_hermitian(2, rng) for _ in range(int(np.prod(shape)))])
+    family = MeshedFamily(2, axes, W2, values=values.reshape(shape + (2, 2)))
+    for idx in np.ndindex(shape):
+        x = np.array([a[i] for a, i in zip(axes, idx)])
+        assert np.array_equal(family.value_at(x), family.values[idx])
+        assert np.array_equal(_corner_sum(family, x), family.values[idx])
+    for _ in range(500):
+        x = np.array([rng.uniform(a[0], a[-1]) for a in axes])
+        ref = _corner_sum(family, x)
+        assert np.abs(family.value_at(x) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_two_crossings_closer_than_the_spacing_are_an_unresolved_cluster():
+    # T = [[1, a], [a*, b]] with W = span(e2) meets the variety where a = b = 0:
+    # at c +- rho d, d the cell's diagonal, near opposite corners of the cell
+    # [0, 0.25]^3; 2 rho = 0.2 lies between spacing/8 and the spacing
+    d = np.ones(3) / np.sqrt(3.0)
+    p = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    q = np.cross(d, p)
+    axes = tuple(np.linspace(-1.0, 1.0, 9) for _ in range(3))
+    centre = np.full(3, 0.125)
+
+    def family(rho):
+        def func(x):
+            y = x - centre
+            a = p @ y + 1j * (q @ y)
+            return np.array([[1.0, a], [np.conj(a), (d @ y) ** 2 - rho**2]])
+        return MeshedFamily(2, axes, W2, func=func)
+
+    with pytest.raises(PreconditionError, match="unresolved cluster"):
+        locate_crossings(family(0.1))
+    # 0.6 apart, the runs locate both
+    points = locate_crossings(family(0.3))
+    assert sorted(float(x @ d) for x in points) == pytest.approx(
+        [float(centre @ d) - 0.3, float(centre @ d) + 0.3], abs=1e-12)
+
+
+def test_a_crossing_jet_where_the_family_has_no_value_is_a_boundary_crossing():
+    axes = (np.linspace(-1.0, 1.0, 9),)
+    sampled = MeshedFamily(1, axes, np.eye(2),
+                           values=np.stack([np.diag([x - 0.3, 1.0]) for x in axes[0]]))
+    holed = MeshedFamily(1, axes, np.eye(2), func=lambda x: (
+        None if x[0] > 0.5 else np.diag([x[0] - 0.3, 1.0])))
+    for family, x in ((sampled, 1.1), (holed, 0.6)):
+        assert family.value_at(np.array([x])) is None
+        with pytest.raises(PreconditionError, match="boundary crossing"):
+            crossing_jet(family, np.array([x]))
+
+
 _PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
           np.array([[0, -1j], [1j, 0]], dtype=complex),
           np.array([[1, 0], [0, -1]], dtype=complex))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lagflow.errors import InputError
+from lagflow.errors import InputError, PreconditionError
 from lagflow.grassmann import cayley_graph
+from lagflow.intersect import intersection_number_operator
 from lagflow.linalg import Tolerance
 from lagflow.serialize import (
     decode_family_jet,
@@ -84,6 +85,17 @@ def test_decode_jet_and_family():
          "W_frame": encode_matrix(np.eye(1))}, Tolerance())
     assert fam.dims == 1
     assert abs(fam.value_at(np.array([0.5]))[0, 0] - 0.5) < 1e-12
+
+
+def test_a_jet_tol_sets_its_rank_eps_and_keeps_the_given_crossing_eps():
+    # T0 = 1e-7 is singular at rank_eps 1e-6 and regular at the default 1e-8
+    obj = {"k": 1, "T0": encode_matrix(np.array([[1e-7]])),
+           "partials": [encode_matrix(np.eye(1))], "W_frame": encode_matrix(np.eye(1))}
+    jet = decode_family_jet({**obj, "tol": 1e-6}, Tolerance(crossing_eps=1e-5))
+    assert jet.tol == Tolerance(rank_eps=1e-6, crossing_eps=1e-5)
+    assert intersection_number_operator(jet) == 1
+    with pytest.raises(PreconditionError, match="not localized"):
+        intersection_number_operator(decode_family_jet(obj, Tolerance(crossing_eps=1e-5)))
 
 
 def _family(**change):

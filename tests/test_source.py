@@ -114,6 +114,75 @@ def test_every_private_function_or_class_is_read_elsewhere_in_the_package():
     assert dead_private_names(sources) == []
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, defining node) of each private function, method, class, module
+    constant and class-level attribute (dataclass fields among them)."""
+    found, scopes = [], [tree]
+    while scopes:
+        for node in scopes.pop().body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if _is_private(node.name):
+                    found.append((node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    scopes.append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [(sub.id, node) for target in targets for sub in ast.walk(target)
+                          if isinstance(sub, ast.Name) and _is_private(sub.id)]
+    return found
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names defined in the package that nothing outside their own
+    definition reads.
+
+    ``sources`` maps module names to their source.  A name counts as read
+    when any module, outside the defining node, loads it as a name or an
+    attribute or imports it.  Attributes are matched by name alone, so a
+    read of ``x._a`` keeps every private ``_a`` alive.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = []
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                reads.append((sub.id, sub))
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                reads.append((sub.attr, sub))
+            elif isinstance(sub, ast.alias):
+                reads.append((sub.name, sub))
+    found = []
+    for module, tree in trees.items():
+        for name, node in private_definitions(tree):
+            inside = {id(sub) for sub in ast.walk(node)}
+            if not any(read == name and id(sub) not in inside for read, sub in reads):
+                found.append(f"{module}: {name} (line {node.lineno})")
+    return found
+
+
+def test_the_checker_finds_a_private_name_nothing_reads():
+    sources = {"a": ("_USED, _DEAD = 1, 2\n"
+                     "class _Held:\n"
+                     "    _field: int = 0\n"
+                     "    _read: int = 0\n"
+                     "    def _helper(self):\n        return self._helper()\n"
+                     "    def _called(self):\n        return _USED\n"
+                     "    def run(self):\n        return self._called()\n"),
+               "b": "from a import _Held\nh = _Held()\nh._field = h._read\n"}
+    # _field is only stored, and _helper reads only itself
+    assert unused_private_names(sources) == [
+        "a: _DEAD (line 1)", "a: _field (line 3)", "a: _helper (line 5)"]
+
+
+def test_every_private_name_is_read_outside_its_definition():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []
+
+
 def unused_parameters(source: str) -> list[str]:
     """Parameters of a function or lambda that its body never reads.
 

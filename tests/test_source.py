@@ -76,68 +76,8 @@ def test_no_module_imports_scipy_outside_a_getattr_hook(module):
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_name`` functions and classes no other statement reads.
-
-    ``sources`` maps module names to their source.  A name counts as read
-    when a top-level statement other than its definition, in any of the
-    modules, holds it as a name, an attribute or an imported name.
-    """
-    defined, reads = [], []
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            names = set()
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    names.add(sub.attr)
-                elif isinstance(sub, ast.alias):
-                    names.add(sub.name)
-            reads.append((node, names))
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                defined.append((module, node))
-    return [f"{module}: {node.name} (line {node.lineno})" for module, node in defined
-            if not any(node.name in names for other, names in reads if other is not node)]
-
-
-def test_the_checker_finds_a_dead_private_function():
-    sources = {"a": ("def _used():\n    pass\ndef _dead():\n    _used()\n"
-                     "def _recursive():\n    _recursive()\nclass _Held:\n    pass\n"
-                     "def __getattr__(name):\n    pass\n"),
-               "b": "from a import _Held\nimport a\na._used()\n"}
-    assert dead_private_names(sources) == ["a: _dead (line 3)", "a: _recursive (line 5)"]
-
-
-def test_every_private_function_or_class_is_read_elsewhere_in_the_package():
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    assert dead_private_names(sources) == []
-
-
-def _is_private(name: str) -> bool:
-    return name.startswith("_") and not name.startswith("__")
-
-
-def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
-    """(name, defining node) of each private function, method, class, module
-    constant and class-level attribute (dataclass fields among them)."""
-    found, scopes = [], [tree]
-    while scopes:
-        for node in scopes.pop().body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if _is_private(node.name):
-                    found.append((node.name, node))
-                if isinstance(node, ast.ClassDef):
-                    scopes.append(node)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                found += [(sub.id, node) for target in targets for sub in ast.walk(target)
-                          if isinstance(sub, ast.Name) and _is_private(sub.id)]
-    return found
-
-
-def unused_private_names(sources: dict[str, str]) -> list[str]:
-    """Private names defined in the package that nothing outside their own
+    """Private functions, methods, classes, module constants and class-level
+    attributes (dataclass fields among them) that nothing outside their own
     definition reads.
 
     ``sources`` maps module names to their source.  A name counts as read
@@ -157,30 +97,48 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
                 reads.append((sub.name, sub))
     found = []
     for module, tree in trees.items():
-        for name, node in private_definitions(tree):
-            inside = {id(sub) for sub in ast.walk(node)}
-            if not any(read == name and id(sub) not in inside for read, sub in reads):
-                found.append(f"{module}: {name} (line {node.lineno})")
+        scopes = [tree]
+        while scopes:
+            for node in scopes.pop().body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                    if isinstance(node, ast.ClassDef):
+                        scopes.append(node)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [sub.id for target in targets for sub in ast.walk(target)
+                             if isinstance(sub, ast.Name)]
+                else:
+                    continue
+                inside = {id(sub) for sub in ast.walk(node)}
+                found += [f"{module}: {name} (line {node.lineno})" for name in names
+                          if name.startswith("_") and not name.startswith("__")
+                          and not any(read == name and id(sub) not in inside
+                                      for read, sub in reads)]
     return found
 
 
-def test_the_checker_finds_a_private_name_nothing_reads():
-    sources = {"a": ("_USED, _DEAD = 1, 2\n"
+def test_the_checker_finds_a_dead_private_function():
+    sources = {"a": ("def _used():\n    pass\ndef _dead():\n    _used()\n"
+                     "def _recursive():\n    _recursive()\n"
+                     "_USED, _DEAD = 1, 2\n"
                      "class _Held:\n"
                      "    _field: int = 0\n"
                      "    _read: int = 0\n"
                      "    def _helper(self):\n        return self._helper()\n"
                      "    def _called(self):\n        return _USED\n"
-                     "    def run(self):\n        return self._called()\n"),
-               "b": "from a import _Held\nh = _Held()\nh._field = h._read\n"}
-    # _field is only stored, and _helper reads only itself
-    assert unused_private_names(sources) == [
-        "a: _DEAD (line 1)", "a: _field (line 3)", "a: _helper (line 5)"]
+                     "    def run(self):\n        return self._called()\n"
+                     "def __getattr__(name):\n    pass\n"),
+               "b": "from a import _Held\nimport a\na._used()\nh = _Held()\nh._field = h._read\n"}
+    # _field is only stored, and _recursive and _helper read only themselves
+    assert dead_private_names(sources) == [
+        "a: _dead (line 3)", "a: _recursive (line 5)", "a: _DEAD (line 7)",
+        "a: _field (line 9)", "a: _helper (line 11)"]
 
 
-def test_every_private_name_is_read_outside_its_definition():
+def test_every_private_function_or_class_is_read_elsewhere_in_the_package():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    assert unused_private_names(sources) == []
+    assert dead_private_names(sources) == []
 
 
 def unused_parameters(source: str) -> list[str]:

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .flow import _bracket, _chunks, _lerp
+from .flow import HermitianPath, _bracket, _chunks, _lerp, spectral_flow_crossing
 from .grassmann import J_matrix, LagrangianFrame, _inv_sqrt_eye_plus_sq, _switched_graph
 from .linalg import (
     DEFAULT_TOL,
@@ -311,7 +311,9 @@ class MeshedFamily:
     manifold; it multiplies every local intersection number.  W must have
     codimension k-1 in C^n, with n its number of rows, and every value must
     be n x n: sampled values are checked here, ``func`` values as they come
-    back.
+    back.  ``value_at`` takes a point of ``dims`` coordinates (else an
+    input error).  For k = 1 the family is a Hermitian path on its axis,
+    t = (x - lo)/(hi - lo), and its crossings are the spectral flow's.
     """
 
     k: int
@@ -355,8 +357,11 @@ class MeshedFamily:
         return min(float(np.min(np.diff(a))) for a in self.axes)
 
     def value_at(self, x: np.ndarray) -> np.ndarray | None:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dims,):
+            raise InputError(f"a point of this family has {self.dims} coordinates")
         if self.func is not None:
-            val = self.func(np.asarray(x, dtype=float))
+            val = self.func(x)
             if val is None:
                 return None
             val = symmetrize(val)
@@ -399,14 +404,18 @@ def _gap(t: np.ndarray | None, w: np.ndarray) -> float:
 def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
     """Mesh scan plus Newton refinement of kernel-meets-W points.
 
-    A Newton run on T(x) W c = 0 starts from each mesh node that is a local
-    minimum of the detector.  Its end is kept where the detector is below
-    rank_eps (the jet checks dim(Ker T ∩ W)); ends within spacing/8 merge,
-    and the points return in mesh index order.  Runs stay in the box widened by
-    spacing/2, so a crossing further out is none of the family's; one within
-    spacing/2 of the box's edge, inside or out, raises "boundary crossing",
-    and two closer than the spacing raise "unresolved cluster".
+    For k = 1 the points are the crossings of the axis path
+    (:func:`total_intersection_number`).  For k >= 2 a Newton run on
+    T(x) W c = 0 starts from each mesh node that is a local minimum of the
+    detector.  Its end is kept where the detector is below _ACCEPT_GAP (the
+    jet checks dim(Ker T ∩ W)); ends within spacing/8 merge, and the points
+    return in mesh index order.  Runs stay in the box widened by spacing/2,
+    so a crossing further out is none of the family's; one within spacing/2
+    of the box's edge, inside or out, raises "boundary crossing", and two
+    closer than the spacing raise "unresolved cluster".
     """
+    if family.k == 1:
+        return [x for x, _ in _axis_crossings(family)[1]]
     shape = tuple(a.size for a in family.axes)
     nodes = np.stack(np.meshgrid(*family.axes, indexing="ij"), axis=-1).reshape(-1, family.dims)
     values = [family.value_at(x) for x in nodes]
@@ -423,7 +432,7 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
     merged: list[np.ndarray] = []
     for i in np.flatnonzero(starts):
         end = _newton(family, nodes[i], values[i])
-        if end is not None and _gap(end[1], family.w) < family.tol.rank_eps and all(
+        if end is not None and _gap(end[1], family.w) < _ACCEPT_GAP and all(
                 np.linalg.norm(end[0] - m) > spacing / 8.0 for m in merged):
             merged.append(end[0])
     for a, b in itertools.combinations(merged, 2):
@@ -435,10 +444,35 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
     return merged
 
 
+def _axis_crossings(family: MeshedFamily) -> tuple[int, list[tuple[np.ndarray, int]]]:
+    """A k = 1 family's total and crossings: :func:`flow.spectral_flow_crossing`
+    on its axis path, t = (x - lo)/(hi - lo), with epsilon = orientation x sign.
+    A ``func`` family raises "boundary crossing" where it has no value."""
+    (axis,) = family.axes
+    lo, width = axis[0], axis[-1] - axis[0]
+    grid = (axis - lo) / width
+    if family.func is None:
+        path = HermitianPath(grid, tuple(family.values))
+    else:
+        def at(t):
+            val = family.value_at(np.array([lo + t * width]))
+            if val is None:
+                raise PreconditionError("boundary crossing")
+            return val
+
+        path = HermitianPath(grid, tuple(at(t) for t in grid), func=at)
+    flow, crossings = spectral_flow_crossing(path, family.tol)
+    o = family.orientation
+    return o * flow, [(np.array([lo + c.t * width]), o * c.sign) for c in crossings]
+
+
 def _box(family: MeshedFamily) -> tuple[np.ndarray, np.ndarray]:
     return np.array([a[0] for a in family.axes]), np.array([a[-1] for a in family.axes])
 
 
+# a Newton end is a crossing below this detector value, fixed as no total may
+# move with rank_eps; it is the default rank_eps, so default answers stay
+_ACCEPT_GAP = 1e-8
 # a run towards the crossing of U^2 B on its chart (1, -1) (the degree
 # oracle's family in tests/) creeps along the unit-ball edge for 15 steps
 _NEWTON_STEPS = 16
@@ -529,10 +563,12 @@ def total_intersection_number(family: MeshedFamily
                               ) -> tuple[int, list[tuple[np.ndarray, int]]]:
     """Sum of local intersection numbers over all located crossings.
 
-    For k = 1 (so W = C^n), with T(lo), T(hi) at the axis' ends invertible at
-    rank_eps (else "boundary crossing"), it is orientation (n-(T(lo)) -
-    n-(T(hi))), else "unresolved cluster".  k >= 2 has no such oracle.
+    For k = 1 (so W = C^n) it is orientation x the spectral flow of the axis
+    path, which its route checks against n-(T(lo)) - n-(T(hi)).  k >= 2 has
+    no such oracle.
     """
+    if family.k == 1:
+        return _axis_crossings(family)
     points = locate_crossings(family)
     total = 0
     detail: list[tuple[np.ndarray, int]] = []
@@ -540,12 +576,4 @@ def total_intersection_number(family: MeshedFamily
         eps = family.orientation * intersection_number_operator(crossing_jet(family, x))
         detail.append((x, eps))
         total += eps
-    if family.k == 1:
-        ends = [family.value_at(x) for x in _box(family)]
-        if all(t is not None for t in ends):
-            if any(numeric_kernel(t, family.tol).shape[1] for t in ends):
-                raise PreconditionError("boundary crossing")
-            lo, hi = (int(np.sum(np.linalg.eigvalsh(t) < 0.0)) for t in ends)
-            if family.orientation * (lo - hi) != total:
-                raise PreconditionError("unresolved cluster")
     return total, detail

@@ -55,11 +55,15 @@ _UNITARY_TOL = 1e-10
 class Tolerance:
     """Numerical thresholds used by rank and crossing decisions.
 
-    rank_eps drives kernel/rank extraction (relative to the largest
-    singular value, floored at 1), crossing_eps drives nondegeneracy
-    decisions for crossings of eigenvalue branches.  rank_eps must lie in
-    (0, 1): at 1 or above the threshold reaches sigma_max and every
-    direction counts as kernel.
+    rank_eps decides ranks and invertibility, relative to the largest
+    singular value floored at 1: kernels and subspace intersections (the
+    jets' and crossing_jet's among them), reductions, the chart test, the
+    Schubert cell equations and the Maslov endpoint test.  crossing_eps
+    decides nondegeneracy: the spectral flow's endpoints and crossing forms,
+    and a jet's transversality.  Which points a family's scan locates reads
+    neither (lagflow.intersect._ACCEPT_GAP).  rank_eps must lie in (0, 1):
+    at 1 or above the threshold reaches sigma_max and every direction
+    counts as kernel.
     """
 
     rank_eps: float = 1e-8

@@ -272,25 +272,29 @@ def test_intersect_total_cli_finds_a_crossing_of_a_scaled_family(tmp_path, capsy
     assert abs(crossing["point"][0] - 0.3) < 1e-14 and crossing["epsilon"] == 1
 
 
-def test_intersect_total_cli_rejects_a_kernel_of_dimension_two(tmp_path, capsys):
-    # x I_2 with W = C^2: both eigenvalues cross at x = 0, so the flow is 2;
-    # a located point whose kernel meets W in a plane must not be dropped
+def test_intersect_total_cli_counts_a_kernel_of_dimension_two(tmp_path, capsys):
+    # x I_2 with W = C^2: both eigenvalues cross at x = 0, so the flow is 2,
+    # at one point whose crossing form has signature 2
     axis = np.linspace(-1.0, 1.0, 9)
     fam = {"k": 1, "axes": [list(axis)], "W_frame": ser.encode_matrix(np.eye(2)),
            "values": [ser.encode_matrix(x * np.eye(2)) for x in axis]}
     code, out, err = run(capsys, "intersect-total", write(tmp_path, "family.json", fam))
-    assert code == 2 and out == "" and "kernel too large" in err
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"total": 2, "crossings": [{"point": [0.0], "epsilon": 2}]}
 
 
-def test_intersect_total_cli_rejects_two_crossings_in_one_cell(tmp_path, capsys):
+def test_intersect_total_cli_counts_two_crossings_in_one_cell(tmp_path, capsys):
     # diag(x, x + 1e-3): two crossings 1e-3 apart inside one cell of width
-    # 0.25; one Newton run finds one of them, and the k = 1 total must equal
-    # n-(T(-1)) - n-(T(1)) = 2
+    # 0.25, and n-(T(-1)) - n-(T(1)) = 2
     axis = np.linspace(-1.0, 1.0, 9)
     fam = {"k": 1, "axes": [list(axis)], "W_frame": ser.encode_matrix(np.eye(2)),
            "values": [ser.encode_matrix(np.diag([x, x + 1e-3])) for x in axis]}
     code, out, err = run(capsys, "intersect-total", write(tmp_path, "family.json", fam))
-    assert code == 2 and out == "" and "unresolved cluster" in err
+    assert code == 0 and err == ""
+    result = json.loads(out)
+    assert result["total"] == 2
+    assert [c["epsilon"] for c in result["crossings"]] == [1, 1]
+    assert [c["point"][0] for c in result["crossings"]] == pytest.approx([-1e-3, 0.0], abs=1e-14)
 
 
 @pytest.mark.parametrize("line", [[1.0, 0.0], [0.0, 1.0]])

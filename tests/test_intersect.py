@@ -309,43 +309,51 @@ def test_sampled_family_matches_functional(rng):
     assert intersection_number_operator(jet) in (-1, 1)
 
 
-def test_sampled_k1_jets_carry_the_signs_of_the_spectral_flow():
-    # 9 nodes (A + A*)/2 on [-1, 1], A complex standard normal and n = 2 or 3,
-    # against spectral_flow_crossing on the same samples with t = (x + 1)/2.
-    # Jets differenced one mesh spacing wide mis-signed draws 5, 602, 815, 927
-    # and 1335, and their totals raised "unresolved cluster"; the first 1,336
-    # draws hold all five
+def _sampled_k1_draws(count):
+    """(family, path) of the first count draws of default_rng(1): 9 nodes
+    (A + A*)/2 on [-1, 1], A complex standard normal and n = 2 or 3; the path
+    holds the same samples on t = (x + 1)/2."""
     rng = np.random.default_rng(1)
     axis, grid = np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 1.0, 9)
-    checked = []
-    for draw in range(1336):
+    for _ in range(count):
         n = int(rng.integers(2, 4))
         values = [symmetrize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
                   for _ in axis]
-        try:
-            flow, crossings = spectral_flow_crossing(HermitianPath(grid, tuple(values)))
-        except PreconditionError:
-            continue
-        # points that match these crossings would raise "unresolved cluster"
-        # (two within a spacing, 1/8 in t) or "boundary crossing" (one within
-        # half a spacing of an end), so no draw skipped here can match
+        yield (MeshedFamily(1, (axis,), np.eye(n), values=np.stack(values)),
+               HermitianPath(grid, tuple(values)))
+
+
+def test_sampled_k1_jets_carry_the_signs_of_the_spectral_flow():
+    # crossing_jet at each crossing of spectral_flow_crossing on the same
+    # samples, x = 2t - 1.  Jets differenced one mesh spacing wide mis-signed
+    # draws 5, 602, 815, 927 and 1335; the first 1,336 draws hold all five.
+    # Only draws whose crossings lie a spacing (1/8 in t) apart and half a
+    # spacing from the ends are signed, to keep the test short
+    checked = []
+    for draw, (family, path) in enumerate(_sampled_k1_draws(1336)):
+        _, crossings = spectral_flow_crossing(path)
         ts = np.array([0.0] + [c.t for c in crossings] + [1.0])
         if np.min(np.diff(ts)[1:-1], initial=1.0) < 0.125 - 1e-5 or (
                 crossings and min(ts[1], 1.0 - ts[-2]) < 0.0625 - 1e-5):
             continue
-        family = MeshedFamily(1, (axis,), np.eye(n), values=np.stack(values))
-        try:
-            points = sorted(locate_crossings(family), key=lambda x: x[0])
-        except PreconditionError:
-            continue
-        if len(points) != len(crossings) or any(
-                abs((x[0] + 1.0) / 2.0 - c.t) > 1e-6 for x, c in zip(points, crossings)):
-            continue
-        signs = [intersection_number_operator(crossing_jet(family, x)) for x in points]
+        signs = [intersection_number_operator(crossing_jet(family, np.array([2.0 * c.t - 1.0])))
+                 for c in crossings]
         assert signs == [c.sign for c in crossings], draw
-        assert total_intersection_number(family)[0] == flow, draw
         checked.append(draw)
     assert {5, 602, 815, 927, 1335} <= set(checked)
+
+
+def test_a_sampled_k1_total_is_the_flow_of_its_axis_path():
+    # the family is a Hermitian path on t = (x + 1)/2, so its total, points
+    # and signs are spectral_flow_crossing's.  The mesh scan once raised on
+    # 238 of these 300 draws, and left cancelling pairs out of 50 of the rest
+    for draw, (family, path) in enumerate(_sampled_k1_draws(300)):
+        flow, crossings = spectral_flow_crossing(path)
+        total, detail = total_intersection_number(family)
+        assert total == flow, draw
+        assert [eps for _, eps in detail] == [c.sign for c in crossings], draw
+        assert all(abs(x[0] - (2.0 * c.t - 1.0)) <= 1e-12
+                   for (x, _), c in zip(detail, crossings)), draw
 
 
 def _corner_sum(family, x):
@@ -556,7 +564,13 @@ def test_scipy_names_bind_on_first_lookup():
         lagflow.flow.no_such_name
 
 
-def test_newton_locates_a_k1_crossing_to_rounding_in_few_evaluations(monkeypatch):
+def _pair(a, b):
+    """[[1, a], [a*, b]]: with W = span(e2) it meets the level-2 variety where
+    a = b = 0."""
+    return np.array([[1.0, a], [np.conj(a), b]])
+
+
+def test_newton_locates_a_crossing_to_rounding_in_few_evaluations(monkeypatch):
     calls = []
     value_at = MeshedFamily.value_at
 
@@ -565,16 +579,17 @@ def test_newton_locates_a_k1_crossing_to_rounding_in_few_evaluations(monkeypatch
         return value_at(self, x)
 
     monkeypatch.setattr(MeshedFamily, "value_at", counting)
-    # k = 1: one parameter, W = C^2, and Ker T(x) = span e1 at x = 0.13 only
-    axes = (np.linspace(-0.6, 0.6, 9),)
-    fam = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0] - 0.13, 1.0]))
+    # an affine family whose only crossing is x = (0.13, -0.05, 0.02)
+    axes = tuple(np.linspace(-0.6, 0.6, 9) for _ in range(3))
+    fam = MeshedFamily(2, axes, W2, func=lambda x: _pair(x[1] + 0.05 + 1j * (x[2] - 0.02),
+                                                          x[0] - 0.13))
     points = locate_crossings(fam)
-    assert len(points) == 1 and abs(points[0][0] - 0.13) < 1e-14
-    # 9 scan nodes; one run from 0.15, which starts from the scan's T there:
-    # per step a central difference (2) and its end (1), the second step too
-    # short to take; the detector at the end reads the run's last T: 14, with
-    # one to spare
-    assert len(calls) <= 15
+    assert len(points) == 1 and np.abs(points[0] - [0.13, -0.05, 0.02]).max() < 1e-14
+    # 729 scan nodes; one run from (0.15, 0, 0), which starts from the scan's
+    # T there: per step a central difference on each axis (6) and its end
+    # (1), the second step too short to take; the detector at the end reads
+    # the run's last T: 742, with one to spare
+    assert len(calls) <= 743
 
 
 def test_a_tie_between_neighbouring_nodes_starts_one_run(monkeypatch):
@@ -588,57 +603,65 @@ def test_a_tie_between_neighbouring_nodes_starts_one_run(monkeypatch):
         return original(family, x0, t0)
 
     monkeypatch.setattr(lagflow.intersect, "_newton", counting)
-    # Ker T(x) = span e1 at x = 0, halfway between the nodes -0.1 and 0.1,
-    # whose detector values are exactly equal
-    axes = (np.array([-0.5, -0.3, -0.1, 0.1, 0.3, 0.5]),)
-    fam = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0], 1.0]))
-    below, above = fam.value_at(np.array([-0.1])), fam.value_at(np.array([0.1]))
+    # the crossing x = 0 lies halfway between the nodes (-0.1, 0, 0) and
+    # (0.1, 0, 0), whose detector values are exactly equal
+    axis, other = np.array([-0.5, -0.3, -0.1, 0.1, 0.3, 0.5]), np.linspace(-0.5, 0.5, 5)
+    fam = MeshedFamily(2, (axis, other, other), W2, func=lambda x: _pair(x[1] + 1j * x[2], x[0]))
+    below, above = fam.value_at(np.array([-0.1, 0.0, 0.0])), fam.value_at(np.array([0.1, 0.0, 0.0]))
     assert _gap(below, fam.w) == _gap(above, fam.w)
     points = locate_crossings(fam)
-    assert len(points) == 1 and abs(points[0][0]) < fam.spacing() / 2**6
-    assert [list(x) for x in starts] == [[-0.1]]  # from the first node in scan order
+    assert len(points) == 1 and np.abs(points[0]).max() < fam.spacing() / 2**6
+    assert [list(x) for x in starts] == [[-0.1, 0.0, 0.0]]  # from the first node in scan order
 
 
 def test_a_crossing_beyond_half_a_spacing_outside_the_box_is_not_the_familys():
-    # 9 nodes on [-1, 1], spacing 0.25: a second crossing at 1.2 lies 0.2
-    # outside the box and is no crossing of the family; at 1.1 it lies in
-    # the band of half a spacing around the box's edge and raises
-    axes = (np.linspace(-1.0, 1.0, 9),)
-    far = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0] - 0.3, x[0] - 1.2]))
-    points = locate_crossings(far)
-    assert len(points) == 1 and abs(points[0][0] - 0.3) < 1e-14
-    near = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0] - 0.3, x[0] - 1.1]))
+    # 9 nodes on [-1, 1], spacing 0.25: a second crossing at x1 = 1.2 lies 0.2
+    # outside the box and is no crossing of the family, though a run starts
+    # towards it from the node x1 = 1; at 1.1 it lies in the band of half a
+    # spacing around the box's edge and raises
+    axes = tuple(np.linspace(-1.0, 1.0, 9) for _ in range(3))
+
+    def family(second):
+        return MeshedFamily(2, axes, W2, func=lambda x: _pair(
+            x[1] + 1j * x[2], (x[0] - 0.3) * (x[0] - second)))
+
+    points = locate_crossings(family(1.2))
+    assert len(points) == 1 and np.abs(points[0] - [0.3, 0.0, 0.0]).max() < 1e-14
     with pytest.raises(PreconditionError, match="boundary crossing"):
-        locate_crossings(near)
+        locate_crossings(family(1.1))
 
 
-def test_a_k1_total_is_checked_against_the_axis_flow(monkeypatch):
+def test_a_k1_total_is_checked_against_the_axis_flow():
     import dataclasses
 
-    import lagflow.intersect
-
-    # diag(x - 0.3, x - 1.2): n-(T(-1)) - n-(T(1)) = 2 - 1, one crossing +1
+    # diag(x - 0.3, x - 1.2): n-(T(-1)) - n-(T(1)) = 2 - 1, one crossing +1;
+    # spectral_flow_crossing checks its crossings against that count
     axes = (np.linspace(-1.0, 1.0, 9),)
     fam = MeshedFamily(1, axes, np.eye(2), func=lambda x: np.diag([x[0] - 0.3, x[0] - 1.2]))
-    assert total_intersection_number(fam)[0] == 1
-    assert total_intersection_number(dataclasses.replace(fam, orientation=-1))[0] == -1
+    total, detail = total_intersection_number(fam)
+    assert total == 1 and [eps for _, eps in detail] == [1]
+    assert [x.tobytes() for x in locate_crossings(fam)] == [x.tobytes() for x, _ in detail]
+    assert abs(detail[0][0][0] - 0.3) < 1e-14
+    assert total_intersection_number(dataclasses.replace(fam, orientation=-1)) == (
+        -1, [(detail[0][0], -1)])
     # W a line of C^2 has codimension 1, where k = 1 needs 0: malformed
     with pytest.raises(InputError, match="codimension k-1"):
         MeshedFamily(1, axes, np.array([[1.0], [0.0]]),
                      func=lambda x: np.diag([1.0, x[0] - 0.3]))
-    # T has no value at the upper end: no oracle either
+    # T has no value at the upper end: no path
     holed = MeshedFamily(1, axes, np.eye(2), func=lambda x: (
         None if x[0] > 0.9 else np.diag([x[0] - 0.3, 1.0])))
-    assert total_intersection_number(holed)[0] == 1
-
-    monkeypatch.setattr(lagflow.intersect, "locate_crossings", lambda family: [])
-    with pytest.raises(PreconditionError, match="unresolved cluster"):
-        total_intersection_number(fam)  # a scan that missed the crossing
-    assert total_intersection_number(holed) == (0, [])
-    for end in (-1.0, 1.0):  # T singular at an end, at rank_eps
-        edge = MeshedFamily(1, axes, np.eye(2), func=lambda x, e=end: np.diag(
-            [x[0] - e + 0.5 * fam.tol.rank_eps * e, 1.0]))
-        with pytest.raises(PreconditionError, match="boundary crossing"):
+    with pytest.raises(PreconditionError, match="boundary crossing"):
+        total_intersection_number(holed)
+    for end in (-1.0, 1.0):
+        # a crossing within half a spacing of an end counts
+        near = MeshedFamily(1, axes, np.eye(2), func=lambda x, e=end: np.diag(
+            [x[0] - 0.95 * e, 1.0]))
+        ((x, eps),) = total_intersection_number(near)[1]
+        assert abs(x[0] - 0.95 * end) < 1e-14 and eps == 1
+        # T singular at an end
+        edge = MeshedFamily(1, axes, np.eye(2), func=lambda x, e=end: np.diag([x[0] - e, 1.0]))
+        with pytest.raises(PreconditionError, match="degenerate endpoint"):
             total_intersection_number(edge)
 
 
@@ -682,6 +705,65 @@ def test_runs_start_from_the_local_minima_of_the_scan(monkeypatch):
     assert starts == expected
 
 
+def _quadratic_pairs(seed):
+    """Sampled _pair(a, b) families, W = span(e2), 9 nodes per axis on
+    [-1, 1]^3, one per draw of default_rng(seed): a and b are quadratics over
+    the monomials (0.3, x1, x2, x3, x1^2, x2^2, x3^2, x1x2, x1x3, x2x3), with
+    coefficients standard_normal(10) + 1j standard_normal(10), then
+    standard_normal(10)."""
+    rng = np.random.default_rng(seed)
+    axis = np.linspace(-1.0, 1.0, 9)
+    x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+    monomials = np.concatenate([np.full(x.shape[:-1] + (1,), 0.3), x, x**2,
+                                x[..., [0, 0, 1]] * x[..., [1, 2, 2]]], -1)
+    while True:
+        a = monomials @ (rng.standard_normal(10) + 1j * rng.standard_normal(10))
+        b = monomials @ rng.standard_normal(10)
+        values = np.ones(x.shape[:-1] + (2, 2), dtype=complex)
+        values[..., 0, 1], values[..., 1, 0], values[..., 1, 1] = a, a.conj(), b
+        yield MeshedFamily(2, (axis, axis, axis), W2, values=values)
+
+
+def test_located_points_and_totals_do_not_move_with_rank_eps():
+    import dataclasses
+
+    from lagflow.linalg import Tolerance
+
+    # draws 8 and 11 of the quadratic corpus (totals 0 and 1) and the degree
+    # oracle's SU(2) chart (0, -1), with one point.  With the Newton accept
+    # cut at rank_eps, 0.1 added a point to each draw (totals -1 and 0), and
+    # 1e-18 dropped the point of draw 11 and of the chart
+    draws = list(itertools.islice(_quadratic_pairs(0), 12))
+    for family in (draws[8], draws[11], _su2_centre_chart(7, 0.87)):
+        points = locate_crossings(family)
+        signs = [intersection_number_operator(crossing_jet(family, x)) for x in points]
+        for rank_eps in (1e-18, 1e-12, 1e-8, 1e-3, 0.1, 0.5):
+            moved = dataclasses.replace(family, tol=Tolerance(rank_eps, family.tol.crossing_eps))
+            located = locate_crossings(moved)
+            assert [x.tobytes() for x in located] == [x.tobytes() for x in points], rank_eps
+            # the jet's kernel tolerance reads rank_eps: the default's signs,
+            # or a named precondition
+            try:
+                assert [intersection_number_operator(crossing_jet(moved, x))
+                        for x in located] == signs, rank_eps
+            except PreconditionError:
+                pass
+    assert [len(locate_crossings(f)) for f in (draws[8], draws[11])] == [0, 1]
+
+
+def test_a_point_of_the_wrong_length_is_an_input_error():
+    axes = tuple(np.linspace(-1.0, 1.0, 3) for _ in range(3))
+    seen = []
+    sampled = MeshedFamily(2, axes, W2, values=np.zeros((3, 3, 3, 2, 2)))
+    func = MeshedFamily(2, axes, W2, func=lambda x: seen.append(x) or np.eye(2))
+    for family in (sampled, func):
+        for x in (np.zeros(2), np.zeros(4), np.zeros((3, 1)), 0.0):
+            with pytest.raises(InputError, match="a point of this family has 3 coordinates"):
+                family.value_at(x)
+        assert family.value_at([0.5, 0.0, -0.5]).shape == (2, 2)
+    assert len(seen) == 1  # no point of the wrong length reaches func
+
+
 def test_a_func_value_of_the_wrong_size_is_an_input_error():
     # W = C^2 fixes n = 2; from x = 0 on, T is 3 x 3
     axes = (np.linspace(-1.0, 1.0, 5),)
@@ -711,16 +793,24 @@ def test_the_scan_and_newton_read_each_point_once(monkeypatch):
 
     monkeypatch.setattr(MeshedFamily, "value_at", counting)
     monkeypatch.setattr(lagflow.intersect, "_newton", run)
-    # Ker T meets C^2 at x = 0.13 only; near x = -pi/8, where cos(8x) + 1.2
-    # has its minimum 0.2, a second run starts and ends with nothing
-    axis = np.linspace(-0.6, 0.6, 13)
-    fam = MeshedFamily(1, (axis,), np.eye(2),
-                       func=lambda x: np.diag([np.cos(8.0 * x[0]) + 1.2, x[0] - 0.13]))
+    # W = span(e1, e3): the lower block meets it at x = (0.13, 0, 0) only;
+    # near x1 = +-pi/8, where cos(8 x1) + 1.2 has its minimum 0.2, two more
+    # runs start and end where the detector is 0.2, with nothing
+    axis, other = np.linspace(-0.6, 0.6, 13), np.linspace(-0.6, 0.6, 5)
+    w = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+
+    def func(x):
+        a = x[1] + 1j * x[2]
+        return np.array([[np.cos(8.0 * x[0]) + 1.2, 0.0, 0.0],
+                         [0.0, 1.0, a], [0.0, np.conj(a), x[0] - 0.13]])
+
+    fam = MeshedFamily(2, (axis, other, other), w, func=func)
     points = locate_crossings(fam)
-    assert len(points) == 1 and abs(points[0][0] - 0.13) < 1e-14
-    assert len(starts) == 2
+    assert len(points) == 1 and np.abs(points[0] - [0.13, 0.0, 0.0]).max() < 1e-14
+    assert len(starts) == 3
     # the scan reads every node once, in scan order; no run reads its start
     # again, and no accepted end is read again
-    assert calls[: axis.size] == [(a,) for a in axis]
+    nodes = np.stack(np.meshgrid(axis, other, other, indexing="ij"), -1).reshape(-1, 3)
+    assert calls[: len(nodes)] == [tuple(x) for x in nodes]
     assert all(calls.count(x0) == 1 for x0 in starts)
     assert all(calls.count(tuple(x)) == 1 for x in points)

@@ -3,8 +3,10 @@
 Exit codes: 0 success, 2 mathematical precondition failure (messages name
 the violated precondition verbatim, e.g. "not clean"), 3 malformed input.
 Result JSON goes to stdout with deterministic formatting; diagnostics go
-to stderr only.  The environment variable LAGFLOW_TOL, and above it
---tol, overrides the default rank_eps; it must lie in (0, 1).
+to stderr only.  On every verb that reads rank_eps (maslov, reduce,
+schubert, intersect, intersect-total) the environment variable
+LAGFLOW_TOL, and above it --tol, overrides its default; it must lie in
+(0, 1).  sf reads only crossing_eps and takes neither.
 """
 
 from __future__ import annotations
@@ -55,18 +57,14 @@ def _load_json(path: str):
 
 
 def _tolerance(args) -> Tolerance:
-    rank_eps = None
+    """rank_eps from --tol, else LAGFLOW_TOL (a number if set), else the default."""
     env = os.environ.get("LAGFLOW_TOL")
-    if env:
-        try:
-            rank_eps = float(env)
-        except ValueError as exc:
-            raise InputError("LAGFLOW_TOL must be a number") from exc
-    if getattr(args, "tol", None) is not None:
-        rank_eps = args.tol
-    if rank_eps is None:
-        return Tolerance()
-    return Tolerance(rank_eps=rank_eps)
+    try:
+        env_eps = float(env) if env else None
+    except ValueError as exc:
+        raise InputError("LAGFLOW_TOL must be a number") from exc
+    rank_eps = env_eps if args.tol is None else args.tol
+    return Tolerance() if rank_eps is None else Tolerance(rank_eps=rank_eps)
 
 
 def _emit(obj):
@@ -101,18 +99,13 @@ def _cmd_arnold(args) -> int:
 
 
 def _cmd_sf(args) -> int:
-    tol = _tolerance(args)
     path = serialize.decode_hermitian_path(_load_json(args.path))
     results = {}
+    # both routes run for their preconditions; their flows agree by construction
     if args.method in ("crossing", "both"):
-        results["crossing"] = spectral_flow_crossing(path, tol)
+        results["crossing"] = spectral_flow_crossing(path)
     if args.method in ("tracking", "both"):
-        results["tracking"] = spectral_flow_tracking(path, tol)
-    if args.method == "both":
-        if results["crossing"][0] != results["tracking"][0]:
-            raise PreconditionError(
-                "method disagreement: crossing "
-                f"{results['crossing'][0]} vs tracking {results['tracking'][0]}")
+        results["tracking"] = spectral_flow_tracking(path)
     if args.plot:
         _write_branch_csv(args.plot, path.grid, 8, "lambda", path.dim,
                           lambda ts: _stacked_eigs(path, ts))
@@ -148,12 +141,7 @@ def _cmd_reduce(args) -> int:
         if not args.w_frame:
             raise InputError("--lagrangian requires --w-frame")
         wm = serialize.decode_matrix(_load_json(args.w_frame))
-        if wm.shape[0] == 2 * lag.n:
-            w = IsotropicSubspace(lag.n, wm)
-        elif wm.shape[0] == lag.n:
-            w = IsotropicSubspace.from_h_minus_vectors(lag.n, wm)
-        else:
-            raise InputError("W frame shape matches neither 2n x p nor n x p")
+        w = IsotropicSubspace.from_h_minus_vectors(lag.n, wm)
         red = reduce_lagrangian(lag, w, tol)
         _emit(serialize.encode_lagrangian(red))
     return EXIT_OK
@@ -229,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", metavar="PATH_JSON")
     p.add_argument("--method", choices=["crossing", "tracking", "both"],
                    default="crossing")
-    p.add_argument("--tol", type=float)
     p.add_argument("--plot", metavar="CSV")
     p.set_defaults(run=_cmd_sf)
 

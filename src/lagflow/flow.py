@@ -646,8 +646,11 @@ def _step_angles(ua: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray
     alpha = 0 is accurate while every |phi| <= pi/2, where cond(1 + R) <=
     sqrt(2); a step past that is solved again with the pole -e^{i alpha} in
     the middle of the widest gap of the first pass's phases (near the pole
-    they are off by about 1e-9, far inside any gap).  1 + R exactly singular
-    means an eigenphase of pi, so that step is too coarse at once.
+    they are off by about 1e-9, far inside any gap).  R's eigenvalue
+    -(1 - d), d of rounding, gives K the eigenvalue i (2 - d) / d, which
+    eigh's symmetric part reads as phi = 0: so a first pass with max|K - K*|
+    > 1 + max|mu| is skewed, and the pole goes in the widest gap of
+    np.angle(eigvals(R)).  1 + R exactly singular is a phase of pi: too coarse.
     """
     return _principal(ua.conj().T @ ub)
 
@@ -656,14 +659,14 @@ def _principal(r: np.ndarray, first=None) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_step_angles` of the step R, from ``first``, its alpha = 0 pass,
     when given."""
     try:
-        phi, vecs = _cayley_angles(r, 0.0) if first is None else first
+        phi, vecs, skewed = _cayley_angles(r, 0.0) if first is None else first
     except np.linalg.LinAlgError:  # R has the eigenvalue -1
         raise PreconditionError("grid too coarse") from None
-    if np.max(np.abs(phi)) > 0.5 * np.pi:
-        theta = np.sort(phi)
+    if skewed or np.max(np.abs(phi)) > 0.5 * np.pi:
+        theta = np.sort(np.angle(np.linalg.eigvals(r)) if skewed else phi)
         gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
         j = int(np.argmax(gaps))
-        phi, vecs = _cayley_angles(r, theta[j] + 0.5 * gaps[j] - np.pi)
+        phi, vecs, _ = _cayley_angles(r, theta[j] + 0.5 * gaps[j] - np.pi)
         phi -= 2.0 * np.pi * np.round(phi / (2.0 * np.pi))
     if np.max(np.abs(phi)) > np.pi - 1e-6:
         raise PreconditionError("grid too coarse")
@@ -692,15 +695,18 @@ def _steps_angles(uas: Sequence[np.ndarray], ubs: Sequence[np.ndarray]
                 yield None
 
 
-def _cayley_angles(r: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha + 2 arctan(mu), V) for eigh(K) = (mu, V) of the Cayley transform
-    K of e^{-i alpha} R, or of each R of a stack, not wrapped; LinAlgError
-    when -1 is an eigenvalue."""
+def _cayley_angles(r: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha + 2 arctan(mu), V, skewed) for eigh(K + K*) / 2 = (mu, V) of the
+    Cayley transform K of e^{-i alpha} R, or of each R of a stack, not
+    wrapped; skewed is max|K - K*| > 1 + max|mu|, K far from Hermitian.
+    LinAlgError when -1 is an eigenvalue."""
     eye = np.eye(r.shape[-1])
     rot = np.exp(-1j * alpha) * r
     k = 1j * np.linalg.solve(eye + rot, eye - rot)
-    mu, vecs = np.linalg.eigh(0.5 * (k + np.swapaxes(k.conj(), -1, -2)))
-    return alpha + 2.0 * np.arctan(mu), vecs
+    k_star = np.swapaxes(k.conj(), -1, -2)
+    mu, vecs = np.linalg.eigh(0.5 * (k + k_star))
+    skewed = np.abs(k - k_star).max(axis=(-2, -1)) > 1.0 + np.abs(mu).max(axis=-1)
+    return alpha + 2.0 * np.arctan(mu), vecs, skewed
 
 
 class _Geodesic:

@@ -63,7 +63,9 @@ class Tolerance:
     and a jet's transversality.  Which points a family's scan locates reads
     neither (lagflow.intersect._ACCEPT_GAP).  rank_eps must lie in (0, 1):
     at 1 or above the threshold reaches sigma_max and every direction
-    counts as kernel.
+    counts as kernel.  The CLI sets only rank_eps (--tol, LAGFLOW_TOL), and
+    only on the verbs that read it; sf reads only crossing_eps, so it takes
+    neither.
     """
 
     rank_eps: float = 1e-8

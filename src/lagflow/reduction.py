@@ -58,26 +58,28 @@ _BLOCK_TOL = 1e-12
 class IsotropicSubspace:
     """Orthonormal frame of a subspace W of the vertical space H-.
 
-    The frame is 2n x p with vanishing H+ components.  p = 0 (trivial W)
-    and p = n (W lagrangian) are both allowed.
+    The frame is 2n x p with vanishing H+ components, and n is read from
+    its rows.  p = 0 (trivial W) and p = n (W lagrangian) are both allowed.
     """
 
-    ambient_n: int
     frame: np.ndarray
 
     def __post_init__(self):
         frame = as_complex_matrix(self.frame)
-        n = self.ambient_n
-        if n < 1:
-            raise InputError("ambient half-dimension must be >= 1")
-        if frame.shape[0] != 2 * n or frame.shape[1] > n:
-            raise InputError("isotropic frame must be 2n x p with p <= n")
-        if frame.shape[1] and np.abs(frame[:n]).max(initial=0.0) > _BLOCK_TOL:
+        rows, p = frame.shape
+        if rows < 2 or rows % 2 or p > rows // 2:
+            raise InputError("isotropic frame must be 2n x p with n >= 1 and p <= n")
+        n = rows // 2
+        if p and np.abs(frame[:n]).max(initial=0.0) > _BLOCK_TOL:
             raise InputError("isotropic frame must be supported in the H- block")
         gram = frame.conj().T @ frame
-        if np.abs(gram - np.eye(frame.shape[1])).max(initial=0.0) > 1e-10:
+        if np.abs(gram - np.eye(p)).max(initial=0.0) > 1e-10:
             raise InputError("isotropic frame columns are not orthonormal")
         object.__setattr__(self, "frame", frame)
+
+    @property
+    def ambient_n(self) -> int:
+        return self.frame.shape[0] // 2
 
     @property
     def p(self) -> int:
@@ -97,9 +99,8 @@ class IsotropicSubspace:
         """Build from an n x p array of H- coordinates (orthonormalized)."""
         v = orthonormalize(vectors)
         if v.shape[0] != n:
-            raise InputError("vectors do not match the ambient dimension")
-        frame = np.vstack([np.zeros((n, v.shape[1])), v])
-        return cls(n, frame)
+            raise InputError(f"W frame must be n x p, its H- coordinates, with n = {n}")
+        return cls(np.vstack([np.zeros((n, v.shape[1])), v]))
 
     @classmethod
     def from_flag_indices(cls, n: int, indices) -> "IsotropicSubspace":

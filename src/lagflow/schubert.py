@@ -19,7 +19,7 @@ e_j, j in I^c):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,21 +68,19 @@ class Flag:
 
 @dataclass(frozen=True)
 class SchubertIndex:
-    """Strictly increasing tuple of positive integers with its weight."""
+    """Strictly increasing tuple of positive integers; its weight is N_I."""
 
     I: tuple[int, ...]
-    weight: int = field(default=-1)
 
     def __post_init__(self):
         ints = tuple(int(i) for i in self.I)
         if any(i < 1 for i in ints) or any(a >= b for a, b in zip(ints, ints[1:])):
             raise InputError("Schubert index must be strictly increasing positive integers")
         object.__setattr__(self, "I", ints)
-        w = _weight(ints)
-        if self.weight == -1:
-            object.__setattr__(self, "weight", w)
-        elif self.weight != w:
-            raise InputError("stored weight disagrees with recomputed N_I")
+
+    @property
+    def weight(self) -> int:
+        return _weight(self.I)
 
     def __len__(self) -> int:
         return len(self.I)

@@ -77,14 +77,22 @@ def encode_matrix(m, kind: str | None = None) -> dict:
     return out
 
 
+def _number(value, message: str) -> float:
+    """A JSON number as a float; a boolean, a string or any other value is malformed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InputError(message)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer past the float range
+        raise InputError(message) from exc
+
+
 def _count(value, message: str) -> int:
     """A JSON count as an int; a non-integral number is malformed, not truncated."""
-    try:
-        if float(value).is_integer():
-            return int(float(value))
-    except (TypeError, ValueError) as exc:
-        raise InputError(message) from exc
-    raise InputError(message)
+    value = _number(value, message)
+    if not value.is_integer():
+        raise InputError(message)
+    return int(value)
 
 
 def decode_matrix(obj) -> np.ndarray:
@@ -99,13 +107,11 @@ def decode_matrix(obj) -> np.ndarray:
     if rows < 0 or cols < 0 or len(data) != rows * cols:
         raise InputError("matrix data length does not match rows*cols")
     flat = np.empty(rows * cols, dtype=np.complex128)
-    try:
-        for i, entry in enumerate(data):
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise InputError("matrix entries must be [re, im] pairs")
-            flat[i] = complex(float(entry[0]), float(entry[1]))
-    except (TypeError, ValueError) as exc:
-        raise InputError("matrix entries must be [re, im] pairs of numbers") from exc
+    message = "matrix entries must be [re, im] pairs of numbers"
+    for i, entry in enumerate(data):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise InputError(message)
+        flat[i] = complex(_number(entry[0], message), _number(entry[1], message))
     return flat.reshape(rows, cols)
 
 
@@ -120,16 +126,17 @@ def decode_lagrangian(obj) -> LagrangianFrame:
     if obj.get("kind") not in (None, "lagrangian"):
         raise InputError("expected a lagrangian object")
     frame = LagrangianFrame(m)
-    if obj.get("n", frame.n) != frame.n:
+    if _count(obj.get("n", frame.n), "lagrangian n must be a whole number") != frame.n:
         raise InputError("declared n does not match the frame shape")
     return frame
 
 
 def _decode_grid(obj) -> np.ndarray:
+    message = "path object needs a numeric grid"
     try:
-        return np.asarray([float(t) for t in obj["grid"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("path object needs a numeric grid") from exc
+        return np.asarray([_number(t, message) for t in obj["grid"]])
+    except (KeyError, TypeError) as exc:
+        raise InputError(message) from exc
 
 
 def _decode_list(obj, key: str, decode, message: str) -> tuple:
@@ -169,19 +176,16 @@ def decode_family_jet(obj, tol: Tolerance) -> FamilyJet:
         w = decode_matrix(obj["W_frame"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("jet object needs k, T0, partials and W_frame") from exc
-    if obj.get("tol") is not None:
-        try:
-            rank_eps = float(obj["tol"])
-        except (TypeError, ValueError) as exc:
-            raise InputError("jet tol must be a number") from exc
-        tol = Tolerance(rank_eps=rank_eps, crossing_eps=tol.crossing_eps)
+    if "tol" in obj:
+        raise InputError("a jet's tol is not accepted: --tol or LAGFLOW_TOL sets rank_eps")
     return FamilyJet(k, t0, partials, w, tol)
 
 
 def decode_meshed_family(obj, tol: Tolerance) -> MeshedFamily:
     try:
         k = _count(obj["k"], "family k must be a whole number")
-        axes = tuple(np.asarray([float(x) for x in ax]) for ax in obj["axes"])
+        axes = tuple(np.asarray([_number(x, "family axes must hold numbers") for x in ax])
+                     for ax in obj["axes"])
         w = decode_matrix(obj["W_frame"])
         raw_values = list(obj["values"])
     except (KeyError, TypeError, ValueError) as exc:

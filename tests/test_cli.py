@@ -390,16 +390,27 @@ def test_universal_flow_plot_rows_are_the_low_ladder_at_each_t(tmp_path, capsys)
     (["reduce", "--unitary", "{u}"], "--unitary requires --w-indices"),
     (["reduce", "--lagrangian", "{lag}"], "--lagrangian requires --w-frame"),
     (["reduce", "--lagrangian", "{lag}", "--w-frame", "{w3}"],
-     "W frame shape matches neither 2n x p nor n x p"),
+     "W frame must be n x p, its H- coordinates, with n = 2"),
+    (["reduce", "--lagrangian", "{lag}", "--w-frame", "{w4}"],
+     "W frame must be n x p, its H- coordinates, with n = 2"),
     (["universal", "--spectrum", "{u}"], "--spectrum requires --window A B"),
+    (["sf", "{path}", "--tol", "1e-6"], "unrecognized arguments: --tol"),
+    (["intersect", "{jet}"], "a jet's tol is not accepted"),
 ], ids=["usage", "unitary-without-w", "lagrangian-without-w", "w-frame-rows",
-        "spectrum-without-window"])
+        "w-frame-2n-rows", "spectrum-without-window", "sf-tol", "jet-tol"])
 def test_input_errors_exit_3_with_the_message_on_stderr(tmp_path, capsys, argv, message):
+    w4 = np.zeros((4, 1))
+    w4[3, 0] = 1.0  # f_2 as a 2n x p frame, a form --w-frame does not take
     files = {"path": write(tmp_path, "path.json", {"grid": [0.0, 1.0], "values": [
                  ser.encode_matrix(np.array([[v]])) for v in (-0.5, 0.5)]}),
              "u": write(tmp_path, "u.json", ser.encode_matrix(np.eye(2))),
              "lag": write(tmp_path, "l.json", ser.encode_lagrangian(standard_lagrangians(2)[0])),
-             "w3": write(tmp_path, "w.json", ser.encode_matrix(np.ones((3, 1))))}
+             "w3": write(tmp_path, "w.json", ser.encode_matrix(np.ones((3, 1)))),
+             "w4": write(tmp_path, "w4.json", ser.encode_matrix(w4)),
+             "jet": write(tmp_path, "jet.json", {
+                 "k": 1, "T0": ser.encode_matrix(np.array([[1e-7]])), "tol": 1e-6,
+                 "partials": [ser.encode_matrix(np.eye(1))],
+                 "W_frame": ser.encode_matrix(np.eye(1))})}
     try:
         code = main([arg.format(**files) for arg in argv])
     except SystemExit as exc:  # argparse reports a usage error by exiting
@@ -427,25 +438,17 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3 and out == "" and "not valid JSON" in err
 
 
-def test_sf_method_disagreement_exit(tmp_path, capsys, monkeypatch):
-    import lagflow.cli as cli_mod
-
-    path_obj = {"grid": [0.0, 1.0],
-                "values": [ser.encode_matrix(np.array([[-0.5]])),
-                           ser.encode_matrix(np.array([[0.5]]))]}
-    p = write(tmp_path, "path.json", path_obj)
-    monkeypatch.setattr(cli_mod, "spectral_flow_tracking",
-                        lambda path, tol: (99, []))
-    code, out, err = run(capsys, "sf", p, "--method", "both")
-    assert code == 2 and "disagreement" in err
-
-
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     p = write(tmp_path, "hm.json",
               ser.encode_lagrangian(standard_lagrangians(2)[1]))
     monkeypatch.setenv("LAGFLOW_TOL", "bogus")
     code, _, err = run(capsys, "schubert", p)
     assert code == 3 and "LAGFLOW_TOL" in err
+    # sf reads only crossing_eps, so LAGFLOW_TOL is not its setting
+    path = write(tmp_path, "path.json", {"grid": [0.0, 1.0], "values": [
+        ser.encode_matrix(np.array([[v]])) for v in (-0.5, 0.5)]})
+    assert run(capsys, "sf", path, "--method", "both") == (
+        0, '{"crossings":[{"sign":1,"t":0.5}],"flow":1}\n', "")
     for bad in ("inf", "1"):
         monkeypatch.setenv("LAGFLOW_TOL", bad)
         code, out, _ = run(capsys, "schubert", p)

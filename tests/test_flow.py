@@ -1,5 +1,6 @@
 import gc
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from lagflow.intersect import (
     operator_jet_to_lagrangian,
 )
 from lagflow.linalg import Tolerance
-from lagflow.serialize import encode_lagrangian
+from lagflow.serialize import encode_lagrangian, encode_matrix
 from lagflow.universal import UnitaryLoop, discretized_path, universal_loop_flow
 
 from conftest import (count_steps, evenly_winding, random_hermitian, random_unitary,
@@ -719,6 +720,45 @@ def test_frames_farther_apart_than_the_guard_are_an_input_error():
             path(phase)
 
 
+@pytest.mark.parametrize("d", [1e-12, 3e-11, 2.0 ** -51, 0.0])
+def test_a_step_a_rounding_short_of_minus_one_is_too_coarse_as_its_exact_twin(
+        tmp_path, capsys, d):
+    # the step R = -(1 - d) I: the alpha = 0 pass's K = i (2 - d) / d is
+    # anti-Hermitian, and its symmetric part read phi = 0, so the loop printed
+    # flow 0 and maslov a crossing at t = 1 - 7e-15; d = 0 is exactly singular
+    eye = np.eye(2)
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps({"grid": [0.0, 0.5, 1.0], "values": [
+        encode_matrix(u) for u in (-1j * eye, (1.0 - d) * 1j * eye, -1j * eye)]}))
+    assert cli_main(["universal", "--flow", str(loop)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "grid too coarse" in captured.err
+    lpath = tmp_path / "lpath.json"
+    lpath.write_text(json.dumps({"grid": [0.0, 1.0], "values": [
+        encode_lagrangian(cayley_graph(u)) for u in (-1j * eye, (1.0 - d) * 1j * eye)]}))
+    assert cli_main(["maslov", str(lpath)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "consecutive frames exceed subspace distance 0.5" in captured.err
+
+
+def test_a_jump_to_the_opposite_graph_is_refined_until_the_guard_gives_up():
+    # the Arnold unitaries of the switched graphs of 1 and -1 are opposite to
+    # rounding, and every one of the 16 steps read phi = 0; each of the 8
+    # grids, 17 to 2049 nodes, keeps that jump in one step
+    grids = []
+
+    def func(t):
+        if t == 0.0:
+            grids.append(0)
+        grids[-1] += 1
+        return switched_graph(np.array([[1.0 if t < 0.5 else -1.0]]))
+
+    with pytest.raises(InputError, match="consecutive frames exceed subspace distance 0.5"):
+        LagrangianPath.from_function(func, 17)
+    assert grids == [2 ** k + 1 for k in range(4, 12)]
+
+
 def test_sampled_paths_decompose_each_grid_step_once(monkeypatch, tmp_path, capsys):
     # the 0.5 guard decomposes the 16 grid steps; maslov_index and the
     # eigenphase plot read those decompositions and decompose no step
@@ -839,7 +879,9 @@ def _kernel_corpus(n):
     kernel's cases: small and spread phases, max|phi| just below and just
     above pi/2 (one pass, or two), phases just inside and just past the
     pi - 1e-6 guard, and an exactly singular 1 + R (from U = 1 to a
-    diagonal with the eigenvalue -1), between Haar steps."""
+    diagonal with the eigenvalue -1), between Haar steps; then three steps
+    R = -(1 - d) I, one rounding or a few short of -1 (U = 1 to -(1 - d),
+    back, and to -(1 - 2^-51))."""
     rng = np.random.default_rng(100 + n)
     spread = _kernel_phases("spread", n)
     inside, past = spread * 0.9, spread * 0.9
@@ -859,13 +901,16 @@ def _kernel_corpus(n):
     nodes += [np.eye(n, dtype=complex), np.diag(minus_one)]
     for _ in range(3):
         nodes.append(nodes[-1] @ unitary_with_phases(rng.uniform(-1.0, 1.0, n), rng))
+    eye = np.eye(n, dtype=complex)
+    nodes += [eye, -(1.0 - 1e-12) * eye, eye, -(1.0 - 2.0 ** -51) * eye]
     return nodes
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 64, 65])
 def test_stacked_step_kernel_equals_the_single_step_kernel_bit_for_bit(n):
     nodes = _kernel_corpus(n)
-    singular = len(nodes) - 5  # the step from 1 to the diagonal with -1
+    singular = 8  # the step from 1 to the diagonal with -1
+    short = [len(nodes) - 4, len(nodes) - 3, len(nodes) - 2]  # R = -(1 - d) I
     found = list(lagflow.flow._steps_angles(nodes[:-1], nodes[1:]))
     assert len(found) == len(nodes) - 1
     rotated = 0
@@ -879,8 +924,8 @@ def test_stacked_step_kernel_equals_the_single_step_kernel_bit_for_bit(n):
         assert step[0].tobytes() == phi.tobytes() and step[1].tobytes() == vecs.tobytes()
         rotated += int(np.max(np.abs(phi)) > 0.5 * np.pi)
     assert rotated >= 2  # the steps just above pi/2 and inside the guard
-    # the past-the-guard and singular steps fail; every other step decomposes
-    assert [k for k, step in enumerate(found) if step is None] == [5, singular]
+    # the past-the-guard, singular and short-of--1 steps fail; every other step decomposes
+    assert [k for k, step in enumerate(found) if step is None] == [5, singular] + short
     geodesic = lagflow.flow._Geodesic(np.linspace(0.0, 1.0, len(nodes)), nodes)
     for k in (5, singular):
         with pytest.raises(PreconditionError, match="grid too coarse"):
@@ -1367,3 +1412,71 @@ def test_func_maslov_checks_its_steps_once(monkeypatch):
         counts.append((len(step_calls), len(func_calls)))
     assert counts[0] == (34, 22)
     assert counts[1] == (34 - 32, 22 - 16 + 2)
+
+
+# ---------------------------------------------------------------------------
+# integer answers and the tolerances: each is the default's or a named exit
+
+
+def _switched_corpus(count):
+    """(name, HermitianPath, LagrangianPath) of seeded affine paths a + t b,
+    n <= 6, each sampled and ``func``, the lagrangian one their switched
+    graphs.  Every third draw moves an eigenvalue of a to 10^-k, k = 2..7, so
+    that loose tolerances meet a nearly degenerate endpoint."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 6
+        a = random_hermitian(n, rng)
+        b = 3.0 * random_hermitian(n, rng)
+        if seed % 3 == 0:
+            a -= (np.linalg.eigvalsh(a)[0] - 10.0 ** -(2 + seed % 6)) * np.eye(n)
+        hfunc = HermitianPath.from_function(lambda t, a=a, b=b: a + t * b, 9)
+        lfunc = LagrangianPath.from_function(lambda t, a=a, b=b: switched_graph(a + t * b), 17)
+        yield f"{seed}-func", hfunc, lfunc
+        yield (f"{seed}-sampled", HermitianPath(hfunc.grid, hfunc.values),
+               LagrangianPath(lfunc.grid, lfunc.values))
+
+
+def _answer(route, path, tol, names):
+    """(flow, [(t as hex, sign)]) of the route, or the named precondition it raises."""
+    try:
+        flow, crossings = route(path, tol)
+    except PreconditionError as exc:
+        assert str(exc) in names, str(exc)
+        return str(exc)
+    return flow, [(float(c.t).hex(), int(c.sign)) for c in crossings]
+
+
+def test_flows_and_maslov_indices_do_not_move_with_their_tolerances():
+    # maslov_index reads rank_eps only in its endpoint test; both spectral-flow
+    # routes read only crossing_eps.  Where the default answers, another
+    # tolerance gives the same integers and signs, and on the Maslov route the
+    # same crossing points, or the named precondition its cut meets
+    names = ("degenerate endpoint", "degenerate crossing", "unresolved cluster")
+    answered, named = Counter(), Counter()
+    for name, hpath, lpath in _switched_corpus(36):
+        default = _answer(maslov_index, lpath, Tolerance(), names)
+        for rank_eps in (1e-18, 1e-12, 1e-8, 1e-3, 0.1, 0.5):
+            moved = _answer(maslov_index, lpath, Tolerance(rank_eps=rank_eps), names)
+            if isinstance(default, str):
+                continue
+            answered["maslov"] += 1
+            named["maslov"] += isinstance(moved, str)
+            assert moved in (default, "degenerate endpoint"), (name, rank_eps)
+        for route in (spectral_flow_crossing, spectral_flow_tracking):
+            default = _answer(route, hpath, Tolerance(), names)
+            for crossing_eps in (1e-12, 1e-9, 1e-6, 1e-3):
+                moved = _answer(route, hpath, Tolerance(crossing_eps=crossing_eps), names)
+                if isinstance(default, str):
+                    continue
+                answered[route.__name__] += 1
+                named[route.__name__] += isinstance(moved, str)
+                if not isinstance(moved, str):
+                    # a crossing's t may move with the nudge of nodes within
+                    # crossing_eps of zero; its flow and signs may not
+                    assert (moved[0], [s for _, s in moved[1]]) == (
+                        default[0], [s for _, s in default[1]]), (name, route, crossing_eps)
+    # every default answers here, and each route meets a named precondition
+    assert answered == {"maslov": 72 * 6, "spectral_flow_crossing": 72 * 4,
+                        "spectral_flow_tracking": 72 * 4}
+    assert len(named) == 3 and all(named.values())

@@ -40,11 +40,30 @@ def clean_unitary(n, rng, margin=0.25):
 
 def test_isotropic_validation(rng):
     w = IsotropicSubspace.from_flag_indices(3, [2, 3])
-    assert w.p == 2 and w.codim_in_hminus == 1
+    assert w.ambient_n == 3 and w.p == 2 and w.codim_in_hminus == 1
+    assert IsotropicSubspace(w.frame).ambient_n == 3  # n read from the 2n rows
     bad = np.zeros((6, 1), dtype=complex)
     bad[0, 0] = 1.0  # supported in H+
     with pytest.raises(InputError):
-        IsotropicSubspace(3, bad)
+        IsotropicSubspace(bad)
+
+
+def _h_minus_frame(n, columns):
+    """2n x p frame whose H- block holds the given n x p columns."""
+    columns = np.asarray(columns, dtype=complex)
+    return np.vstack([np.zeros((n, columns.shape[1])), columns])
+
+
+@pytest.mark.parametrize("frame, message", [
+    (np.zeros((5, 1)), "2n x p"),
+    (np.zeros((0, 0)), "2n x p"),
+    (_h_minus_frame(2, np.eye(2)[:, [0, 1, 1]]), "2n x p"),
+    (np.eye(4)[:, :1], "supported in the H- block"),
+    (_h_minus_frame(2, [[2.0], [0.0]]), "not orthonormal"),
+], ids=["odd-rows", "no-rows", "p-above-n", "h-plus-block", "not-orthonormal"])
+def test_each_isotropic_frame_rejection_is_an_input_error(frame, message):
+    with pytest.raises(InputError, match=message):
+        IsotropicSubspace(frame)
 
 
 def test_annihilator_and_reduced_dimensions():

@@ -45,8 +45,13 @@ def test_schubert_index_weights():
     assert cell_codimension(SchubertIndex((2, 4))) == 3 + 7
     with pytest.raises(InputError):
         SchubertIndex((2, 2))
-    with pytest.raises(InputError):
+    # the weight is derived from I, never given or stored
+    with pytest.raises(TypeError):
         SchubertIndex((1, 3), weight=99)
+    index = SchubertIndex((3,))
+    with pytest.raises(AttributeError):
+        index.weight = 99
+    assert index.weight == 5 and repr(index) == "SchubertIndex(I=(3,))"
 
 
 def test_incidence_profile_extremes():

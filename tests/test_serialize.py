@@ -87,11 +87,15 @@ def test_decode_jet_and_family():
     assert abs(fam.value_at(np.array([0.5]))[0, 0] - 0.5) < 1e-12
 
 
-def test_a_jet_tol_sets_its_rank_eps_and_keeps_the_given_crossing_eps():
-    # T0 = 1e-7 is singular at rank_eps 1e-6 and regular at the default 1e-8
+def test_a_jet_tol_is_rejected_and_the_given_tolerance_decides():
+    # T0 = 1e-7 is singular at rank_eps 1e-6 and regular at the default 1e-8;
+    # a "tol" key would be a third source of rank_eps beside --tol and LAGFLOW_TOL
     obj = {"k": 1, "T0": encode_matrix(np.array([[1e-7]])),
            "partials": [encode_matrix(np.eye(1))], "W_frame": encode_matrix(np.eye(1))}
-    jet = decode_family_jet({**obj, "tol": 1e-6}, Tolerance(crossing_eps=1e-5))
+    for tol in (1e-6, 1e-8, None):
+        with pytest.raises(InputError, match="a jet's tol is not accepted"):
+            decode_family_jet({**obj, "tol": tol}, Tolerance(crossing_eps=1e-5))
+    jet = decode_family_jet(obj, Tolerance(rank_eps=1e-6, crossing_eps=1e-5))
     assert jet.tol == Tolerance(rank_eps=1e-6, crossing_eps=1e-5)
     assert intersection_number_operator(jet) == 1
     with pytest.raises(PreconditionError, match="not localized"):
@@ -112,6 +116,7 @@ def _jet(**change):
 
 
 ONE = encode_matrix(np.eye(1))
+LAG = encode_lagrangian(cayley_graph(np.eye(1)))
 
 
 @pytest.mark.parametrize("decode", [
@@ -131,13 +136,35 @@ ONE = encode_matrix(np.eye(1))
     lambda: _family(k=1.7),
     lambda: _family(orientation=-1.5),
     lambda: _jet(k=1.7),
+    lambda: decode_matrix({"rows": True, "cols": "1", "data": [["2", False]]}),
+    lambda: decode_matrix({"rows": True, "cols": 1, "data": [[2, 0]]}),
+    lambda: decode_matrix({"rows": 1, "cols": "1", "data": [[2, 0]]}),
+    lambda: decode_matrix({"rows": 1, "cols": 1, "data": [["2", 0]]}),
+    lambda: decode_matrix({"rows": 1, "cols": 1, "data": [[2, False]]}),
+    lambda: decode_matrix({"rows": 1, "cols": 1, "data": [[2, 10 ** 400]]}),
+    lambda: decode_lagrangian({**LAG, "n": True}),
+    lambda: _jet(k=True),
+    lambda: _family(k=True),
+    lambda: _family(orientation=True),
+    lambda: decode_hermitian_path({"grid": ["0", True], "values": [ONE, ONE]}),
+    lambda: decode_lagrangian_path({"grid": [0, True], "values": [LAG, LAG]}),
+    lambda: decode_unitary_loop({"grid": ["0", 1], "values": [ONE, ONE]}),
+    lambda: _family(axes=[[-1, "0", 1]]),
+    lambda: _family(axes=[[-1, False, 1]]),
 ], ids=["family-empty-axis", "family-orientation", "jet-tol", "matrix-data", "matrix-entry-str",
         "matrix-entry-null", "lagrangian-n", "path-values", "path-derivatives",
         "lagrangian-path-values", "loop-values", "matrix-rows-fraction", "matrix-cols-inf",
-        "family-k-fraction", "family-orientation-fraction", "jet-k-fraction"])
+        "family-k-fraction", "family-orientation-fraction", "jet-k-fraction",
+        "matrix-all-not-numbers", "matrix-rows-bool", "matrix-cols-str",
+        "matrix-entry-numeric-str", "matrix-entry-bool", "matrix-entry-past-float",
+        "lagrangian-n-bool", "jet-k-bool", "family-k-bool", "family-orientation-bool",
+        "path-grid-not-numbers", "lagrangian-path-grid-bool", "loop-grid-str",
+        "family-axis-str", "family-axis-bool"])
 def test_malformed_input_raises_input_error(decode):
     # the first eleven escaped as TypeError, ValueError or IndexError (CLI
-    # exit 1); the fractional counts were truncated (rows 1.9 read as 1)
+    # exit 1); the fractional counts were truncated (rows 1.9 read as 1); the
+    # booleans decoded as 0 and 1 and the numeric strings as numbers, and an
+    # integer past the float range escaped as OverflowError
     with pytest.raises(InputError):
         decode()
 

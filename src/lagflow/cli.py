@@ -67,6 +67,13 @@ def _tolerance(args) -> Tolerance:
     return Tolerance() if rank_eps is None else Tolerance(rank_eps=rank_eps)
 
 
+def _refuse_unread(args, branch: str, *names: str):
+    """An input error for the first option given that ``branch`` never reads."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise InputError(f"--{name.replace('_', '-')} is not read with {branch}")
+
+
 def _emit(obj):
     sys.stdout.write(serialize.dumps_canonical(obj) + "\n")
 
@@ -128,15 +135,17 @@ def _cmd_maslov(args) -> int:
 def _cmd_reduce(args) -> int:
     tol = _tolerance(args)
     if args.unitary is not None:
+        _refuse_unread(args, "--unitary", "w_frame")
         u = require_unitary(serialize.decode_matrix(_load_json(args.unitary)))
         if not args.w_indices:
             raise InputError("--unitary requires --w-indices")
         n = u.shape[0]
         w = IsotropicSubspace.from_flag_indices(n, args.w_indices)
-        lam = complex(args.lam[0], args.lam[1])
+        lam = complex(*(args.lam or (1.0, 0.0)))
         red = reduce_unitary(u, w.h_part, lam=lam, tol=tol)
         _emit(serialize.encode_matrix(red, kind="unitary"))
     else:
+        _refuse_unread(args, "--lagrangian", "lam", "w_indices")
         lag = serialize.decode_lagrangian(_load_json(args.lagrangian))
         if not args.w_frame:
             raise InputError("--lagrangian requires --w-frame")
@@ -175,26 +184,32 @@ def _cmd_intersect_total(args) -> int:
 
 def _cmd_universal(args) -> int:
     if args.spectrum is not None:
+        _refuse_unread(args, "--spectrum", "m", "plot")
         if args.window is None:
             raise InputError("--spectrum requires --window A B")
         u = serialize.decode_matrix(_load_json(args.spectrum))
         vals = exact_spectrum(u, (args.window[0], args.window[1]))
         _emit({"eigenvalues": [float(v) for v in vals]})
     elif args.flow is not None:
+        _refuse_unread(args, "--flow", "window")
+        if args.plot is None:
+            _refuse_unread(args, "--flow without --plot", "m")
         loop = serialize.decode_unitary_loop(_load_json(args.flow))
         flow = universal_loop_flow(loop)
         if args.plot:
             # low part of the discretized eigenvalue ladder along the loop
-            branches = min(8, args.m * loop.dim)
+            m = 256 if args.m is None else args.m
+            branches = min(8, m * loop.dim)
 
             def low_ladder(t):
-                ev = np.linalg.eigvalsh(discretize_operator(loop.value_at(t), args.m))
+                ev = np.linalg.eigvalsh(discretize_operator(loop.value_at(t), m))
                 return np.sort(ev[np.argsort(np.abs(ev))[:branches]])
 
             _write_branch_csv(args.plot, loop.grid, 2, "lambda", branches,
                               lambda ts: map(low_ladder, ts))
         _emit({"flow": flow})
     else:
+        _refuse_unread(args, "--reduce", "window", "m", "plot")
         u = serialize.decode_matrix(_load_json(args.reduce))
         _emit(serialize.encode_matrix(universal_reduction(u), kind="unitary"))
     return EXIT_OK
@@ -230,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--unitary", metavar="U_JSON")
     p.add_argument("--w-indices", type=int, nargs="+", metavar="I")
-    p.add_argument("--lam", type=float, nargs=2, default=[1.0, 0.0],
-                   metavar=("RE", "IM"))
+    p.add_argument("--lam", type=float, nargs=2, metavar=("RE", "IM"),
+                   help="with --unitary; default 1 0")
     group.add_argument("--lagrangian", metavar="L_JSON")
     p.add_argument("--w-frame", metavar="W_JSON")
     p.add_argument("--tol", type=float)
@@ -258,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--spectrum", metavar="U_JSON")
     p.add_argument("--window", type=float, nargs=2, metavar=("A", "B"))
     group.add_argument("--flow", metavar="LOOP_JSON")
-    p.add_argument("--m", type=int, default=256)
+    p.add_argument("--m", type=int, help="with --flow --plot; default 256")
     group.add_argument("--reduce", metavar="U_JSON")
     p.add_argument("--plot", metavar="CSV")
     p.set_defaults(run=_cmd_universal)

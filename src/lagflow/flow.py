@@ -167,6 +167,20 @@ def _chunks(count: int, n: int) -> list[slice]:
     return [slice(k, k + size) for k in range(0, count, size)]
 
 
+def _checked_stack(raw: Sequence, n: int, checked: Callable) -> np.ndarray:
+    """``func`` values, stacked and symmetrized with the float operations of
+    :func:`linalg.symmetrize`: one check of the whole stack for n x n finite
+    entries, and where that fails, ``checked`` value by value, in order, for
+    the error the value alone gets."""
+    try:
+        m = np.array(raw, dtype=np.complex128)
+    except (TypeError, ValueError):  # not numbers, or ragged
+        m = None
+    if m is None or m.shape[1:] != (n, n) or not _finite_parts(m):
+        return np.stack([checked(v) for v in raw])
+    return 0.5 * (m + m.conj().transpose(0, 2, 1))
+
+
 def _sides(grid: np.ndarray, t: float) -> list[int]:
     """Grid steps whose interpolant signs an event at t: both neighbours of an
     interior node that t meets to the events' localisation width, 1e-14, else
@@ -237,14 +251,8 @@ class HermitianPath:
             ts = np.clip(np.array(ts, dtype=float), 0.0, 1.0)
             i = np.clip(self.grid.searchsorted(ts, side="right") - 1, 0, self.grid.size - 2)
             return _lerp(self._nodes, i, _offset(self.grid, i, ts)[:, None, None])
-        raw = [self.func(min(max(float(t), 0.0), 1.0)) for t in ts]
-        try:
-            m = np.array(raw, dtype=np.complex128)
-        except (TypeError, ValueError):  # not numbers, or ragged
-            m = None
-        if m is None or m.shape[1:] != (self.dim, self.dim) or not _finite_parts(m):
-            return np.stack([self._checked(v) for v in raw])
-        return 0.5 * (m + m.conj().transpose(0, 2, 1))
+        return _checked_stack([self.func(min(max(float(t), 0.0), 1.0)) for t in ts],
+                              self.dim, self._checked)
 
     def _checked(self, value) -> np.ndarray:
         """A ``func`` or ``dfunc`` value, symmetrized; an input error when its

@@ -33,7 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .flow import HermitianPath, _bracket, _chunks, _lerp, spectral_flow_crossing
+from .flow import (HermitianPath, _bracket, _checked_stack, _chunks, _lerp,
+                   spectral_flow_crossing)
 from .grassmann import J_matrix, LagrangianFrame, _inv_sqrt_eye_plus_sq, _switched_graph
 from .linalg import (
     DEFAULT_TOL,
@@ -301,19 +302,21 @@ _W_SIZE = "W frame does not match the family dimension"
 class MeshedFamily:
     """Hermitian family over a rectangular (2k-1)-dimensional parameter mesh.
 
-    Either ``func`` maps a parameter point to a Hermitian matrix (returning
-    None outside the valid domain; each value is symmetrized as it comes
-    back), or ``values`` holds Hermitian node samples, checked here and
-    interpolated multilinearly: the 2^d nodes of a point's cell are
-    interpolated along one axis at a time by the path kernel
-    :func:`flow._lerp`.  ``orientation`` is the sign of the
-    parameter frame against the ambient orientation of the family's
-    manifold; it multiplies every local intersection number.  W must have
-    codimension k-1 in C^n, with n its number of rows, and every value must
-    be n x n: sampled values are checked here, ``func`` values as they come
-    back.  ``value_at`` takes a point of ``dims`` coordinates (else an
-    input error).  For k = 1 the family is a Hermitian path on its axis,
-    t = (x - lo)/(hi - lo), and its crossings are the spectral flow's.
+    Either ``func``, assumed pure, maps a parameter point to a Hermitian
+    matrix (returning None outside the valid domain), or ``values`` holds
+    Hermitian node samples, checked here and interpolated multilinearly:
+    the 2^d nodes of a point's cell are interpolated along one axis at a
+    time by the path kernel :func:`flow._lerp`.  ``orientation`` is the
+    sign of the parameter frame against the ambient orientation of the
+    family's manifold; it multiplies every local intersection number.  W
+    must have codimension k-1 in C^n, with n its number of rows, and every
+    value must be n x n: sampled values are checked here, ``func`` values
+    as they come back, and symmetrized.  :func:`locate_crossings` calls
+    ``func`` in stacks of points, scan order first, then round by round,
+    and checks each stack's values at once.  ``value_at`` takes a point of
+    ``dims`` coordinates (else an input error).  For k = 1 the family is a
+    Hermitian path on its axis, t = (x - lo)/(hi - lo), and its crossings
+    are the spectral flow's.
     """
 
     k: int
@@ -362,18 +365,36 @@ class MeshedFamily:
             raise InputError(f"a point of this family has {self.dims} coordinates")
         if self.func is not None:
             val = self.func(x)
-            if val is None:
-                return None
-            val = symmetrize(val)
-            if val.shape[0] != self.w.shape[0]:
-                raise InputError(_W_SIZE)
-            return val
+            return None if val is None else self._checked(val)
         if any(xi < a[0] - 1e-12 or xi > a[-1] + 1e-12 for a, xi in zip(self.axes, x)):
             return None
         cell = [_bracket(a, min(max(xi, a[0]), a[-1])) for a, xi in zip(self.axes, x)]
         out = self.values[tuple(slice(i, i + 2) for i, _ in cell)]
         for _, s in cell:
             out = _lerp(out, 0, s)
+        return out
+
+    def _checked(self, value) -> np.ndarray:
+        """A ``func`` value, symmetrized; an input error when it is not n x n."""
+        val = symmetrize(value)
+        if val.shape[0] != self.w.shape[0]:
+            raise InputError(_W_SIZE)
+        return val
+
+    def _values(self, points: np.ndarray) -> list[np.ndarray | None]:
+        """value_at of each row of a (count, dims) float array, with value_at's
+        float operations.  A ``func`` family calls func once per point, in
+        order, then checks and symmetrizes the values it got in stacks of
+        :func:`flow._chunks` runs, as :meth:`flow.HermitianPath._stack` does."""
+        if self.func is None:
+            return [self.value_at(x) for x in points]
+        out = [self.func(x) for x in points]
+        have = [i for i, val in enumerate(out) if val is not None]
+        n = self.w.shape[0]
+        for run in _chunks(len(have), n):
+            idx = have[run]
+            for i, val in zip(idx, _checked_stack([out[i] for i in idx], n, self._checked)):
+                out[i] = val
         return out
 
 
@@ -407,18 +428,21 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
     For k = 1 the points are the crossings of the axis path
     (:func:`total_intersection_number`).  For k >= 2 a Newton run on
     T(x) W c = 0 starts from each mesh node that is a local minimum of the
-    detector.  Its end is kept where the detector is below _ACCEPT_GAP (the
-    jet checks dim(Ker T ∩ W)); ends within spacing/8 merge, and the points
-    return in mesh index order.  Runs stay in the box widened by spacing/2,
-    so a crossing further out is none of the family's; one within spacing/2
-    of the box's edge, inside or out, raises "boundary crossing", and two
-    closer than the spacing raise "unresolved cluster".
+    detector, and all runs go in lockstep (:func:`_newton_runs`).  An end is
+    kept where the detector is below _ACCEPT_GAP (the jet checks
+    dim(Ker T ∩ W)); ends within spacing/8 merge, and the points return in
+    mesh index order.  Runs stay in the box widened by spacing/2, so a
+    crossing further out is none of the family's; one within spacing/2 of
+    the box's edge, inside or out, raises "boundary crossing", and two
+    closer than the spacing raise "unresolved cluster".  ``func`` is called
+    on the mesh nodes in scan order first, then round by round; each stack
+    of values is checked as it comes back.
     """
     if family.k == 1:
         return [x for x, _ in _axis_crossings(family)[1]]
     shape = tuple(a.size for a in family.axes)
     nodes = np.stack(np.meshgrid(*family.axes, indexing="ij"), axis=-1).reshape(-1, family.dims)
-    values = [family.value_at(x) for x in nodes]
+    values = family._values(nodes)
     grid = _gaps(values, family.w).reshape(shape)
     # local minima; a tie with a neighbour earlier in scan order leaves the
     # run to that neighbour
@@ -428,12 +452,13 @@ def locate_crossings(family: MeshedFamily) -> list[np.ndarray]:
         start[:-1] &= g[1:] >= g[:-1]
         start[1:] &= g[:-1] > g[1:]
 
+    starts = np.flatnonzero(starts)
+    ends = _newton_runs(family, nodes[starts], [values[i] for i in starts])
+    gaps = _gaps([None if end is None else end[1] for end in ends], family.w)
     spacing = family.spacing()
     merged: list[np.ndarray] = []
-    for i in np.flatnonzero(starts):
-        end = _newton(family, nodes[i], values[i])
-        if end is not None and _gap(end[1], family.w) < _ACCEPT_GAP and all(
-                np.linalg.norm(end[0] - m) > spacing / 8.0 for m in merged):
+    for end, gap in zip(ends, gaps):
+        if gap < _ACCEPT_GAP and all(np.linalg.norm(end[0] - m) > spacing / 8.0 for m in merged):
             merged.append(end[0])
     for a, b in itertools.combinations(merged, 2):
         if np.linalg.norm(a - b) < spacing:
@@ -480,27 +505,42 @@ _NEWTON_HALVINGS = 8
 _DIFF_STEP = 2**-10  # the difference step of Newton and of a jet, in mesh spacings
 
 
-def _differences(family: MeshedFamily, x: np.ndarray, t: np.ndarray, h: float
-                 ) -> list[tuple[np.ndarray, float]] | None:
-    """(T(x + h e_i) - T(x - h e_i), 2h) for each axis i, given t = T(x).
+def _difference_points(x: np.ndarray, h: float) -> np.ndarray:
+    """x + h e_i and x - h e_i for each row x of x and each axis i, in that
+    order: the 2d points that :func:`_differences` reads for each row."""
+    e = h * np.eye(x.shape[1])
+    return np.stack([x[:, None] + e, x[:, None] - e], axis=2).reshape(-1, x.shape[1])
 
-    With a value on one side only, the difference with t, of width h; with
-    none on either side of some axis, None.  On a sampled family it gives the
-    slope of the multilinear interpolant in the cell that holds x.
+
+def _differences(t: np.ndarray, values: list[np.ndarray | None], h: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T(x + h e_i) - T(x - h e_i), its width 2h, dead) for each point x and
+    axis i, given the stack t of T(x) and the values read at the points'
+    :func:`_difference_points`.
+
+    With a value on one side only, the difference with t, of width h; a point
+    with no value on either side of some axis is dead.  On a sampled family
+    it gives the slope of the multilinear interpolant in the cell that holds x.
     """
-    out = []
-    for e in h * np.eye(len(x)):
-        tp, tm = family.value_at(x + e), family.value_at(x - e)
-        if tp is None and tm is None:
-            return None
-        width = 2.0 * h if tp is not None and tm is not None else h
-        out.append(((t if tp is None else tp) - (t if tm is None else tm), width))
-    return out
+    have = np.array([val is not None for val in values]).reshape(len(t), -1, 2)
+    per = have[0].size
+    sides = np.stack([t[j // per] if val is None else val for j, val in enumerate(values)])
+    sides = sides.reshape(have.shape + t.shape[1:])
+    width = np.where(have.all(axis=2), 2.0 * h, h)
+    return sides[:, :, 0] - sides[:, :, 1], width, (~have.any(axis=2)).any(axis=1)
 
 
-def _newton(family: MeshedFamily, x: np.ndarray, t: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Gauss-Newton on T(x) W c = 0, |c| = 1, from a node x where T has the value t.
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of v, bit for bit: the same dot products,
+    one stacked matmul per real part."""
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    return np.sqrt(sum((p[:, None] @ p[:, :, None])[:, 0, 0] for p in parts))
+
+
+def _newton_runs(family: MeshedFamily, x0: np.ndarray, t0: list[np.ndarray]
+                 ) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Gauss-Newton on T(x) W c = 0, |c| = 1, from each row x of x0 where T
+    has the value t0[r], all runs in lockstep.
 
     c starts as the right singular vector of T(x) W for its least singular
     value.  A step solves in least squares the real and imaginary parts of
@@ -509,54 +549,103 @@ def _newton(family: MeshedFamily, x: np.ndarray, t: np.ndarray
     :func:`_differences` of T, applied to Wc.  A step is halved while its end
     leaves the box widened by spacing/2 or T has no value there; a run that
     cannot move ends in None, any other in its end x and T(x).
+
+    Each round reads the difference points of all active runs in one stacked
+    read, builds their systems as one array and solves each alone (gelsd),
+    then halves level by level the steps that need it, reading each level's
+    ends at once.  Every run does the float operations of a run alone.  A
+    round advances at most max(1, _STACK_ENTRIES // (2dn)^2) runs at a time
+    (the :func:`flow._chunks` runs of (2dn) x (2dn) matrices), so the 2d
+    n x n values that each reads stay within one stack bound.
     """
+    if not len(x0):
+        return []
     spacing, (lo, hi) = family.spacing(), _box(family)
     lo, hi = lo - spacing / 2.0, hi + spacing / 2.0
     h = spacing * _DIFF_STEP
-    c = np.linalg.svd(t @ family.w)[2][-1].conj()
-    n, d, m = t.shape[0], x.size, c.size
-    # the complex rows above, and their real and imaginary parts stacked
-    rows = np.zeros((n + 1, d + 2 * m), dtype=np.complex128)
-    system, rhs = np.empty((2, n + 1, d + 2 * m)), np.zeros((2, n + 1))
+    w = family.w
+    (n, m), d = w.shape, x0.shape[1]
+    x, t = np.array(x0, dtype=float), np.stack(t0)
+    c = np.concatenate([np.linalg.svd(t[run] @ w)[2][:, -1].conj()
+                        for run in _chunks(len(x), n)])
+    ends: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(x)
+    active = np.arange(len(x))
     for _ in range(_NEWTON_STEPS):
-        tw, wc = t @ family.w, family.w @ c
-        diffs = _differences(family, x, t, h)
-        if diffs is None:
-            return None
-        for i, (diff, width) in enumerate(diffs):
-            rows[:n, i] = diff @ wc / width
-        rows[:n, d:d + m], rows[:n, d + m:] = tw, 1j * tw
-        rows[n, d:d + m], rows[n, d + m:] = c.conj(), 1j * c.conj()
-        system[0], system[1] = rows.real, rows.imag
-        residual = -(tw @ c)
-        rhs[0, :n], rhs[1, :n] = residual.real, residual.imag
-        step = np.linalg.lstsq(system.reshape(2 * n + 2, -1), rhs.reshape(-1), rcond=None)[0]
-        dx, dc = step[:d], step[d:d + m] + 1j * step[d + m:]
-        if np.linalg.norm(dx) <= 1e-15 * max(1.0, float(np.linalg.norm(x))):
+        if not active.size:
             break
-        for _ in range(_NEWTON_HALVINGS + 1):
-            end = x + dx
-            t_end = family.value_at(end) if (lo <= end).all() and (end <= hi).all() else None
-            if t_end is not None:
-                break
-            dx, dc = dx / 2.0, dc / 2.0
-        else:
-            return None
-        x, t, c = end, t_end, (c + dc) / np.linalg.norm(c + dc)
-    return x, t
+        active = np.sort(np.concatenate([_newton_step(family, x, t, c, active[run], h, lo, hi, ends)
+                                         for run in _chunks(active.size, 2 * d * n)]))
+    for r in active:
+        ends[r] = (x[r].copy(), t[r])
+    return ends
+
+
+def _newton_step(family: MeshedFamily, x: np.ndarray, t: np.ndarray, c: np.ndarray,
+                 runs: np.ndarray, h: float, lo: np.ndarray, hi: np.ndarray,
+                 ends: list) -> np.ndarray:
+    """One step of :func:`_newton_runs` for the runs given: moves their rows
+    of x, t and c in place, records the end of each run that stops, and
+    returns the runs that moved."""
+    w = family.w
+    (n, m), d = w.shape, x.shape[1]
+    xs, ts, cs = x[runs], t[runs], c[runs]
+    diff, width, dead = _differences(ts, family._values(_difference_points(xs, h)), h)
+    live = ~dead
+    xs, ts, cs, diff, width, runs = (a[live] for a in (xs, ts, cs, diff, width, runs))
+    if not runs.size:
+        return runs
+    tw, wc = ts @ w, w @ cs[:, :, None]
+    # the complex rows of each system, then their real and imaginary parts
+    rows = np.zeros((len(runs), n + 1, d + 2 * m), dtype=np.complex128)
+    rows[:, :n, :d] = ((diff @ wc[:, None])[..., 0] / width[..., None]).transpose(0, 2, 1)
+    rows[:, :n, d:d + m], rows[:, :n, d + m:] = tw, 1j * tw
+    rows[:, n, d:d + m], rows[:, n, d + m:] = cs.conj(), 1j * cs.conj()
+    system = np.concatenate([rows.real, rows.imag], axis=1)
+    residual = -(tw @ cs[:, :, None])[..., 0]
+    rhs = np.zeros((len(runs), 2, n + 1))
+    rhs[:, 0, :n], rhs[:, 1, :n] = residual.real, residual.imag
+    rhs = rhs.reshape(len(runs), -1)
+    step = np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(system, rhs)])
+    dx, dc = step[:, :d], step[:, d:d + m] + 1j * step[:, d + m:]
+    done = _norms(dx) <= 1e-15 * np.maximum(1.0, _norms(xs))
+    for r in runs[done]:
+        ends[r] = (x[r].copy(), t[r])
+    go = ~done
+    xs, cs, dx, dc, runs = (a[go] for a in (xs, cs, dx, dc, runs))
+    moved = []
+    for _ in range(_NEWTON_HALVINGS + 1):
+        end = xs + dx
+        inside = np.flatnonzero((lo <= end).all(axis=1) & (end <= hi).all(axis=1))
+        values = family._values(end[inside])
+        got = np.zeros(len(runs), dtype=bool)
+        got[inside[[val is not None for val in values]]] = True
+        if got.any():
+            x[runs[got]], t[runs[got]] = end[got], [val for val in values if val is not None]
+            step_c = cs[got] + dc[got]
+            c[runs[got]] = step_c / _norms(step_c)[:, None]
+            moved.append(runs[got])
+        keep = ~got
+        xs, cs, dx, dc, runs = xs[keep], cs[keep], dx[keep] / 2.0, dc[keep] / 2.0, runs[keep]
+        if not runs.size:
+            break
+    return np.concatenate(moved) if moved else runs[:0]
 
 
 def crossing_jet(family: MeshedFamily, x: np.ndarray) -> FamilyJet:
     """The operator jet at a located crossing point: T(x), and partials by
     Newton's :func:`_differences`."""
     t0 = family.value_at(x)
-    diffs = None if t0 is None else _differences(family, x, t0, family.spacing() * _DIFF_STEP)
-    if diffs is None:
+    if t0 is None:
+        raise PreconditionError("boundary crossing")
+    h = family.spacing() * _DIFF_STEP
+    x = np.asarray(x, dtype=float)[None]
+    diff, width, dead = _differences(t0[None], family._values(_difference_points(x, h)), h)
+    if dead[0]:
         raise PreconditionError("boundary crossing")
     # rank tolerance: 1e3 x the detector, at least rank_eps, and below 1
     rank_eps = max(1e3 * max(_gap(t0, family.w), 1e-16), family.tol.rank_eps)
     kern_tol = Tolerance(min(rank_eps, np.nextafter(1.0, 0.0)), family.tol.crossing_eps)
-    return FamilyJet(family.k, t0, tuple(d / width for d, width in diffs), family.w, kern_tol)
+    return FamilyJet(family.k, t0, tuple(diff[0] / width[0, :, None, None]), family.w, kern_tol)
 
 
 def total_intersection_number(family: MeshedFamily

@@ -372,7 +372,7 @@ def test_universal_flow_plot_rows_are_the_low_ladder_at_each_t(tmp_path, capsys)
         np.array([[np.exp(1j * (2 * np.pi * t + np.pi))]])) for t in grid]}
     lp = write(tmp_path, "loop.json", obj)
     csv_out = tmp_path / "ladder.csv"
-    plain = run(capsys, "universal", "--flow", lp, "--m", "16")
+    plain = run(capsys, "universal", "--flow", lp)
     assert run(capsys, "universal", "--flow", lp, "--m", "16", "--plot", str(csv_out)) == plain
     assert plain[0] == 0 and json.loads(plain[1]) == {"flow": 1}
     loop = ser.decode_unitary_loop(obj)
@@ -396,8 +396,28 @@ def test_universal_flow_plot_rows_are_the_low_ladder_at_each_t(tmp_path, capsys)
     (["universal", "--spectrum", "{u}"], "--spectrum requires --window A B"),
     (["sf", "{path}", "--tol", "1e-6"], "unrecognized arguments: --tol"),
     (["intersect", "{jet}"], "a jet's tol is not accepted"),
+    # an option that the chosen branch never reads, given before a missing file
+    (["reduce", "--lagrangian", "{lag}", "--w-frame", "{w2}", "--lam", "0", "1"],
+     "--lam is not read with --lagrangian"),
+    (["reduce", "--lagrangian", "{lag}", "--w-frame", "{w2}", "--w-indices", "2"],
+     "--w-indices is not read with --lagrangian"),
+    (["reduce", "--unitary", "{u}", "--w-indices", "1", "--w-frame", "{missing}"],
+     "--w-frame is not read with --unitary"),
+    (["universal", "--reduce", "{u}", "--m", "3"], "--m is not read with --reduce"),
+    (["universal", "--reduce", "{u}", "--plot", "{csv}"], "--plot is not read with --reduce"),
+    (["universal", "--reduce", "{u}", "--window", "1", "2"],
+     "--window is not read with --reduce"),
+    (["universal", "--spectrum", "{u}", "--window", "-7", "7", "--m", "3"],
+     "--m is not read with --spectrum"),
+    (["universal", "--spectrum", "{u}", "--window", "-7", "7", "--plot", "{csv}"],
+     "--plot is not read with --spectrum"),
+    (["universal", "--flow", "{loop}", "--m", "-3"],
+     "--m is not read with --flow without --plot"),
+    (["universal", "--flow", "{loop}", "--window", "1", "2"], "--window is not read with --flow"),
 ], ids=["usage", "unitary-without-w", "lagrangian-without-w", "w-frame-rows",
-        "w-frame-2n-rows", "spectrum-without-window", "sf-tol", "jet-tol"])
+        "w-frame-2n-rows", "spectrum-without-window", "sf-tol", "jet-tol",
+        "lagrangian-lam", "lagrangian-w-indices", "unitary-w-frame", "reduce-m", "reduce-plot",
+        "reduce-window", "spectrum-m", "spectrum-plot", "flow-m-without-plot", "flow-window"])
 def test_input_errors_exit_3_with_the_message_on_stderr(tmp_path, capsys, argv, message):
     w4 = np.zeros((4, 1))
     w4[3, 0] = 1.0  # f_2 as a 2n x p frame, a form --w-frame does not take
@@ -407,6 +427,11 @@ def test_input_errors_exit_3_with_the_message_on_stderr(tmp_path, capsys, argv, 
              "lag": write(tmp_path, "l.json", ser.encode_lagrangian(standard_lagrangians(2)[0])),
              "w3": write(tmp_path, "w.json", ser.encode_matrix(np.ones((3, 1)))),
              "w4": write(tmp_path, "w4.json", ser.encode_matrix(w4)),
+             "w2": write(tmp_path, "w2.json", ser.encode_matrix(np.array([[0.0], [1.0]]))),
+             "loop": write(tmp_path, "loop.json", {"grid": [0.0, 0.5, 1.0], "values": [
+                 ser.encode_matrix(np.eye(1) * np.exp(2j * np.pi * t)) for t in (0.0, 0.5, 1.0)]}),
+             "missing": str(tmp_path / "missing.json"),
+             "csv": str(tmp_path / "p.csv"),
              "jet": write(tmp_path, "jet.json", {
                  "k": 1, "T0": ser.encode_matrix(np.array([[1e-7]])), "tol": 1e-6,
                  "partials": [ser.encode_matrix(np.eye(1))],
@@ -417,6 +442,7 @@ def test_input_errors_exit_3_with_the_message_on_stderr(tmp_path, capsys, argv, 
         code = exc.code
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "") and message in captured.err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -24,7 +24,9 @@ from lagflow.grassmann import (
 )
 from lagflow.intersect import (
     FamilyJet,
+    MeshedFamily,
     intersection_number_lagrangian,
+    locate_crossings,
     operator_jet_to_lagrangian,
 )
 from lagflow.linalg import Tolerance
@@ -966,6 +968,27 @@ def test_no_stacked_lapack_call_exceeds_the_entry_budget(monkeypatch, n):
     gaps = lagflow.intersect._gaps(values, np.eye(n))
     assert gaps[-1] == lagflow.intersect._gaps(values[-1:], np.eye(n))[0]
     assert max(k for _, k in sizes) == per_call
+    assert all(entries <= budget or k == 1 for entries, k in sizes)
+    if n < 64:
+        return
+    # Newton in lockstep: 14 runs, more than one call holds, from the nodes
+    # where 1.5 + 0.2 cos(pi x1) cos(pi x2) cos(pi x3) is 1.3; the stacked svd
+    # of their starts and the detector of their 14 ends go in runs too
+    runs = []
+    newton = lagflow.intersect._newton_runs
+
+    def lockstep(family, x0, t0):
+        sizes.clear()
+        ends = newton(family, x0, t0)
+        runs.append(sum(end is not None for end in ends))
+        return ends
+
+    monkeypatch.setattr(lagflow.intersect, "_newton_runs", lockstep)
+    axes = (np.linspace(-1.0, 1.0, 3),) * 3
+    family = MeshedFamily(2, axes, v[:, 1:], func=lambda x: (
+        1.5 + 0.2 * np.prod(np.cos(np.pi * x))) * np.eye(n))
+    assert locate_crossings(family) == [] and runs == [14]
+    assert [k for _, k in sizes].count(per_call) == 3 * (14 // per_call)
     assert all(entries <= budget or k == 1 for entries, k in sizes)
 
 

@@ -570,19 +570,16 @@ def _pair(a, b):
     return np.array([[1.0, a], [np.conj(a), b]])
 
 
-def test_newton_locates_a_crossing_to_rounding_in_few_evaluations(monkeypatch):
+def test_newton_locates_a_crossing_to_rounding_in_few_evaluations():
     calls = []
-    value_at = MeshedFamily.value_at
 
-    def counting(self, x):
+    def func(x):
         calls.append(np.array(x))
-        return value_at(self, x)
+        return _pair(x[1] + 0.05 + 1j * (x[2] - 0.02), x[0] - 0.13)
 
-    monkeypatch.setattr(MeshedFamily, "value_at", counting)
     # an affine family whose only crossing is x = (0.13, -0.05, 0.02)
     axes = tuple(np.linspace(-0.6, 0.6, 9) for _ in range(3))
-    fam = MeshedFamily(2, axes, W2, func=lambda x: _pair(x[1] + 0.05 + 1j * (x[2] - 0.02),
-                                                          x[0] - 0.13))
+    fam = MeshedFamily(2, axes, W2, func=func)
     points = locate_crossings(fam)
     assert len(points) == 1 and np.abs(points[0] - [0.13, -0.05, 0.02]).max() < 1e-14
     # 729 scan nodes; one run from (0.15, 0, 0), which starts from the scan's
@@ -596,13 +593,13 @@ def test_a_tie_between_neighbouring_nodes_starts_one_run(monkeypatch):
     import lagflow.intersect
 
     starts = []
-    original = lagflow.intersect._newton
+    original = lagflow.intersect._newton_runs
 
     def counting(family, x0, t0):
-        starts.append(x0)
+        starts.extend(x0)
         return original(family, x0, t0)
 
-    monkeypatch.setattr(lagflow.intersect, "_newton", counting)
+    monkeypatch.setattr(lagflow.intersect, "_newton_runs", counting)
     # the crossing x = 0 lies halfway between the nodes (-0.1, 0, 0) and
     # (0.1, 0, 0), whose detector values are exactly equal
     axis, other = np.array([-0.5, -0.3, -0.1, 0.1, 0.3, 0.5]), np.linspace(-0.5, 0.5, 5)
@@ -669,13 +666,13 @@ def test_runs_start_from_the_local_minima_of_the_scan(monkeypatch):
     import lagflow.intersect
 
     starts = []
-    original = lagflow.intersect._newton
+    original = lagflow.intersect._newton_runs
 
     def counting(family, x0, t0):
-        starts.append(tuple(x0))
+        starts.extend(tuple(x) for x in x0)
         return original(family, x0, t0)
 
-    monkeypatch.setattr(lagflow.intersect, "_newton", counting)
+    monkeypatch.setattr(lagflow.intersect, "_newton_runs", counting)
     # a symmetric axis ties mirrored nodes exactly; T has no value on a strip
     axis = np.array([-0.6, -0.4, -0.2, 0.0, 0.2, 0.4, 0.6])
 
@@ -781,18 +778,13 @@ def test_the_scan_and_newton_read_each_point_once(monkeypatch):
     import lagflow.intersect
 
     calls, starts = [], []
-    value_at, newton = MeshedFamily.value_at, lagflow.intersect._newton
+    newton = lagflow.intersect._newton_runs
 
-    def counting(self, x):
-        calls.append(tuple(x))
-        return value_at(self, x)
-
-    def run(family, x0, t0):
-        starts.append(tuple(x0))
+    def runs(family, x0, t0):
+        starts.extend(tuple(x) for x in x0)
         return newton(family, x0, t0)
 
-    monkeypatch.setattr(MeshedFamily, "value_at", counting)
-    monkeypatch.setattr(lagflow.intersect, "_newton", run)
+    monkeypatch.setattr(lagflow.intersect, "_newton_runs", runs)
     # W = span(e1, e3): the lower block meets it at x = (0.13, 0, 0) only;
     # near x1 = +-pi/8, where cos(8 x1) + 1.2 has its minimum 0.2, two more
     # runs start and end where the detector is 0.2, with nothing
@@ -800,6 +792,7 @@ def test_the_scan_and_newton_read_each_point_once(monkeypatch):
     w = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
 
     def func(x):
+        calls.append(tuple(x))
         a = x[1] + 1j * x[2]
         return np.array([[np.cos(8.0 * x[0]) + 1.2, 0.0, 0.0],
                          [0.0, 1.0, a], [0.0, np.conj(a), x[0] - 0.13]])
@@ -814,3 +807,92 @@ def test_the_scan_and_newton_read_each_point_once(monkeypatch):
     assert calls[: len(nodes)] == [tuple(x) for x in nodes]
     assert all(calls.count(x0) == 1 for x0 in starts)
     assert all(calls.count(tuple(x)) == 1 for x in points)
+
+
+def _scalar_newton(family, x, t):
+    """One Newton run alone, as locate_crossings ran each before its runs
+    went in lockstep: the reference for :func:`intersect._newton_runs`."""
+    from lagflow.intersect import _DIFF_STEP, _NEWTON_HALVINGS, _NEWTON_STEPS, _box
+
+    def differences(x, t, h):
+        out = []
+        for e in h * np.eye(len(x)):
+            tp, tm = family.value_at(x + e), family.value_at(x - e)
+            if tp is None and tm is None:
+                return None
+            width = 2.0 * h if tp is not None and tm is not None else h
+            out.append(((t if tp is None else tp) - (t if tm is None else tm), width))
+        return out
+
+    spacing, (lo, hi) = family.spacing(), _box(family)
+    lo, hi = lo - spacing / 2.0, hi + spacing / 2.0
+    h = spacing * _DIFF_STEP
+    c = np.linalg.svd(t @ family.w)[2][-1].conj()
+    n, d, m = t.shape[0], x.size, c.size
+    rows = np.zeros((n + 1, d + 2 * m), dtype=np.complex128)
+    system, rhs = np.empty((2, n + 1, d + 2 * m)), np.zeros((2, n + 1))
+    for _ in range(_NEWTON_STEPS):
+        tw, wc = t @ family.w, family.w @ c
+        diffs = differences(x, t, h)
+        if diffs is None:
+            return None
+        for i, (diff, width) in enumerate(diffs):
+            rows[:n, i] = diff @ wc / width
+        rows[:n, d:d + m], rows[:n, d + m:] = tw, 1j * tw
+        rows[n, d:d + m], rows[n, d + m:] = c.conj(), 1j * c.conj()
+        system[0], system[1] = rows.real, rows.imag
+        residual = -(tw @ c)
+        rhs[0, :n], rhs[1, :n] = residual.real, residual.imag
+        step = np.linalg.lstsq(system.reshape(2 * n + 2, -1), rhs.reshape(-1), rcond=None)[0]
+        dx, dc = step[:d], step[d:d + m] + 1j * step[d + m:]
+        if np.linalg.norm(dx) <= 1e-15 * max(1.0, float(np.linalg.norm(x))):
+            break
+        for _ in range(_NEWTON_HALVINGS + 1):
+            end = x + dx
+            t_end = family.value_at(end) if (lo <= end).all() and (end <= hi).all() else None
+            if t_end is not None:
+                break
+            dx, dc = dx / 2.0, dc / 2.0
+        else:
+            return None
+        x, t, c = end, t_end, (c + dc) / np.linalg.norm(c + dc)
+    return x, t
+
+
+def test_lockstep_newton_ends_equal_the_runs_alone_bit_for_bit(monkeypatch):
+    import lagflow.intersect
+    from test_acceptance import _su2_chart_family
+
+    runs = []
+    lockstep = lagflow.intersect._newton_runs
+
+    def recording(family, x0, t0):
+        ends = lockstep(family, x0, t0)
+        runs.extend((family, x, t, end) for x, t, end in zip(x0, t0, ends))
+        return ends
+
+    monkeypatch.setattr(lagflow.intersect, "_newton_runs", recording)
+    # acc-08's charts, 17 nodes per axis, the first 20 quadratic draws, and a
+    # W of two columns, whose c needs a norm of two entries
+    axis = np.linspace(-0.87, 0.87, 17)
+    families = [_su2_chart_family(coord, sign, axis) for coord in range(4) for sign in (1, -1)]
+    families += itertools.islice(_quadratic_pairs(0), 20)
+    rng = np.random.default_rng(7)
+    a, b, c = (random_hermitian(3, rng) for _ in range(3))
+    families.append(MeshedFamily(2, (np.linspace(-0.8, 0.8, 6),) * 3, rng.normal(size=(3, 2)),
+                                 func=lambda x: x[0] * a + np.sin(2.0 * x[1]) * b
+                                 + (x[2] ** 2 - 0.1) * c))
+    for family in families:
+        try:
+            locate_crossings(family)
+        except PreconditionError:
+            pass
+    ended = 0
+    for family, x, t, end in runs:
+        alone = _scalar_newton(family, x, t)
+        assert (end is None) == (alone is None), x
+        if end is not None:
+            ended += 1
+            assert end[0].tobytes() == alone[0].tobytes(), x
+            assert end[1].tobytes() == alone[1].tobytes(), x
+    assert len(runs) > 600 and 0 < ended < len(runs)

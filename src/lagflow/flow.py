@@ -50,14 +50,13 @@ CLI's plots and the mesh detector of :mod:`intersect` stack by it too.
 Both spectral-flow routes evaluate each parameter value once per call:
 the node scan and every branch's midpoints and root-finder steps read
 the sorted eigenvalues of A(t) from one memo.  The
-values known in advance, the refined nodes and the midpoints the branches
-will probe, are filled in such stacks across grid steps: a sampled path
-interpolates a stack in one array expression, a ``func`` path's stack is
-checked and symmetrized at once, and each stack takes one stacked
-eigvalsh; the others are read one by one.  The first level of the branch
-search (a sign change, a zero end, or a probed midpoint that changes sign
-or falls below half the smaller end) is tested for every interval and
-branch at once, and only the pairs that pass are searched.
+values known in advance, the endpoints, the refined nodes and each level
+of midpoints the branch search probes, are filled in such stacks across
+grid steps: a sampled path interpolates a stack in one array expression,
+a ``func`` path's stack is checked and symmetrized at once, and each
+stack takes one stacked eigvalsh; the root finders' steps are read one by
+one.  :func:`_branch_events` searches every interval and branch at once,
+level by level, and halves only the intervals where some branch needs it.
 Only the kernel at a located crossing needs A(t) again, for its
 eigenvectors.  The geodesic steps of a path or loop are decomposed in
 stacks too (:func:`_steps_angles`): all grid steps at once, and each
@@ -369,11 +368,10 @@ def _path_eigs(path: HermitianPath, tol: Tolerance):
     def eig_rows(ts: Sequence[float]) -> np.ndarray:
         todo = [t for t in ts if t not in memo]
         memo.update(zip(todo, _stacked_eigs(path, todo)))
-        return np.array([memo[t] for t in ts])
+        return np.array([memo[t] for t in ts]).reshape(len(ts), path.dim)
 
-    for t in (0.0, 1.0):
-        if np.min(np.abs(eig_at(t))) <= tol.crossing_eps:
-            raise PreconditionError("degenerate endpoint")
+    if np.min(np.abs(eig_rows([0.0, 1.0]))) <= tol.crossing_eps:
+        raise PreconditionError("degenerate endpoint")
     scale = max(1.0, float(np.abs(path._nodes).max()))
     return eig_at, eig_rows, scale, max(tol.crossing_eps, 1e-12 * scale)
 
@@ -431,35 +429,47 @@ def _root(g, lo: float, hi: float, glo: float, ghi: float, width: float
     return (lo if abs(glo) <= abs(ghi) else hi), lo, hi
 
 
-def _branch_crossings(branch, a, b, fa, fb, touch_eps, out, depth=0):
-    """Collect the sign changes of a continuous scalar branch on [a, b], as
-    events (t, k): k = +1 where it rises through zero, -1 where it falls.
+def _branch_events(eig_at, eig_rows, ts: np.ndarray, evs: np.ndarray, touch_eps: float
+                   ) -> list[tuple[float, int]]:
+    """The sign changes of the sorted eigenvalue branches on the nodes ts,
+    whose rows are evs, as events (t, k): k = +1 where a branch rises
+    through zero, -1 where it falls.
 
-    A sign change goes to :func:`_root`.  Without one, the midpoint is
-    probed, and the halves are searched again while its value falls below
-    half the smaller end value, so a branch crossing twice between nodes is
-    still found.  A probed midpoint within touch_eps of zero that keeps the
-    ends' sign is a tangency: the search of [a, b] ends there, with nothing
-    added.
+    The search goes level by level over its intervals, each with a mask of
+    the branches still searched on it (all of them at the first level).  A
+    searched branch with a zero end, or a level past _MAX_DEPTH, is "grid
+    too coarse".  The midpoints of the intervals where some searched branch
+    keeps its sign are probed in one eig_rows; each searched branch that
+    changes sign goes to :func:`_root`.  The halves of an interval are
+    searched again for each branch whose probe changes sign, or falls above
+    touch_eps and below half its smaller end, so a branch crossing twice
+    between nodes is still found; a probe within touch_eps of zero that
+    keeps the ends' sign is a tangency, and adds nothing.
     """
-    if depth > _MAX_DEPTH:
-        raise PreconditionError("grid too coarse")
-    if fa == 0.0 or fb == 0.0:
-        raise PreconditionError("grid too coarse")
-    if fa * fb < 0.0:
-        out.append((_root(branch, a, b, fa, fb, 1e-15)[0], 1 if fa < 0.0 else -1))
-        return
-    mid = 0.5 * (a + b)
-    fm = branch(mid)
-    if fm * fa < 0.0:
-        _branch_crossings(branch, a, mid, fa, fm, touch_eps, out, depth + 1)
-        _branch_crossings(branch, mid, b, fm, fb, touch_eps, out, depth + 1)
-        return
-    if abs(fm) <= touch_eps:
-        return
-    if abs(fm) < 0.5 * min(abs(fa), abs(fb)):
-        _branch_crossings(branch, a, mid, fa, fm, touch_eps, out, depth + 1)
-        _branch_crossings(branch, mid, b, fm, fb, touch_eps, out, depth + 1)
+    lo, hi, fa, fb = ts[:-1], ts[1:], evs[:-1], evs[1:]
+    live = np.ones(fa.shape, dtype=bool)
+    events: list[tuple[float, int]] = []
+    depth = 0
+    while live.any():
+        if depth > _MAX_DEPTH or np.any(live & ((fa == 0.0) | (fb == 0.0))):
+            raise PreconditionError("grid too coarse")
+        keeps = live & (fa * fb > 0.0)
+        mid = 0.5 * (lo + hi)
+        probed = keeps.any(axis=1)
+        fm = np.zeros_like(fa)
+        fm[probed] = eig_rows(mid[probed])
+        for i, j in zip(*np.nonzero(live & (fa * fb < 0.0))):
+            branch = lambda t, _j=j: float(eig_at(t)[_j])  # noqa: E731
+            ends = float(lo[i]), float(hi[i]), float(fa[i, j]), float(fb[i, j])
+            events.append((_root(branch, *ends, 1e-15)[0], 1 if fa[i, j] < 0.0 else -1))
+        small = (np.abs(fm) > touch_eps) & (np.abs(fm) < 0.5 * np.minimum(np.abs(fa), np.abs(fb)))
+        split = keeps & ((fm * fa < 0.0) | small)
+        rows = split.any(axis=1)
+        lo, hi = np.concatenate([lo[rows], mid[rows]]), np.concatenate([mid[rows], hi[rows]])
+        fa, fb = np.concatenate([fa[rows], fm[rows]]), np.concatenate([fm[rows], fb[rows]])
+        live = np.concatenate([split[rows], split[rows]])
+        depth += 1
+    return events
 
 
 def _merge_events(events: Sequence[tuple[float, int]], radius: float
@@ -506,22 +516,7 @@ def spectral_flow_crossing(path: HermitianPath, tol: Tolerance = DEFAULT_TOL
     eig_at, eig_rows, scale, node_eps = _path_eigs(path, tol)
     ts, evs = _shift_interior_zeros(_refine_grid(path.grid, 8), eig_at, eig_rows, node_eps)
     touch_eps = max(tol.crossing_eps * 1e-3, 1e-13 * scale)
-    # the tests of _branch_crossings' first level, for every (interval,
-    # branch) at once: it acts on no other pair.  It probes midpoints only
-    # where some branch keeps its sign; where every branch changes sign,
-    # fm = 0 leaves the sign change to decide
-    fa, fb = evs[:-1], evs[1:]
-    probed = np.any(fa * fb >= 0.0, axis=1)
-    fm = np.zeros_like(fa)
-    fm[probed] = eig_rows(0.5 * (ts[:-1] + ts[1:])[probed])
-    acts = ((fa * fb <= 0.0) | (fm * fa < 0.0)
-            | (np.abs(fm) < 0.5 * np.minimum(np.abs(fa), np.abs(fb))))
-
-    events: list[tuple[float, int]] = []
-    for j, i in zip(*np.nonzero(acts.T)):  # branch by branch, each over its intervals
-        branch = lambda t, _j=j: float(eig_at(t)[_j])  # noqa: E731
-        _branch_crossings(branch, ts[i], ts[i + 1], float(fa[i, j]), float(fb[i, j]),
-                          touch_eps, events)
+    events = _branch_events(eig_at, eig_rows, ts, evs, touch_eps)
 
     flow = 0
     crossings: list[Crossing] = []

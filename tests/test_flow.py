@@ -467,7 +467,8 @@ def _stacked_sizes(monkeypatch, names):
 def test_stacked_eigvalsh_calls_fill_the_entry_budget(monkeypatch):
     # at n = 3 the x8 scan's 64 probed midpoints take one call, as do its 63
     # and the x4 scan's 31 interior nodes; at n = 32 (a discretization at
-    # m = 32) 32 matrices fill the budget
+    # m = 32) 32 matrices fill the budget.  Each deeper level of probes is
+    # one call too
     budget = lagflow.flow._STACK_ENTRIES
     sizes = _stacked_sizes(monkeypatch, ["eigvalsh"])
     a, b = np.diag([-1.0, 0.5, 2.0]), np.diag([3.0, -2.0, 1.0])
@@ -483,28 +484,86 @@ def test_stacked_eigvalsh_calls_fill_the_entry_budget(monkeypatch):
             assert max(k for _, k in sizes) == count
             assert all(entries <= budget or k == 1 for entries, k in sizes)
 
+    # two branches, each a V about a midpoint c that the x8 scan probes, with
+    # a dip through zero beside c: the probe at c falls below half its ends,
+    # so the halves are searched, and the second level of probes, the four
+    # midpoints c -+ 1/256, finds the dips
+    def v(t, c):
+        u = (t - c - 1 / 256) / 0.001
+        return 0.001 + 10.0 * abs(t - c) - 0.05 * np.exp(-u * u)
+
+    def dv(t, c):
+        u = (t - c - 1 / 256) / 0.001
+        return 10.0 * np.sign(t - c) + 100.0 * u * np.exp(-u * u)
+
+    calls = []
+
+    def func(t):
+        calls.append(t)
+        return np.diag([v(t, 0.2578125), v(t, 0.5078125)])
+
+    path = HermitianPath.from_function(
+        func, 9, dfunc=lambda t: np.diag([dv(t, 0.2578125), dv(t, 0.5078125)]))
+    sizes.clear()
+    calls.clear()
+    flow, crossings = spectral_flow_crossing(path)
+    assert flow == 0
+    assert [c.sign for c in crossings] == [-1, 1, -1, 1]
+    # the ends, the 63 interior refined nodes, the 64 first-level probes and
+    # the four second-level ones, each one stacked call; the others are the
+    # root finders' single reads.  Each t is read once, a located crossing
+    # once more for its kernel
+    assert [k for _, k in sizes if k > 1] == [2, 63, 64, 4]
+    assert all(entries <= budget or k == 1 for entries, k in sizes)
+    counts = {t: calls.count(t) for t in calls}
+    located = {c.t for c in crossings}
+    assert {t: k for t, k in counts.items() if k != (2 if t in located else 1)} == {}
+
 
 def _linspace_refined(grid, factor):
     return np.concatenate([np.linspace(a, b, factor + 1)[:-1]
                            for a, b in zip(grid[:-1], grid[1:])] + [grid[-1:]])
 
 
+def _branch_crossings(branch, a, b, fa, fb, touch_eps, out, depth=0):
+    """The branch search of one (interval, branch), recursive, one probe at a
+    time: the sign changes of a scalar branch on [a, b], as events (t, k)
+    with k = +1 where it rises through zero, -1 where it falls."""
+    if depth > lagflow.flow._MAX_DEPTH:
+        raise PreconditionError("grid too coarse")
+    if fa == 0.0 or fb == 0.0:
+        raise PreconditionError("grid too coarse")
+    if fa * fb < 0.0:
+        out.append((lagflow.flow._root(branch, a, b, fa, fb, 1e-15)[0], 1 if fa < 0.0 else -1))
+        return
+    mid = 0.5 * (a + b)
+    fm = branch(mid)
+    if fm * fa < 0.0:
+        _branch_crossings(branch, a, mid, fa, fm, touch_eps, out, depth + 1)
+        _branch_crossings(branch, mid, b, fm, fb, touch_eps, out, depth + 1)
+        return
+    if abs(fm) <= touch_eps:
+        return
+    if abs(fm) < 0.5 * min(abs(fa), abs(fb)):
+        _branch_crossings(branch, a, mid, fa, fm, touch_eps, out, depth + 1)
+        _branch_crossings(branch, mid, b, fm, fb, touch_eps, out, depth + 1)
+
+
 def _unscreened_crossing(path):
     """spectral_flow_crossing as a loop that hands every (interval, branch)
-    to _branch_crossings, on a grid refined by linspace: the oracle of the
-    screened scan and of _refine_grid."""
+    to the recursive _branch_crossings, on a grid refined by linspace: the
+    oracle of the level-by-level search and of _refine_grid."""
     f, tol = lagflow.flow, Tolerance()
     eig_at, eig_rows, scale, node_eps = f._path_eigs(path, tol)
     ts, evs = f._shift_interior_zeros(_linspace_refined(path.grid, 8), eig_at, eig_rows,
                                       node_eps)
-    eig_rows(0.5 * (ts[:-1] + ts[1:])[np.any(evs[:-1] * evs[1:] >= 0.0, axis=1)])
     events = []
     touch_eps = max(tol.crossing_eps * 1e-3, 1e-13 * scale)
     for j in range(path.dim):
         branch = lambda t, _j=j: float(eig_at(t)[_j])  # noqa: E731
         for i in range(ts.size - 1):
-            f._branch_crossings(branch, ts[i], ts[i + 1], float(evs[i, j]),
-                                float(evs[i + 1, j]), touch_eps, events)
+            _branch_crossings(branch, ts[i], ts[i + 1], float(evs[i, j]), float(evs[i + 1, j]),
+                              touch_eps, events)
     flow, crossings = 0, []
     for t_star, _ in f._merge_events(events, 1e-9):
         if not (0.0 < t_star < 1.0):
@@ -537,6 +596,8 @@ def _screen_corpus():
                                - 0.05 * np.exp(-((t - c - 1 / 256) / 0.001) ** 2)]]), 9
     # exactly zero on a refined node and 1e-8 around it, past its nudges: a zero end
     yield lambda t: np.array([[np.sign(t - 0.53125) * max(0.0, abs(t - 0.53125) - 1e-8)]]), 9
+    # a sign change on every refined interval: the first level probes no midpoint
+    yield lambda t: np.array([[np.sin(64.0 * np.pi * (t - 1 / 128))]]), 9
     rng = np.random.default_rng(20)
     for n in (1, 2, 3, 5):
         for grid in (2, 3, 5, 9, np.array([0.0, 0.013, 0.3, 0.71, 1.0])):

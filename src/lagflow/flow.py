@@ -79,7 +79,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .grassmann import LagrangianFrame, cayley_graph, lagrangian_to_unitary
-from .linalg import DEFAULT_TOL, Tolerance, _finite_parts, symmetrize
+from .linalg import DEFAULT_TOL, Tolerance, _as_matrix, _finite_parts, _hermitian_stack, symmetrize
 
 __all__ = [
     "HermitianPath",
@@ -143,6 +143,14 @@ def _bracket(grid: np.ndarray, t: float) -> tuple[int, float]:
     return i, _offset(grid, i, t)
 
 
+def _cells(grid: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_bracket` of each t of an array, clamped to the grid first:
+    the grid step that holds t, and t's offset in it."""
+    ts = np.clip(ts, grid[0], grid[-1])
+    i = np.clip(grid.searchsorted(ts, side="right") - 1, 0, grid.size - 2)
+    return i, _offset(grid, i, ts)
+
+
 def _offset(grid: np.ndarray, i, t):
     """(t - t_i) / (t_i+1 - t_i): the offset of t in grid step i, or of an
     array of t, each in its own step of an array i."""
@@ -153,9 +161,28 @@ def _offset(grid: np.ndarray, i, t):
 def _lerp(nodes: Sequence[np.ndarray], i, s):
     """(1 - s) nodes[i] + s nodes[i+1]: the path interpolation, at one offset s
     in step i, or at a (k, 1, 1) array of them in the steps of an array i of
-    a stacked ``nodes``.  A sampled :class:`intersect.MeshedFamily` applies
-    it to its cell once per axis, with i = 0 on the cell's leading axis."""
+    a stacked ``nodes``.  :func:`_multilinear` reduces the corners of a
+    stack of cells with it, one axis at a time, with i = 0 on a pair of
+    corner stacks."""
     return (1.0 - s) * nodes[i] + s * nodes[i + 1]
+
+
+def _multilinear(nodes: np.ndarray, axes: Sequence[np.ndarray], points: np.ndarray) -> np.ndarray:
+    """The multilinear interpolant of the (m_0, ..., m_d-1, n, n) ``nodes`` on
+    the grid ``axes`` at each row of a (count, d) array of points, clamped to
+    the grid: each axis gives the points' cells (:func:`_cells`), and
+    :func:`_lerp` reduces their corner nodes, axis 0 first, gathering one
+    (count, n, n) stack of corners at a time."""
+    cells = [_cells(a, p) for a, p in zip(axes, points.T)]
+
+    def corners(axis, bits):
+        # the corners at offsets ``bits`` on axes axis..d-1, reduced over the axes before
+        if axis == 0:
+            return nodes[tuple(i + b for (i, _), b in zip(cells, bits))]
+        return _lerp([corners(axis - 1, (b,) + bits) for b in (0, 1)], 0,
+                     cells[axis - 1][1][:, None, None])
+
+    return corners(len(axes), ())
 
 
 def _chunks(count: int, n: int) -> list[slice]:
@@ -194,8 +221,10 @@ def _sides(grid: np.ndarray, t: float) -> list[int]:
 class HermitianPath:
     """One-parameter family of Hermitian matrices on [0, 1].
 
-    Sampled values are interpolated linearly between nodes, and a sampled
-    path is signed by its interpolant's slope.  When ``func`` is supplied it
+    The node values must be Hermitian, to :func:`linalg.require_hermitian`'s
+    defect rule, checked here for all nodes at once.  Sampled values are
+    interpolated linearly between nodes, and a sampled path is signed by its
+    interpolant's slope.  When ``func`` is supplied it
     is used instead (the samples then only seed crossing detection), with
     its derivative ``dfunc`` if given, else a Richardson-extrapolated central
     difference; a ``dfunc`` needs a ``func``.  Both are keyword-only.
@@ -209,17 +238,16 @@ class HermitianPath:
 
     def __post_init__(self):
         g = _check_grid(self.grid)
-        vals = tuple(symmetrize(v) for v in self.values)
+        vals = [_as_matrix(v) for v in self.values]
         if len(vals) != g.size:
             raise InputError("one value per grid node required")
-        dim = vals[0].shape[0]
-        if dim == 0:
-            raise InputError("path dimension must be >= 1")
-        if any(v.shape[0] != dim for v in vals):
+        if any(v.shape != vals[0].shape for v in vals):
             raise InputError("all path values must share one dimension")
+        nodes = _hermitian_stack(np.stack(vals))  # the values are its rows
+        if nodes.shape[1] == 0:
+            raise InputError("path dimension must be >= 1")
         if self.dfunc is not None and self.func is None:
             raise InputError("dfunc needs func: a sampled path is signed by its interpolant")
-        nodes = np.stack(vals)  # the values are its rows
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", tuple(nodes))
         object.__setattr__(self, "_nodes", nodes)
@@ -247,9 +275,8 @@ class HermitianPath:
         order, then checks and symmetrizes the stack at once.  A stack that
         fails the check is checked value by value, for value_at's error."""
         if self.func is None:
-            ts = np.clip(np.array(ts, dtype=float), 0.0, 1.0)
-            i = np.clip(self.grid.searchsorted(ts, side="right") - 1, 0, self.grid.size - 2)
-            return _lerp(self._nodes, i, _offset(self.grid, i, ts)[:, None, None])
+            i, s = _cells(self.grid, np.array(ts, dtype=float))
+            return _lerp(self._nodes, i, s[:, None, None])
         return _checked_stack([self.func(min(max(float(t), 0.0), 1.0)) for t in ts],
                               self.dim, self._checked)
 

@@ -33,13 +33,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .flow import (HermitianPath, _bracket, _checked_stack, _chunks, _lerp,
-                   spectral_flow_crossing)
+from .flow import HermitianPath, _checked_stack, _chunks, _multilinear, spectral_flow_crossing
 from .grassmann import J_matrix, LagrangianFrame, _inv_sqrt_eye_plus_sq, _switched_graph
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _eigh,
+    _hermitian_stack,
     inner,
     numeric_kernel,
     orthocomplement_basis,
@@ -304,9 +304,10 @@ class MeshedFamily:
 
     Either ``func``, assumed pure, maps a parameter point to a Hermitian
     matrix (returning None outside the valid domain), or ``values`` holds
-    Hermitian node samples, checked here and interpolated multilinearly:
-    the 2^d nodes of a point's cell are interpolated along one axis at a
-    time by the path kernel :func:`flow._lerp`.  ``orientation`` is the
+    Hermitian node samples, checked here all at once and interpolated
+    multilinearly: a stack of points is read at once, each point's 2^d cell
+    corners reduced one axis at a time by the path kernel
+    :func:`flow._lerp` (:func:`flow._multilinear`).  ``orientation`` is the
     sign of the parameter frame against the ambient orientation of the
     family's manifold; it multiplies every local intersection number.  W
     must have codimension k-1 in C^n, with n its number of rows, and every
@@ -347,8 +348,8 @@ class MeshedFamily:
                 raise InputError("sampled values do not match the mesh shape")
             if vals.shape[-1] != w.shape[0]:
                 raise InputError(_W_SIZE)
-            nodes = [require_hermitian(v) for v in vals.reshape((-1,) + vals.shape[-2:])]
-            object.__setattr__(self, "values", np.stack(nodes).reshape(vals.shape))
+            nodes = _hermitian_stack(vals.reshape((-1,) + vals.shape[-2:]))
+            object.__setattr__(self, "values", nodes.reshape(vals.shape))
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "w", w)
 
@@ -363,16 +364,7 @@ class MeshedFamily:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dims,):
             raise InputError(f"a point of this family has {self.dims} coordinates")
-        if self.func is not None:
-            val = self.func(x)
-            return None if val is None else self._checked(val)
-        if any(xi < a[0] - 1e-12 or xi > a[-1] + 1e-12 for a, xi in zip(self.axes, x)):
-            return None
-        cell = [_bracket(a, min(max(xi, a[0]), a[-1])) for a, xi in zip(self.axes, x)]
-        out = self.values[tuple(slice(i, i + 2) for i, _ in cell)]
-        for _, s in cell:
-            out = _lerp(out, 0, s)
-        return out
+        return self._values(x[None])[0]
 
     def _checked(self, value) -> np.ndarray:
         """A ``func`` value, symmetrized; an input error when it is not n x n."""
@@ -382,15 +374,25 @@ class MeshedFamily:
         return val
 
     def _values(self, points: np.ndarray) -> list[np.ndarray | None]:
-        """value_at of each row of a (count, dims) float array, with value_at's
-        float operations.  A ``func`` family calls func once per point, in
-        order, then checks and symmetrizes the values it got in stacks of
-        :func:`flow._chunks` runs, as :meth:`flow.HermitianPath._stack` does."""
+        """The value at each row of a (count, dims) float array; value_at is
+        its one-row case.  A sampled family has no value at a point more than
+        1e-12 outside the box, and reads the others with
+        :func:`flow._multilinear`, in stacks of :func:`flow._chunks` runs.  A
+        ``func`` family calls func once per point, in order, then checks and
+        symmetrizes the values it got in such stacks, as
+        :meth:`flow.HermitianPath._stack` does."""
+        n = self.w.shape[0]
         if self.func is None:
-            return [self.value_at(x) for x in points]
+            lo, hi = _box(self)
+            out: list[np.ndarray | None] = [None] * len(points)
+            inside = np.flatnonzero(~((points < lo - 1e-12) | (points > hi + 1e-12)).any(axis=1))
+            for run in _chunks(inside.size, n):
+                idx = inside[run]
+                for r, val in zip(idx, _multilinear(self.values, self.axes, points[idx])):
+                    out[r] = val
+            return out
         out = [self.func(x) for x in points]
         have = [i for i, val in enumerate(out) if val is not None]
-        n = self.w.shape[0]
         for run in _chunks(len(have), n):
             idx = have[run]
             for i, val in zip(idx, _checked_stack([out[i] for i in idx], n, self._checked)):

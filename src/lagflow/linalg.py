@@ -49,6 +49,7 @@ __all__ = [
 _HERM_TOL = 1e-12
 _MAX_PART = 2.0**1023
 _UNITARY_TOL = 1e-10
+_NOT_FINITE = "matrix entries must be finite and below 2**1023"
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,21 @@ def inner(u, v):
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a 2-d complex128 array with finite parts below 2**1023,
     so that sums such as M + M* stay finite behind the check."""
+    m = _as_matrix(a)
+    if not _finite_parts(m):
+        raise InputError(_NOT_FINITE)
+    return m
+
+
+def _as_matrix(a) -> np.ndarray:
+    """:func:`as_complex_matrix` before its finite check, for a matrix whose
+    stack :func:`_hermitian_stack` checks."""
     try:
         m = np.asarray(a, dtype=np.complex128)
     except (TypeError, ValueError) as exc:  # not numbers, or ragged
         raise InputError(f"expected a matrix, got {type(a).__name__}") from exc
     if m.ndim != 2:
         raise InputError(f"expected a matrix, got array of ndim {m.ndim}")
-    if not _finite_parts(m):
-        raise InputError("matrix entries must be finite and below 2**1023")
     return m
 
 
@@ -119,14 +127,27 @@ def require_hermitian(m) -> np.ndarray:
 
     The defect ||M - M*||_max must stay below 1e-12 * max(1, ||M||_max).
     """
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    return _hermitian_stack(as_complex_matrix(m)[None])[0]
+
+
+def _hermitian_stack(m: np.ndarray) -> np.ndarray:
+    """:func:`require_hermitian` of each matrix of a (count, n, n) complex128
+    stack, at once and with its float operations.  The first matrix that
+    fails gets the error it gets alone."""
+    if m.shape[1] != m.shape[2]:
         raise InputError("Hermitian matrix must be square")
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    defect = float(np.abs(m - m.conj().T).max(initial=0.0))
-    if defect > _HERM_TOL * scale:
-        raise InputError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return 0.5 * (m + m.conj().T)
+    if not _finite_parts(m):
+        if len(m) > 1:  # the first matrix that fails raises
+            for v in m:
+                _hermitian_stack(v[None])
+        raise InputError(_NOT_FINITE)
+    h = m.conj().transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2), initial=0.0))
+    defect = np.abs(m - h).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(defect > _HERM_TOL * scale)
+    if bad.size:
+        raise InputError(f"matrix is not Hermitian (defect {defect[bad[0]]:.3e})")
+    return 0.5 * (m + h)
 
 
 def require_unitary(u) -> np.ndarray:

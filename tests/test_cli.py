@@ -332,6 +332,30 @@ def test_intersect_total_cli_rejects_a_non_hermitian_node(tmp_path, capsys):
     assert code == 3 and out == "" and "matrix is not Hermitian" in err
 
 
+@pytest.mark.parametrize("values", [[[[-1.0, 5.0], [0.0, 1.0]], [[1.0, 5.0], [0.0, 1.0]]],
+                                    [[[1.0]], [[1.0 + 0.5j]]]])
+def test_sf_cli_rejects_a_non_hermitian_value(tmp_path, capsys, values):
+    # sf answered for the Hermitian part, {"crossings":[],"flow":0}, with exit 0
+    path = {"grid": [0.0, 1.0], "values": [ser.encode_matrix(np.array(v)) for v in values]}
+    code, out, err = run(capsys, "sf", write(tmp_path, "path.json", path))
+    assert code == 3 and out == "" and "matrix is not Hermitian" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 2.0**1023])
+@pytest.mark.parametrize("verb", ["sf", "intersect-total"])
+def test_a_node_past_the_finite_range_exits_3(tmp_path, capsys, verb, bad):
+    grid = list(np.linspace(0.0, 1.0, 3))
+    values = [ser.encode_matrix(np.diag([t - 0.5, 1.0])) for t in grid]
+    values[1]["data"][3] = [bad, 0.0]
+    if verb == "sf":
+        obj = {"grid": grid, "values": values}
+    else:
+        obj = {"k": 1, "axes": [grid], "values": values, "W_frame": ser.encode_matrix(np.eye(2))}
+    code, out, err = run(capsys, verb, write(tmp_path, "in.json", obj))
+    assert code == 3 and out == ""
+    assert "matrix entries must be finite and below 2**1023" in err
+
+
 @pytest.mark.parametrize("verb", ["sf", "maslov", "universal"])
 def test_zero_dimension_path_exits_3(tmp_path, capsys, verb):
     empty = ser.encode_matrix(np.zeros((0, 0)))

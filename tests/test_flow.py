@@ -62,6 +62,21 @@ def test_path_validation():
         HermitianPath(np.array([0.0, 0.4, 0.2, 1.0]), tuple(np.eye(1) for _ in range(4)))
 
 
+@pytest.mark.parametrize("values", [[[[-1.0, 5.0], [0.0, 1.0]], [[1.0, 5.0], [0.0, 1.0]]],
+                                    [[[1.0]], [[1.0 + 0.5j]]]])
+def test_a_non_hermitian_node_is_an_input_error(values):
+    # the path used to take the Hermitian part of its nodes
+    with pytest.raises(InputError, match="matrix is not Hermitian"):
+        HermitianPath(np.array([0.0, 1.0]), tuple(np.array(v) for v in values))
+
+
+def test_a_non_square_node_is_an_input_error():
+    with pytest.raises(InputError, match="Hermitian matrix must be square"):
+        HermitianPath(np.array([0.0, 1.0]), (np.ones((2, 3)), np.ones((2, 3))))
+    with pytest.raises(InputError, match="all path values must share one dimension"):
+        HermitianPath(np.array([0.0, 1.0]), (np.ones((2, 3)), np.eye(2)))
+
+
 def test_zero_dimension_paths_are_rejected():
     # 0 x 0 values used to reach spectral_flow_* and maslov_index, which
     # failed with numpy's "zero-size array" ValueError

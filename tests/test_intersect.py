@@ -371,6 +371,37 @@ def _corner_sum(family, x):
     return out
 
 
+def _value_at_alone(family, x):
+    """A sampled family's value at one point, one axis at a time, as value_at
+    read it before the family read stacks of points: the reference for
+    :func:`flow._multilinear`."""
+    from lagflow.flow import _bracket, _lerp
+
+    if any(xi < a[0] - 1e-12 or xi > a[-1] + 1e-12 for a, xi in zip(family.axes, x)):
+        return None
+    cell = [_bracket(a, min(max(xi, a[0]), a[-1])) for a, xi in zip(family.axes, x)]
+    out = family.values[tuple(slice(i, i + 2) for i, _ in cell)]
+    for _, s in cell:
+        out = _lerp(out, 0, s)
+    return out
+
+
+def _mixed_points(axes, rng):
+    """Random points, every node, and points on and past the box's edge by
+    1e-12 and more, shuffled into one stack."""
+    lo, hi = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
+    points = [lo + (hi - lo) * rng.uniform(size=(200, len(axes))), nodes]
+    for shift in (-1e-12, 1e-12, -3e-12, 3e-12, 1e-3):
+        for d in range(len(axes)):
+            for end in (lo, hi):
+                edge = lo + (hi - lo) * rng.uniform(size=(4, len(axes)))
+                edge[:, d] = end[d] + (shift if end is hi else -shift)
+                points.append(edge)
+    points = np.concatenate(points)
+    return points[rng.permutation(len(points))]
+
+
 def test_a_sampled_family_interpolates_as_a_path_one_axis_at_a_time():
     rng = np.random.default_rng(4)
     # k = 1 on a path's grid: the path's value, bit for bit
@@ -380,11 +411,13 @@ def test_a_sampled_family_interpolates_as_a_path_one_axis_at_a_time():
     ts = np.concatenate([grid, rng.uniform(0.0, 1.0, 200), [1e-13, 1.0 - 1e-13]])
     for t in ts:
         assert family.value_at(np.array([t])).tobytes() == path.value_at(t).tobytes(), t
+    families = [family]
     # k = 2: the corner sum, exactly at the nodes and to rounding between them
     axes = (np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 4), np.linspace(-1.0, 0.5, 6))
     shape = tuple(a.size for a in axes)
     values = np.stack([random_hermitian(2, rng) for _ in range(int(np.prod(shape)))])
     family = MeshedFamily(2, axes, W2, values=values.reshape(shape + (2, 2)))
+    families.append(family)
     for idx in np.ndindex(shape):
         x = np.array([a[i] for a, i in zip(axes, idx)])
         assert np.array_equal(family.value_at(x), family.values[idx])
@@ -393,6 +426,16 @@ def test_a_sampled_family_interpolates_as_a_path_one_axis_at_a_time():
         x = np.array([rng.uniform(a[0], a[-1]) for a in axes])
         ref = _corner_sum(family, x)
         assert np.abs(family.value_at(x) - ref).max() <= 1e-14 * np.abs(ref).max()
+    # one stacked read is the point-by-point read, bit for bit, None outside
+    for family in families:
+        points = _mixed_points(family.axes, rng)
+        read = family._values(points)
+        alone = [_value_at_alone(family, x) for x in points]
+        assert sum(val is None for val in alone) == 16 * family.dims  # 3e-12 and 1e-3 out
+        for x, val, ref in zip(points, read, alone):
+            assert (val is None) == (ref is None), x
+            assert val is None or val.tobytes() == ref.tobytes(), x
+            assert val is None or family.value_at(x).tobytes() == ref.tobytes(), x
 
 
 def test_two_crossings_closer_than_the_spacing_are_an_unresolved_cluster():
@@ -478,6 +521,31 @@ def test_sampled_family_rejects_a_non_hermitian_node():
            "values": [encode_matrix(v) for v in values]}
     with pytest.raises(InputError, match="matrix is not Hermitian"):
         decode_meshed_family(obj, Tolerance())
+
+
+def test_the_first_bad_node_of_a_sampled_family_raises_its_own_error():
+    # the nodes are checked as one stack; the first that fails gets the
+    # error it gets alone, defect digits and all
+    from lagflow.linalg import require_hermitian
+
+    rng = np.random.default_rng(9)
+    axes = tuple(np.linspace(-1.0, 1.0, 5) for _ in range(3))
+    good = np.stack([random_hermitian(2, rng) for _ in range(125)]).reshape((5,) * 3 + (2, 2))
+    skew, nan, huge = good[2, 1, 3].copy(), good[1, 0, 0].copy(), good[1, 0, 0].copy()
+    skew[0, 1] += 3.7e-9
+    nan[1, 1], huge[1, 1] = np.nan, 2.0**1023
+    for first, later in ((skew, nan), (nan, skew), (huge, skew)):
+        with pytest.raises(InputError) as alone:
+            require_hermitian(first)
+        values = good.copy()
+        values[2, 1, 3], values[4, 3, 4] = first, later
+        with pytest.raises(InputError) as raised:
+            MeshedFamily(2, axes, W2, values=values)
+        assert str(raised.value) == str(alone.value)
+        with pytest.raises(InputError) as raised:
+            HermitianPath(np.linspace(0.0, 1.0, 125), tuple(values.reshape(-1, 2, 2)))
+        assert str(raised.value) == str(alone.value)
+    assert "defect 3.700e-09" in str(pytest.raises(InputError, require_hermitian, skew).value)
 
 
 def _frame_detector(family, x):
